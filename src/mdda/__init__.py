@@ -48,9 +48,6 @@ from .pipeline import (
     TrainConfig,
     adapt_target,
     aggregate_predict,
-    baseline_single_best,
-    baseline_source_combined,
-    baseline_uniform,
     critic_loss,
     distill_finetune,
     distill_select,

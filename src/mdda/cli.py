@@ -2,8 +2,9 @@
 
 Every subcommand reads the same JSON experiment config.  The staged
 subcommands (gen-data, pretrain, adapt, distill, predict) walk the
-pipeline one stage at a time over checkpoint directories; run and
-ablate execute the whole multi-seed harness in one go.
+pipeline one stage at a time over checkpoint directories, calling the
+same stage functions as run for repetition 0; run and ablate execute
+the whole multi-seed harness in one go.
 """
 from __future__ import annotations
 
@@ -12,29 +13,22 @@ import dataclasses
 import os
 import sys
 
-from .datagen import sample_domain, save_csv, save_manifest, split_rows
-from .errors import MddaError
+from .datagen import save_csv, save_manifest
+from .errors import ConfigError, MddaError
 from .experiment import (
     ExperimentConfig,
     accuracy,
+    adapt_sources,
+    distill_sources,
+    experiment_hash,
     export_report,
     load_config,
+    predict_target,
+    pretrain_sources,
     run_experiment,
-    seed_stream,
+    sample_domains,
 )
-from .pipeline import (
-    adapt_target,
-    aggregate_predict,
-    distill_finetune,
-    distill_select,
-    domain_weight,
-    load_bundle,
-    pretrain_source,
-    sample_distances,
-    save_bundle,
-    single_source_probs,
-    uniform_weights,
-)
+from .pipeline import load_bundle, save_bundle
 from .scatter import export_scatter
 
 _SUBCOMMANDS = ("gen-data", "pretrain", "adapt", "distill", "predict", "run", "ablate", "scatter")
@@ -96,85 +90,68 @@ def _say(inv: CliInvocation, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _sampled_domains(cfg: ExperimentConfig):
-    sources = [
-        sample_domain(spec, cfg.n_source, seed_stream(cfg, 0, "data", spec.name))
-        for spec in cfg.sources
-    ]
-    target = sample_domain(cfg.target, cfg.n_target, seed_stream(cfg, 0, "data", "target"))
-    return sources, target
-
-
 def _bundle_dir(inv: CliInvocation, name: str) -> str:
     return os.path.join(inv.output_dir, "bundles", name)
 
 
+def _load_bundles(inv: CliInvocation, cfg: ExperimentConfig, stage: int):
+    """The bundle of every source, which must come from this experiment
+    and sit at the stage the subcommand continues from."""
+    stamp = experiment_hash(cfg)
+    bundles = [load_bundle(_bundle_dir(inv, spec.name), stamp) for spec in cfg.sources]
+    for b in bundles:
+        if b.stage > stage:
+            raise ConfigError(f"source {b.name}: bundle already at stage {b.stage}; rerun pretrain")
+        if b.stage < stage:
+            missing = "target encoder" if b.stage == 1 else "distilled classifier"
+            raise ConfigError(f"source {b.name}: bundle missing {missing}; run the stages in order")
+    return bundles
+
+
+def _save_bundles(inv: CliInvocation, cfg: ExperimentConfig, bundles) -> None:
+    stamp = experiment_hash(cfg)
+    for b in bundles:
+        save_bundle(b, _bundle_dir(inv, b.name), stamp)
+        wd = "" if b.wd_estimate is None else f", wd_estimate {b.wd_estimate:+.4f}"
+        _say(inv, f"source {b.name} at stage {b.stage}{wd}")
+
+
 def _cmd_gen_data(inv: CliInvocation, cfg: ExperimentConfig) -> None:
-    sources, target = _sampled_domains(cfg)
+    data = sample_domains(cfg, 0)
     data_dir = os.path.join(inv.output_dir, "data")
     os.makedirs(data_dir, exist_ok=True)
-    for ds in sources + [target]:
+    for ds in data.sources + [data.target]:
         save_csv(ds, os.path.join(data_dir, f"{ds.domain_name}.csv"))
         _say(inv, f"wrote {ds.n} rows for domain {ds.domain_name}")
     save_manifest(list(cfg.sources) + [cfg.target], os.path.join(data_dir, "manifest.json"))
 
 
 def _cmd_pretrain(inv: CliInvocation, cfg: ExperimentConfig) -> None:
-    sources, _ = _sampled_domains(cfg)
-    for ds in sources:
-        bundle = pretrain_source(
-            ds, cfg.extractor, cfg.classifier, cfg.pretrain, seed_stream(cfg, 0, "pretrain", ds.domain_name)
-        )
-        save_bundle(bundle, _bundle_dir(inv, bundle.name))
-        _say(inv, f"pre-trained source {bundle.name}")
+    _save_bundles(inv, cfg, pretrain_sources(cfg, 0, sample_domains(cfg, 0)))
 
 
 def _cmd_adapt(inv: CliInvocation, cfg: ExperimentConfig) -> None:
-    sources, target = _sampled_domains(cfg)
-    tgt_adapt, _ = split_rows(target, cfg.n_target // 2)
-    for ds in sources:
-        bundle = load_bundle(_bundle_dir(inv, ds.domain_name))
-        bundle = adapt_target(bundle, ds, tgt_adapt.x, cfg.adapt, seed_stream(cfg, 0, "adapt", bundle.name))
-        save_bundle(bundle, _bundle_dir(inv, bundle.name))
-        _say(inv, f"adapted source {bundle.name}: wd_estimate {bundle.wd_estimate:+.4f}")
+    bundles = _load_bundles(inv, cfg, 1)
+    _save_bundles(inv, cfg, adapt_sources(cfg, 0, sample_domains(cfg, 0), bundles))
 
 
 def _cmd_distill(inv: CliInvocation, cfg: ExperimentConfig) -> None:
-    sources, target = _sampled_domains(cfg)
-    tgt_adapt, _ = split_rows(target, cfg.n_target // 2)
-    for ds in sources:
-        bundle = load_bundle(_bundle_dir(inv, ds.domain_name))
-        sel = distill_select(
-            sample_distances(bundle, ds, tgt_adapt.x),
-            rule=cfg.method.distill_rule,
-            fraction=cfg.method.distill_fraction,
-        )
-        bundle = distill_finetune(bundle, ds, sel, cfg.finetune, seed_stream(cfg, 0, "finetune", bundle.name))
-        save_bundle(bundle, _bundle_dir(inv, bundle.name))
-        _say(inv, f"distilled source {bundle.name} on {sel.selected_indices.size} samples")
+    bundles = _load_bundles(inv, cfg, 2)
+    _save_bundles(inv, cfg, distill_sources(cfg, 0, sample_domains(cfg, 0), bundles))
 
 
 def _cmd_predict(inv: CliInvocation, cfg: ExperimentConfig) -> None:
-    _, target = _sampled_domains(cfg)
-    _, tgt_test = split_rows(target, cfg.n_target // 2)
-    bundles = [load_bundle(_bundle_dir(inv, spec.name)) for spec in cfg.sources]
-    if cfg.method.weighting == "wasserstein":
-        for b in bundles:
-            if b.target_encoder is None:
-                raise MddaError(f"source {b.name}: bundle missing target encoder")
-        weights = domain_weight([b.wd_estimate for b in bundles])
-    else:
-        weights = uniform_weights(len(bundles))
-    pred = aggregate_predict(bundles, weights, tgt_test.x)
-    acc = accuracy(pred.labels, tgt_test.y)
-    os.makedirs(inv.output_dir, exist_ok=True)
+    bundles = _load_bundles(inv, cfg, 3 if cfg.method.distill else 2)
+    test = sample_domains(cfg, 0).tgt_test
+    pred = predict_target(bundles, cfg.method.weighting, test.x)
+    acc = accuracy(pred.labels, test.y)
     path = os.path.join(inv.output_dir, "predictions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         n_classes = pred.probs.shape[1]
         fh.write("label," + ",".join(f"p{c}" for c in range(n_classes)) + "\n")
-        for label, row in zip(pred.labels, pred.probs.value):
+        for label, row in zip(pred.labels, pred.probs):
             fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    _say(inv, f"target test accuracy {acc:.4f} over {tgt_test.n} samples")
+    _say(inv, f"target test accuracy {acc:.4f} over {test.n} samples")
 
 
 def _cmd_run(inv: CliInvocation, cfg: ExperimentConfig) -> None:
@@ -191,9 +168,8 @@ def _cmd_ablate(inv: CliInvocation, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_scatter(inv: CliInvocation, cfg: ExperimentConfig) -> None:
-    sources, target = _sampled_domains(cfg)
-    domains = {ds.domain_name: (ds.x.value, ds.y) for ds in sources + [target]}
-    os.makedirs(inv.output_dir, exist_ok=True)
+    data = sample_domains(cfg, 0)
+    domains = {ds.domain_name: (ds.x, ds.y) for ds in data.sources + [data.target]}
     export_scatter(domains, os.path.join(inv.output_dir, "scatter.svg"))
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, NonFiniteError, json_field
 from .rng import Xoshiro256
 
 
@@ -60,15 +59,18 @@ class DomainSpec:
 
 @dataclass
 class Dataset:
-    x: Tensor
+    """Labelled rows; ``x`` is a private float64 copy of the input."""
+
+    x: np.ndarray
     y: np.ndarray
     domain_name: str
 
     def __post_init__(self):
-        if not isinstance(self.x, Tensor):
-            self.x = Tensor.of(self.x)
+        self.x = np.array(self.x, dtype=np.float64)
+        if not np.isfinite(self.x).all():
+            raise NonFiniteError(f"dataset {self.domain_name}: x holds a non-finite value")
         self.y = np.asarray(self.y, dtype=np.int64)
-        if self.x.value.ndim != 2:
+        if self.x.ndim != 2:
             raise ConfigError(f"dataset x must be [n x d], got {self.x.shape}")
         if self.x.shape[0] != self.y.shape[0]:
             raise ConfigError("x row count must equal label count")
@@ -119,7 +121,7 @@ def sample_domain(spec: DomainSpec, n: int, rng: Xoshiro256) -> Dataset:
         shifts = rng.integers(n, below=spec.n_classes - 1)
         flip = flips < spec.label_noise
         y = np.where(flip, (y + 1 + shifts) % spec.n_classes, y)
-    return Dataset(Tensor.of(x), y, spec.name)
+    return Dataset(x, y, spec.name)
 
 
 @dataclass(frozen=True)
@@ -170,9 +172,9 @@ def make_shift_family(base: DomainSpec, shifts: list[ShiftDelta]) -> list[Domain
 def concat_datasets(datasets: list[Dataset], name: str) -> Dataset:
     if not datasets:
         raise ConfigError("cannot concatenate zero datasets")
-    x = np.concatenate([ds.x.value for ds in datasets], axis=0)
+    x = np.concatenate([ds.x for ds in datasets], axis=0)
     y = np.concatenate([ds.y for ds in datasets])
-    return Dataset(Tensor.of(x), y, name)
+    return Dataset(x, y, name)
 
 
 def split_rows(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:
@@ -180,8 +182,8 @@ def split_rows(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:
     if not 1 <= n_first < ds.n:
         raise ConfigError(f"split point {n_first} outside (0, {ds.n})")
     return (
-        Dataset(Tensor.of(ds.x.value[:n_first]), ds.y[:n_first], ds.domain_name),
-        Dataset(Tensor.of(ds.x.value[n_first:]), ds.y[n_first:], ds.domain_name),
+        Dataset(ds.x[:n_first], ds.y[:n_first], ds.domain_name),
+        Dataset(ds.x[n_first:], ds.y[n_first:], ds.domain_name),
     )
 
 
@@ -192,7 +194,7 @@ def split_rows(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:
 def save_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("y," + ",".join(f"x{i}" for i in range(ds.d)) + "\n")
-        for yi, row in zip(ds.y, ds.x.value):
+        for yi, row in zip(ds.y, ds.x):
             fh.write(str(int(yi)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
@@ -232,7 +234,7 @@ def load_csv(path, domain_name: str | None = None) -> Dataset:
     if not ys:
         raise DataFormatError(f"{path}: dataset has zero rows")
     name = domain_name if domain_name is not None else _stem(path)
-    return Dataset(Tensor.of(np.asarray(xs)), np.asarray(ys), name)
+    return Dataset(xs, ys, name)
 
 
 def _stem(path) -> str:
@@ -260,20 +262,21 @@ def spec_to_dict(spec: DomainSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> DomainSpec:
-    try:
-        return DomainSpec(
-            name=str(data["name"]),
-            n_classes=int(data["n_classes"]),
-            d=int(data["d"]),
-            base_means=tuple(tuple(m) for m in data["means"]),
-            cov_scale=float(data["cov_scale"]),
-            rotation=float(data.get("rotation", 0.0)),
-            translation=tuple(data.get("translation", ())),
-            scale=float(data.get("scale", 1.0)),
-            label_noise=float(data.get("label_noise", 0.0)),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"domain spec missing field {exc}") from None
+    return DomainSpec(
+        name=json_field(data, "name", str),
+        n_classes=json_field(data, "n_classes", int),
+        d=json_field(data, "d", int),
+        base_means=json_field(data, "means", lambda v: tuple(_floats(m) for m in v)),
+        cov_scale=json_field(data, "cov_scale", float),
+        rotation=json_field(data, "rotation", float, 0.0),
+        translation=json_field(data, "translation", _floats, ()),
+        scale=json_field(data, "scale", float, 1.0),
+        label_noise=json_field(data, "label_noise", float, 0.0),
+    )
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 def save_manifest(specs: list[DomainSpec], path) -> None:

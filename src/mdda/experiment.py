@@ -1,10 +1,12 @@
-"""Multi-seed experiment harness, reports, and ablation variants.
+"""The stage chain, the multi-seed experiment harness, reports, and
+ablation variants.
 
 One experiment fixes a set of source domains, a target domain, and all
 stage hyperparameters, then repeats the full pipeline over several
 seeds.  Ablation variants (uniform weighting, no distilling) reuse the
 same per-seed stage-1/2 networks, so each comparison isolates exactly
-one mechanism.
+one mechanism.  The staged CLI subcommands run the same stage functions
+as the harness, one at a time over bundle checkpoints.
 """
 from __future__ import annotations
 
@@ -12,14 +14,16 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import DomainSpec, sample_domain, spec_from_dict, spec_to_dict, split_rows
-from .errors import ConfigError, DataFormatError, MddaError
+from .datagen import Dataset, DomainSpec, sample_domain, spec_from_dict, spec_to_dict, split_rows
+from .errors import ConfigError, DataFormatError, MddaError, json_field
 from .nn import MlpConfig, config_from_dict, config_to_dict
 from .pipeline import (
     AdaptConfig,
+    Prediction,
     SourceBundle,
     TrainConfig,
     adapt_target,
@@ -125,33 +129,24 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_json_dict(data: dict) -> ExperimentConfig:
-    version = data.get("schema_version")
+    version = data.get("schema_version") if isinstance(data, dict) else None
     if version != SCHEMA_VERSION:
         raise DataFormatError(f"unsupported config schema_version {version!r}")
-    try:
-        method = data.get("method", {})
-        return ExperimentConfig(
-            master_seed=int(data.get("master_seed", 0)),
-            sources=tuple(spec_from_dict(s) for s in data["sources"]),
-            target=spec_from_dict(data["target"]),
-            n_source=int(data.get("n_source", 1000)),
-            n_target=int(data.get("n_target", 1000)),
-            extractor=config_from_dict(data["extractor"]),
-            classifier=config_from_dict(data["classifier"]),
-            pretrain=_train_from_dict(data.get("pretrain", {})),
-            adapt=_adapt_from_dict(data.get("adapt", {})),
-            finetune=_train_from_dict(data.get("finetune", {"steps": 500})),
-            method=MethodConfig(
-                weighting=str(method.get("weighting", "wasserstein")),
-                distill=bool(method.get("distill", True)),
-                distill_rule=str(method.get("distill_rule", "closest")),
-                distill_fraction=float(method.get("distill_fraction", 0.5)),
-            ),
-            ablations=tuple(data.get("ablations", ())),
-            repeats=int(data.get("repeats", 1)),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"experiment config missing field {exc}") from None
+    return ExperimentConfig(
+        master_seed=json_field(data, "master_seed", int, 0),
+        sources=json_field(data, "sources", lambda v: tuple(spec_from_dict(s) for s in v)),
+        target=json_field(data, "target", spec_from_dict),
+        n_source=json_field(data, "n_source", int, 1000),
+        n_target=json_field(data, "n_target", int, 1000),
+        extractor=json_field(data, "extractor", config_from_dict),
+        classifier=json_field(data, "classifier", config_from_dict),
+        pretrain=json_field(data, "pretrain", _train_from_dict, TrainConfig()),
+        adapt=json_field(data, "adapt", _adapt_from_dict, AdaptConfig()),
+        finetune=json_field(data, "finetune", _train_from_dict, TrainConfig(steps=500)),
+        method=json_field(data, "method", _method_from_dict, MethodConfig()),
+        ablations=json_field(data, "ablations", tuple, ()),
+        repeats=json_field(data, "repeats", int, 1),
+    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -171,9 +166,9 @@ def _train_to_dict(cfg: TrainConfig) -> dict:
 
 def _train_from_dict(data: dict) -> TrainConfig:
     return TrainConfig(
-        steps=int(data.get("steps", 2000)),
-        batch_size=int(data.get("batch_size", 64)),
-        learning_rate=float(data.get("learning_rate", 1e-3)),
+        steps=json_field(data, "steps", int, 2000),
+        batch_size=json_field(data, "batch_size", int, 64),
+        learning_rate=json_field(data, "learning_rate", float, 1e-3),
     )
 
 
@@ -194,16 +189,25 @@ def _adapt_to_dict(cfg: AdaptConfig) -> dict:
 
 def _adapt_from_dict(data: dict) -> AdaptConfig:
     return AdaptConfig(
-        alpha=float(data.get("alpha", 10.0)),
-        n_critic=int(data.get("n_critic", 5)),
-        steps=int(data.get("steps", 300)),
-        batch_size=int(data.get("batch_size", 64)),
-        lr_critic=float(data.get("lr_critic", 1e-3)),
-        lr_encoder=float(data.get("lr_encoder", 5e-4)),
-        include_endpoints=bool(data.get("include_endpoints", True)),
-        critic_hidden=tuple(data.get("critic_hidden", (64, 64))),
-        critic_slope=float(data.get("critic_slope", 0.2)),
-        lr_decay=bool(data.get("lr_decay", True)),
+        alpha=json_field(data, "alpha", float, 10.0),
+        n_critic=json_field(data, "n_critic", int, 5),
+        steps=json_field(data, "steps", int, 300),
+        batch_size=json_field(data, "batch_size", int, 64),
+        lr_critic=json_field(data, "lr_critic", float, 1e-3),
+        lr_encoder=json_field(data, "lr_encoder", float, 5e-4),
+        include_endpoints=json_field(data, "include_endpoints", bool, True),
+        critic_hidden=json_field(data, "critic_hidden", lambda v: tuple(int(w) for w in v), (64, 64)),
+        critic_slope=json_field(data, "critic_slope", float, 0.2),
+        lr_decay=json_field(data, "lr_decay", bool, True),
+    )
+
+
+def _method_from_dict(data: dict) -> MethodConfig:
+    return MethodConfig(
+        weighting=json_field(data, "weighting", str, "wasserstein"),
+        distill=json_field(data, "distill", bool, True),
+        distill_rule=json_field(data, "distill_rule", str, "closest"),
+        distill_fraction=json_field(data, "distill_fraction", float, 0.5),
     )
 
 
@@ -271,7 +275,9 @@ def _params_checksum(bundles: list[SourceBundle]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the harness
+# the stage chain: each stage is defined once, over every source of one
+# repetition.  run_seed chains the stages in memory; the staged CLI
+# subcommands chain them over bundle checkpoints.
 
 
 def seed_stream(cfg: ExperimentConfig, rep: int, *labels: str):
@@ -279,89 +285,118 @@ def seed_stream(cfg: ExperimentConfig, rep: int, *labels: str):
     return stream(cfg.master_seed, f"seed{rep}", *labels)
 
 
+def experiment_hash(cfg: ExperimentConfig) -> str:
+    """Digest of the whole config, stamped on bundle checkpoints so that no
+    stage continues from the bundles of another experiment or seed."""
+    canon = json.dumps(config_to_json_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+class Domains(NamedTuple):
+    sources: list[Dataset]
+    target: Dataset  # every target row
+    tgt_adapt: Dataset  # first half: adaptation and distilling
+    tgt_test: Dataset  # second half: accuracy
+
+
+def sample_domains(cfg: ExperimentConfig, rep: int) -> Domains:
+    """Every source domain and the target domain, the target split in half."""
+    sources = [
+        sample_domain(spec, cfg.n_source, seed_stream(cfg, rep, "data", spec.name))
+        for spec in cfg.sources
+    ]
+    target = sample_domain(cfg.target, cfg.n_target, seed_stream(cfg, rep, "data", "target"))
+    return Domains(sources, target, *split_rows(target, cfg.n_target // 2))
+
+
+def pretrain_sources(cfg: ExperimentConfig, rep: int, data: Domains) -> list[SourceBundle]:
+    """Stage 1: an extractor and classifier per source."""
+    return [
+        pretrain_source(
+            ds, cfg.extractor, cfg.classifier, cfg.pretrain, seed_stream(cfg, rep, "pretrain", ds.domain_name)
+        )
+        for ds in data.sources
+    ]
+
+
+def adapt_sources(cfg: ExperimentConfig, rep: int, data: Domains, bundles) -> list[SourceBundle]:
+    """Stage 2: a target encoder and critic per source bundle."""
+    return [
+        adapt_target(b, ds, data.tgt_adapt.x, cfg.adapt, seed_stream(cfg, rep, "adapt", b.name))
+        for b, ds in zip(bundles, data.sources)
+    ]
+
+
+def distill_sources(cfg: ExperimentConfig, rep: int, data: Domains, bundles) -> list[SourceBundle]:
+    """Stage 3: each classifier fine-tuned on the source samples that
+    cfg.method selects, or the bundles unchanged when distilling is off."""
+    if not cfg.method.distill:
+        return bundles
+    return [
+        distill_finetune(
+            b,
+            ds,
+            distill_select(
+                sample_distances(b, ds, data.tgt_adapt.x),
+                rule=cfg.method.distill_rule,
+                fraction=cfg.method.distill_fraction,
+            ),
+            cfg.finetune,
+            seed_stream(cfg, rep, "finetune", b.name),
+        )
+        for b, ds in zip(bundles, data.sources)
+    ]
+
+
+def predict_target(bundles, weighting: str, x: np.ndarray) -> Prediction:
+    """Stage 4: the aggregate prediction of adapted bundles, each source
+    weighted by exp(-wd^2 / 2) ("wasserstein") or equally ("uniform")."""
+    if weighting == "uniform":
+        weights = uniform_weights(len(bundles))
+    else:
+        weights = domain_weight([b.wd_estimate for b in bundles])
+    return aggregate_predict(bundles, weights, x)
+
+
 def run_seed(cfg: ExperimentConfig, rep: int) -> SeedResult:
     """Run stages 1-4 and the enabled ablation variants for one seed."""
-
-    def data_stream(*labels):
-        return seed_stream(cfg, rep, *labels)
-
     stage = "datagen"
     try:
-        sources = [
-            sample_domain(spec, cfg.n_source, data_stream("data", spec.name))
-            for spec in cfg.sources
-        ]
-        target = sample_domain(cfg.target, cfg.n_target, data_stream("data", "target"))
-        tgt_adapt, tgt_test = split_rows(target, cfg.n_target // 2)
-
+        data = sample_domains(cfg, rep)
         stage = "pretrain"
-        bundles = [
-            pretrain_source(
-                ds, cfg.extractor, cfg.classifier, cfg.pretrain, data_stream("pretrain", ds.domain_name)
-            )
-            for ds in sources
-        ]
-
+        bundles = pretrain_sources(cfg, rep, data)
         stage = "adapt"
-        bundles = [
-            adapt_target(b, ds, tgt_adapt.x, cfg.adapt, data_stream("adapt", b.name))
-            for b, ds in zip(bundles, sources)
-        ]
+        bundles = adapt_sources(cfg, rep, data, bundles)
         checksum_stage2 = _params_checksum(bundles)
-
-        wd = [b.wd_estimate for b in bundles]
-        wasserstein = domain_weight(wd)
-        uniform = uniform_weights(len(bundles))
-
+        wasserstein = domain_weight([b.wd_estimate for b in bundles])
         stage = "distill"
-        distilled = bundles
-        if cfg.method.distill:
-            distilled = [
-                distill_finetune(
-                    b,
-                    ds,
-                    distill_select(
-                        sample_distances(b, ds, tgt_adapt.x),
-                        rule=cfg.method.distill_rule,
-                        fraction=cfg.method.distill_fraction,
-                    ),
-                    cfg.finetune,
-                    data_stream("finetune", b.name),
-                )
-                for b, ds in zip(bundles, sources)
-            ]
+        distilled = distill_sources(cfg, rep, data, bundles)
 
         stage = "predict"
-        method_weights = wasserstein if cfg.method.weighting == "wasserstein" else uniform
-        accuracies = {
-            "mdda": accuracy(aggregate_predict(distilled, method_weights, tgt_test.x).labels, tgt_test.y)
+        # the ablations reuse this seed's networks and change one mechanism each
+        variants = {
+            "mdda": (distilled, cfg.method.weighting),
+            "uniform": (distilled, "uniform"),
+            "no_distill": (bundles, cfg.method.weighting),
         }
-        checksums = {"mdda": checksum_stage2}
-        if "uniform" in cfg.ablations:
-            accuracies["uniform"] = accuracy(
-                aggregate_predict(distilled, uniform, tgt_test.x).labels, tgt_test.y
-            )
-            checksums["uniform"] = checksum_stage2
-        if "no_distill" in cfg.ablations:
-            accuracies["no_distill"] = accuracy(
-                aggregate_predict(bundles, method_weights, tgt_test.x).labels, tgt_test.y
-            )
-            checksums["no_distill"] = checksum_stage2
-        solo = [
-            accuracy(np.argmax(single_source_probs(b, tgt_test.x), axis=1), tgt_test.y)
-            for b in bundles
-        ]
+        test = data.tgt_test
+        accuracies = {
+            name: accuracy(predict_target(nets, weighting, test.x).labels, test.y)
+            for name, (nets, weighting) in variants.items()
+            if name == "mdda" or name in cfg.ablations
+        }
+        solo = [accuracy(np.argmax(single_source_probs(b, test.x), axis=1), test.y) for b in bundles]
     except MddaError as exc:
         raise MddaError(f"seed {rep}, stage {stage}: {exc}") from exc
 
     return SeedResult(
         seed=rep,
         accuracies=accuracies,
-        wd_estimates=[float(v) for v in wd],
+        wd_estimates=[float(b.wd_estimate) for b in bundles],
         weights_raw=[float(v) for v in wasserstein.raw],
         weights_normalized=[float(v) for v in wasserstein.normalized],
         solo_accuracies=solo,
-        artifact_checksums=checksums,
+        artifact_checksums={name: checksum_stage2 for name in accuracies},
     )
 
 

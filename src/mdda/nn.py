@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Grads, Tape, Tensor, matmul
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError, json_field
 from .rng import Xoshiro256
 
 _ACTIVATIONS = ("relu", "leaky_relu", "tanh")
@@ -70,9 +70,6 @@ class Mlp:
     @property
     def biases(self) -> list[Tensor]:
         return self.params[1::2]
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [p.value.copy() for p in self.params]
 
     def forward(self, x) -> Tensor:
         return forward(self, x)
@@ -140,15 +137,12 @@ def config_to_dict(cfg: MlpConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> MlpConfig:
-    try:
-        return MlpConfig(
-            layer_widths=tuple(data["layer_widths"]),
-            activation=str(data.get("activation", "relu")),
-            leaky_slope=float(data.get("leaky_slope", 0.2)),
-            final_activation=str(data.get("final_activation", "none")),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"network config missing field {exc}") from None
+    return MlpConfig(
+        layer_widths=json_field(data, "layer_widths", lambda v: tuple(int(w) for w in v)),
+        activation=json_field(data, "activation", str, "relu"),
+        leaky_slope=json_field(data, "leaky_slope", float, 0.2),
+        final_activation=json_field(data, "final_activation", str, "none"),
+    )
 
 
 def clone_params(src: Mlp, dst: Mlp) -> None:

@@ -11,7 +11,6 @@ weights that decay in the estimated distance.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
-from .datagen import Dataset, concat_datasets
-from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError
+from .datagen import Dataset
+from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError, json_field
 from .nn import (
     Mlp,
     MlpConfig,
@@ -175,7 +174,7 @@ class DomainWeights:
 
 @dataclass
 class Prediction:
-    probs: Tensor
+    probs: np.ndarray
     labels: np.ndarray
 
 
@@ -207,7 +206,7 @@ def pretrain_source(
     for i in range(train.steps):
         tape.reset(mark)
         idx = rng.integers(train.batch_size, below=src.n)
-        xb = tape.leaf(src.x.value[idx])
+        xb = tape.leaf(src.x[idx])
         try:
             logits = forward(classifier, forward(extractor, xb))
             loss = softmax_cross_entropy(logits, src.y[idx])
@@ -241,20 +240,18 @@ def encoder_loss(critic: Mlp, tgt_feats: Tensor) -> Tensor:
 
 def gradient_penalty(
     critic: Mlp,
-    src_feats,
-    tgt_feats,
+    s: np.ndarray,
+    t: np.ndarray,
     rng: Xoshiro256,
     include_endpoints: bool = True,
 ) -> Tensor:
     """Mean squared deviation of the critic's input-gradient norm from 1.
 
     Evaluated on random interpolates between paired source and target
-    features, plus the endpoints themselves when include_endpoints.  The
-    inner input gradient is recorded so the result stays differentiable
-    with respect to the critic parameters.
+    feature rows ``s`` and ``t``, plus the endpoints themselves when
+    include_endpoints.  The inner input gradient is recorded so the result
+    stays differentiable with respect to the critic parameters.
     """
-    s = src_feats.value if isinstance(src_feats, Tensor) else np.asarray(src_feats, dtype=np.float64)
-    t = tgt_feats.value if isinstance(tgt_feats, Tensor) else np.asarray(tgt_feats, dtype=np.float64)
     if s.shape != t.shape:
         raise ShapeError(f"paired batches must match: {s.shape} vs {t.shape}")
     if s.ndim != 2 or s.shape[0] < 1:
@@ -275,7 +272,7 @@ def gradient_penalty(
 def adapt_target(
     bundle: SourceBundle,
     src: Dataset,
-    tgt_x: Tensor,
+    tgt: np.ndarray,
     cfg: AdaptConfig,
     rng: Xoshiro256,
 ) -> SourceBundle:
@@ -286,13 +283,12 @@ def adapt_target(
     minimize the negated score gap plus the gradient penalty; encoder
     updates minimize the negative target score.
     """
-    tgt = tgt_x.value if isinstance(tgt_x, Tensor) else np.asarray(tgt_x, dtype=np.float64)
     if tgt.ndim != 2 or tgt.shape[1] != bundle.extractor.config.d_in:
         raise ShapeError(f"target data shape {tgt.shape} does not match extractor input")
     if tgt.shape[0] < 1:
         raise ConfigError("adapt_target needs non-empty target data")
     frozen_before = [p.value.copy() for p in bundle.extractor.params]
-    src_feats = bundle.extractor.predict_values(src.x.value)
+    src_feats = bundle.extractor.predict_values(src.x)
 
     tape = Tape()
     target_encoder = clone_mlp(bundle.extractor, tape)
@@ -317,10 +313,11 @@ def adapt_target(
                 tape.reset(mark)
                 si = rng.integers(cfg.batch_size, below=src.n)
                 ti = rng.integers(cfg.batch_size, below=tgt.shape[0])
-                sf = tape.leaf(src_feats[si])
-                tf = tape.leaf(target_encoder.predict_values(tgt[ti]))
+                s = src_feats[si]
+                t = target_encoder.predict_values(tgt[ti])
+                sf, tf = tape.leaf(s), tape.leaf(t)
                 loss = cfg.alpha * gradient_penalty(
-                    critic, sf, tf, rng, cfg.include_endpoints
+                    critic, s, t, rng, cfg.include_endpoints
                 ) - critic_loss(critic, sf, tf)
                 step(opt_critic, critic.params, backward(loss, critic.params))
             tape.reset(mark)
@@ -343,17 +340,16 @@ def adapt_target(
         critic=critic,
         wd_estimate=0.0,
     )
-    adapted.wd_estimate = estimate_wd(adapted, src, tgt_x)
+    adapted.wd_estimate = estimate_wd(adapted, src, tgt)
     return adapted
 
 
-def estimate_wd(bundle: SourceBundle, src: Dataset, tgt_x: Tensor) -> float:
+def estimate_wd(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> float:
     """Converged critic gap over the full source and target sets."""
     if bundle.critic is None or bundle.target_encoder is None:
         raise ConfigError("bundle missing critic; run adaptation first")
-    tgt = tgt_x.value if isinstance(tgt_x, Tensor) else np.asarray(tgt_x, dtype=np.float64)
     with bundle.critic.tape.paused():
-        sf = Tensor.of(bundle.extractor.predict_values(src.x.value))
+        sf = Tensor.of(bundle.extractor.predict_values(src.x))
         tf = Tensor.of(bundle.target_encoder.predict_values(tgt))
         return float(critic_loss(bundle.critic, sf, tf).item())
 
@@ -362,15 +358,14 @@ def estimate_wd(bundle: SourceBundle, src: Dataset, tgt_x: Tensor) -> float:
 # stage 3: source distilling
 
 
-def sample_distances(bundle: SourceBundle, src: Dataset, tgt_x: Tensor) -> np.ndarray:
+def sample_distances(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> np.ndarray:
     """Each source sample's critic score minus the mean target score,
     in absolute value."""
     if bundle.critic is None or bundle.target_encoder is None:
         raise ConfigError("bundle missing critic; run adaptation first")
-    tgt = tgt_x.value if isinstance(tgt_x, Tensor) else np.asarray(tgt_x, dtype=np.float64)
     if tgt.shape[0] < 1:
         raise ConfigError("sample_distances needs non-empty target data")
-    src_scores = _critic_scores(bundle.critic, bundle.extractor.predict_values(src.x.value))
+    src_scores = _critic_scores(bundle.critic, bundle.extractor.predict_values(src.x))
     tgt_scores = _critic_scores(bundle.critic, bundle.target_encoder.predict_values(tgt))
     return np.abs(src_scores - tgt_scores.mean())
 
@@ -413,7 +408,7 @@ def distill_finetune(
         raise ConfigError("distilling requires a completed adaptation stage")
     if sel.tau.size != src.n:
         raise ConfigError(f"selection over {sel.tau.size} samples, dataset has {src.n}")
-    feats = bundle.extractor.predict_values(src.x.value)[sel.selected_indices]
+    feats = bundle.extractor.predict_values(src.x)[sel.selected_indices]
     labels = src.y[sel.selected_indices]
     tape = Tape()
     classifier = clone_mlp(bundle.classifier, tape)
@@ -466,15 +461,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def single_source_probs(bundle: SourceBundle, x) -> np.ndarray:
+def single_source_probs(bundle: SourceBundle, x: np.ndarray) -> np.ndarray:
     """Softmax prediction of one source's classifier on encoded target input."""
     if bundle.target_encoder is None:
-        raise ConfigError("bundle missing target encoder")
-    x_np = x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    return _softmax_rows(bundle.classifier.predict_values(bundle.target_encoder.predict_values(x_np)))
+        raise ConfigError(f"source {bundle.name}: bundle missing target encoder")
+    return _softmax_rows(bundle.classifier.predict_values(bundle.target_encoder.predict_values(x)))
 
 
-def aggregate_predict(bundles: list[SourceBundle], weights: DomainWeights, x) -> Prediction:
+def aggregate_predict(bundles: list[SourceBundle], weights: DomainWeights, x: np.ndarray) -> Prediction:
     """Weighted sum of per-source softmax predictions; labels by argmax."""
     if not bundles:
         raise ConfigError("aggregate_predict needs at least one bundle")
@@ -484,61 +478,19 @@ def aggregate_predict(bundles: list[SourceBundle], weights: DomainWeights, x) ->
     for w, bundle in zip(weights.normalized, bundles):
         contrib = w * single_source_probs(bundle, x)
         total = contrib if total is None else total + contrib
-    return Prediction(probs=Tensor.of(total), labels=np.argmax(total, axis=1))
-
-
-# ---------------------------------------------------------------------------
-# ablation baselines
-
-
-def baseline_uniform(bundles: list[SourceBundle], x) -> Prediction:
-    """Aggregation with every source weighted equally."""
-    return aggregate_predict(bundles, uniform_weights(len(bundles)), x)
-
-
-def baseline_source_combined(
-    sources: list[Dataset],
-    extractor_cfg: MlpConfig,
-    classifier_cfg: MlpConfig,
-    train: TrainConfig,
-    tgt_x: Tensor,
-    adapt_cfg: AdaptConfig,
-    rng: Xoshiro256,
-    name: str = "combined",
-) -> SourceBundle:
-    """Pool all sources into one dataset and run stages 1 and 2 on it."""
-    combined = concat_datasets(sources, name)
-    bundle = pretrain_source(combined, extractor_cfg, classifier_cfg, train, rng, name=name)
-    return adapt_target(bundle, combined, tgt_x, adapt_cfg, rng)
-
-
-def baseline_single_best(bundles: list[SourceBundle], tgt: Dataset) -> tuple[int, np.ndarray]:
-    """Index of the solo source with the highest target accuracy, plus
-    every source's solo accuracy."""
-    if not bundles:
-        raise ConfigError("baseline_single_best needs at least one bundle")
-    accs = np.array(
-        [
-            float(np.mean(np.argmax(single_source_probs(b, tgt.x), axis=1) == tgt.y))
-            for b in bundles
-        ]
-    )
-    return int(np.argmax(accs)), accs
+    return Prediction(probs=total, labels=np.argmax(total, axis=1))
 
 
 # ---------------------------------------------------------------------------
 # bundle checkpoints: parameter files plus a JSON description
 
 
-def _config_hash(configs: dict) -> str:
-    canon = json.dumps(configs, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
 _NET_FILES = ("extractor", "classifier", "target_encoder", "critic")
 
 
-def save_bundle(bundle: SourceBundle, directory) -> None:
+def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
+    """Write one parameter file per network plus meta.json, stamped with
+    ``experiment``, the hash of the experiment that produced the bundle."""
     os.makedirs(directory, exist_ok=True)
     configs = {}
     for attr in _NET_FILES:
@@ -554,35 +506,46 @@ def save_bundle(bundle: SourceBundle, directory) -> None:
         "distilled": bundle.distilled,
         "wd_estimate": bundle.wd_estimate,
         "configs": configs,
-        "config_hash": _config_hash(configs),
+        "experiment_hash": experiment,
     }
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_bundle(directory) -> SourceBundle:
+def load_bundle(directory, experiment: str) -> SourceBundle:
+    """Read a checkpoint.  A bundle stamped with any experiment hash other
+    than ``experiment`` is stale and rejected."""
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta.get("schema_version") != 1:
-        raise ConfigError(f"unsupported bundle schema {meta.get('schema_version')}")
-    nets: dict[str, Mlp | None] = {}
-    tape = Tape()
-    for attr in _NET_FILES:
-        if attr not in meta["configs"]:
-            nets[attr] = None
-            continue
-        cfg = config_from_dict(meta["configs"][attr])
-        arrays = load_params(os.path.join(directory, f"{attr}.bin"))
-        nets[attr] = Mlp(cfg, tape, [tape.leaf(a) for a in arrays])
-    if nets["extractor"] is None or nets["classifier"] is None:
+    version = meta.get("schema_version") if isinstance(meta, dict) else None
+    if version != 1:
+        raise ConfigError(f"{directory}: unsupported bundle schema {version!r}")
+    try:
+        name = json_field(meta, "name", str)
+        configs = json_field(meta, "configs", lambda v: {a: config_from_dict(v[a]) for a in _NET_FILES if a in v})
+        wd_estimate = json_field(meta, "wd_estimate", lambda v: None if v is None else float(v))
+        distilled = json_field(meta, "distilled", bool)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{directory}/meta.json: {exc}") from None
+    if meta.get("experiment_hash") != experiment:
+        raise ConfigError(
+            f"{directory}: bundle {name!r} belongs to another experiment "
+            "(the config or --seed differ); rerun pretrain"
+        )
+    if "extractor" not in configs or "classifier" not in configs:
         raise ConfigError(f"{directory}: checkpoint lacks extractor or classifier")
+    tape = Tape()
+    nets = {
+        attr: Mlp(cfg, tape, [tape.leaf(a) for a in load_params(os.path.join(directory, f"{attr}.bin"))])
+        for attr, cfg in configs.items()
+    }
     return SourceBundle(
-        name=meta["name"],
+        name=name,
         extractor=nets["extractor"],
         classifier=nets["classifier"],
-        target_encoder=nets["target_encoder"],
-        critic=nets["critic"],
-        wd_estimate=meta["wd_estimate"],
-        distilled=meta["distilled"],
+        target_encoder=nets.get("target_encoder"),
+        critic=nets.get("critic"),
+        wd_estimate=wd_estimate,
+        distilled=distilled,
     )

@@ -115,8 +115,6 @@ def fd_sweep(n_nets: int, seed0: int = 0, step: float = 1e-5) -> float:
 def gp_param_grad_worst_error() -> float:
     """Worst relative error between the recorded (double-backprop) parameter
     gradient of the interpolate penalty and central finite differences."""
-    from mdda.autodiff import Tensor
-
     cfg = MlpConfig((2, 5, 1), activation="leaky_relu")
     s = stream(11, "s").uniforms(8, -1.5, 1.5).reshape(4, 2)
     t = stream(12, "t").uniforms(8, -1.5, 1.5).reshape(4, 2)
@@ -133,12 +131,12 @@ def gp_param_grad_worst_error() -> float:
     points = np.vstack([eps[:, None] * s + (1.0 - eps[:, None]) * t, s, t])
     assert kink_margin(critic, points) > 1e-3
 
-    penalty = gradient_penalty(critic, Tensor.of(s), Tensor.of(t), stream(14, "eps"))
+    penalty = gradient_penalty(critic, s, t, stream(14, "eps"))
     grads = backward(penalty, critic.params)
     arrays = [p.value.copy() for p in critic.params]
 
     def value():
-        return gradient_penalty(build(arrays), Tensor.of(s), Tensor.of(t), stream(14, "eps")).item()
+        return gradient_penalty(build(arrays), s, t, stream(14, "eps")).item()
 
     fd = central_difference(value, arrays)
     return max(relative_error(grads[p.id].value, f) for p, f in zip(critic.params, fd))

@@ -221,7 +221,7 @@ def test_criterion_6_single_source_and_rescaling(criterion):
     weights = domain_weight([adapted.wd_estimate])
     combined = aggregate_predict([adapted], weights, tgt.x)
     solo = single_source_probs(adapted, tgt.x)
-    single_ok = np.array_equal(combined.probs.value, solo) and np.array_equal(
+    single_ok = np.array_equal(combined.probs, solo) and np.array_equal(
         combined.labels, np.argmax(solo, axis=1))
 
     trio = [_constant_bundle(0.9, "a"), _constant_bundle(0.2, "b"), _constant_bundle(0.6, "c")]
@@ -278,7 +278,7 @@ def test_criterion_9_artifacts_and_exit_codes(criterion, tmp_path, capsys, monke
     ds = sample_domain(spec, 50, stream(50, "csv"))
     save_csv(ds, tmp_path / "round.csv")
     back = load_csv(tmp_path / "round.csv", domain_name="round")
-    csv_ok = np.array_equal(back.x.value, ds.x.value) and np.array_equal(back.y, ds.y)
+    csv_ok = np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
 
     report = run_experiment(tiny_experiment_config(repeats=1))
     export_report(report, tmp_path / "rep")
@@ -286,7 +286,7 @@ def test_criterion_9_artifacts_and_exit_codes(criterion, tmp_path, capsys, monke
                and load_report(tmp_path / "rep" / "report.json") == report)
 
     from mdda.scatter import export_scatter
-    export_scatter({"round": (ds.x.value, ds.y)}, tmp_path / "s.svg")
+    export_scatter({"round": (ds.x, ds.y)}, tmp_path / "s.svg")
     svg_ok = ET.fromstring((tmp_path / "s.svg").read_text()).tag.endswith("svg")
 
     conf = tmp_path / "exp.json"

@@ -2,14 +2,26 @@
 whole-experiment runs, and the exit-code contract."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import tiny_experiment_config
 from mdda.cli import dispatch, main, parse_args
-from mdda.experiment import save_config
+from mdda.experiment import (
+    MethodConfig,
+    adapt_sources,
+    distill_sources,
+    predict_target,
+    pretrain_sources,
+    run_seed,
+    sample_domains,
+    save_config,
+)
 
 
 @pytest.fixture
@@ -105,6 +117,85 @@ def test_staged_flow(config_file, tmp_path, capsys):
     capsys.readouterr()
     svg = (tmp_path / "out" / "scatter.svg").read_text()
     assert ET.fromstring(svg).tag.endswith("svg")
+
+
+@pytest.mark.parametrize("method", [MethodConfig(), MethodConfig(distill=False)],
+                         ids=["default", "no-distill"])
+def test_staged_predict_equals_run_seed_zero(method, tmp_path, monkeypatch):
+    monkeypatch.delenv("MDDA_OUT", raising=False)
+    cfg = tiny_experiment_config(method=method)
+    conf, out = tmp_path / "exp.json", tmp_path / "out"
+    save_config(cfg, conf)
+    for sub in ("pretrain", "adapt", "distill", "predict"):
+        assert main([sub, "--config", str(conf), "--out", str(out), "-q"]) == 0
+    rows = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1, ndmin=2)
+
+    data = sample_domains(cfg, 0)
+    adapted = adapt_sources(cfg, 0, data, pretrain_sources(cfg, 0, data))
+    pred = predict_target(distill_sources(cfg, 0, data, adapted), cfg.method.weighting, data.tgt_test.x)
+    assert np.array_equal(rows[:, 0].astype(np.int64), pred.labels)
+    assert np.array_equal(rows[:, 1:], pred.probs)
+    staged_acc = float(np.mean(pred.labels == data.tgt_test.y))
+    assert staged_acc == run_seed(cfg, 0).accuracies["mdda"]
+
+
+def test_bundles_of_another_experiment_are_rejected(config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["pretrain", "--config", config_file, "--out", out, "-q"]) == 0
+    for sub in ("adapt", "distill", "predict"):
+        assert main([sub, "--config", config_file, "--out", out, "--seed", "99", "-q"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mdda {sub}:") and "rerun pretrain" in err
+    changed = tmp_path / "changed.json"
+    save_config(dataclasses.replace(tiny_experiment_config(), n_source=81), changed)
+    assert main(["adapt", "--config", str(changed), "--out", out, "-q"]) == 1
+    assert "rerun pretrain" in capsys.readouterr().err
+    assert main(["adapt", "--config", config_file, "--out", out, "-q"]) == 0
+
+
+def test_stages_run_in_order(config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for sub in ("pretrain", "adapt"):
+        assert main([sub, "--config", config_file, "--out", out, "-q"]) == 0
+    assert main(["predict", "--config", config_file, "--out", out, "-q"]) == 1
+    assert "bundle missing distilled classifier" in capsys.readouterr().err
+    assert main(["distill", "--config", config_file, "--out", out, "-q"]) == 0
+    assert main(["distill", "--config", config_file, "--out", out, "-q"]) == 1
+    assert "bundle already at stage 3; rerun pretrain" in capsys.readouterr().err
+
+
+def _set_config_field(key, value):
+    def apply(config, out):
+        path = Path(config)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    return apply
+
+
+def _drop_bundle_name(config, out):
+    assert main(["pretrain", "--config", config, "--out", out, "-q"]) == 0
+    meta = Path(out, "bundles", "near", "meta.json")
+    data = json.loads(meta.read_text())
+    del data["name"]
+    meta.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "sub, corrupt",
+    [
+        ("run", _set_config_field("repeats", None)),
+        ("run", _set_config_field("n_source", None)),
+        ("run", _set_config_field("sources", 5)),
+        ("run", _set_config_field("method", 3)),
+        ("adapt", _drop_bundle_name),
+    ],
+    ids=["repeats-null", "n_source-null", "sources-int", "method-int", "meta-without-name"],
+)
+def test_malformed_json_fields_exit_one(sub, corrupt, config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    corrupt(config_file, out)
+    capsys.readouterr()
+    assert main([sub, "--config", config_file, "--out", out, "-q"]) == 1
+    assert capsys.readouterr().err.startswith(f"mdda {sub}:")
 
 
 def test_quiet_suppresses_progress(config_file, tmp_path, capsys):

@@ -25,7 +25,7 @@ from mdda.datagen import (
     spec_to_dict,
     split_rows,
 )
-from mdda.errors import ConfigError, DataFormatError
+from mdda.errors import ConfigError, DataFormatError, NonFiniteError
 from mdda.rng import stream
 
 
@@ -94,7 +94,7 @@ def test_near_zero_spread_collapses_to_centroids():
     spec = _spec(cov_scale=1e-12, rotation=0.4, translation=(1.0, -0.5))
     ds = sample_domain(spec, 60, stream(4, "point"))
     centroids = domain_centroids(spec)
-    np.testing.assert_allclose(ds.x.value, centroids[ds.y], atol=1e-9)
+    np.testing.assert_allclose(ds.x, centroids[ds.y], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_sample_means_match_centroids():
     centroids = domain_centroids(spec)
     sigma = spec.scale * spec.cov_scale
     for cls in range(spec.n_classes):
-        points = ds.x.value[ds.y == cls]
+        points = ds.x[ds.y == cls]
         standard_error = sigma / math.sqrt(points.shape[0])
         assert np.all(np.abs(points.mean(axis=0) - centroids[cls]) <= 3.0 * standard_error)
 
@@ -116,7 +116,7 @@ def test_sample_means_match_centroids():
 def test_same_stream_reproduces_samples_bitwise():
     a = sample_domain(_spec(), 200, stream(5, "same"))
     b = sample_domain(_spec(), 200, stream(5, "same"))
-    assert np.array_equal(a.x.value, b.x.value)
+    assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
 
 
@@ -124,7 +124,7 @@ def test_label_noise_flip_rate():
     spec = _spec(base_means=((0.0, 0.0), (4.0, 0.0), (0.0, 4.0)), cov_scale=0.01, label_noise=0.3)
     ds = sample_domain(spec, 20_000, stream(6, "noise"))
     centroids = domain_centroids(spec)
-    gaps = ((ds.x.value[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    gaps = ((ds.x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     geometric_class = np.argmin(gaps, axis=1)
     flip_rate = float(np.mean(ds.y != geometric_class))
     assert abs(flip_rate - 0.3) <= 0.015
@@ -135,7 +135,7 @@ def test_nearest_centroid_oracle_on_separated_classes():
     spec = _spec()
     ds = sample_domain(spec, 2000, stream(8, "oracle"))
     centroids = domain_centroids(spec)
-    gaps = ((ds.x.value[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    gaps = ((ds.x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     accuracy = float(np.mean(np.argmin(gaps, axis=1) == ds.y))
     assert accuracy >= 0.999
 
@@ -194,7 +194,7 @@ def test_split_and_concat_round_trip():
     head, tail = split_rows(ds, 12)
     assert head.n == 12 and tail.n == 18
     back = concat_datasets([head, tail], ds.domain_name)
-    assert np.array_equal(back.x.value, ds.x.value)
+    assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     with pytest.raises(ConfigError):
         split_rows(ds, 30)
@@ -213,7 +213,7 @@ def test_csv_round_trip_is_lossless(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "y," + ",".join(f"x{i}" for i in range(ds.d))
     back = load_csv(path, domain_name=ds.domain_name)
-    assert np.array_equal(back.x.value, ds.x.value)
+    assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     assert back.domain_name == ds.domain_name
 
@@ -229,6 +229,13 @@ def test_csv_with_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("y,x0,x1\n")
     with pytest.raises(DataFormatError, match="zero rows"):
+        load_csv(path)
+
+
+def test_csv_with_a_non_finite_value(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("y,x0,x1\n0,1.0,nan\n")
+    with pytest.raises(NonFiniteError, match="non-finite"):
         load_csv(path)
 
 

@@ -26,9 +26,6 @@ from mdda.pipeline import (
     TrainConfig,
     adapt_target,
     aggregate_predict,
-    baseline_single_best,
-    baseline_source_combined,
-    baseline_uniform,
     critic_loss,
     distill_finetune,
     distill_select,
@@ -160,7 +157,7 @@ def test_pretrain_reaches_high_accuracy_on_separated_classes():
     assert bundle.target_encoder is None and bundle.critic is None
     assert bundle.wd_estimate is None and not bundle.distilled
     holdout = sample_domain(spec, 1000, stream(1, "holdout"))
-    logits = bundle.classifier.predict_values(bundle.extractor.predict_values(holdout.x.value))
+    logits = bundle.classifier.predict_values(bundle.extractor.predict_values(holdout.x))
     accuracy = float(np.mean(np.argmax(logits, axis=1) == holdout.y))
     assert accuracy >= 0.99
 
@@ -171,7 +168,7 @@ def test_pretrain_zero_steps_predicts_near_uniform():
     data = sample_domain(spec, 200, stream(3, "blob"))
     bundle = pretrain_source(data, EXTRACTOR, MlpConfig((3, 3)),
                              TrainConfig(steps=0), stream(3, "pre"))
-    logits = bundle.classifier.predict_values(bundle.extractor.predict_values(data.x.value))
+    logits = bundle.classifier.predict_values(bundle.extractor.predict_values(data.x))
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     cross_entropy = float(-np.mean(np.log(probs[np.arange(data.n), data.y])))
@@ -328,7 +325,7 @@ def test_adapt_freezes_extractor_and_records_the_critic_gap():
     assert abs(adapted.wd_estimate - estimate_wd(adapted, src, tgt.x)) <= 1e-12
     probs = single_source_probs(adapted, tgt.x)
     manual = adapted.classifier.predict_values(
-        adapted.target_encoder.predict_values(tgt.x.value))
+        adapted.target_encoder.predict_values(tgt.x))
     manual = np.exp(manual - manual.max(axis=1, keepdims=True))
     manual /= manual.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(probs, manual, atol=1e-12)
@@ -386,9 +383,9 @@ def test_sample_distances_matches_a_python_loop():
     adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(10, "adapt"))
     tau = sample_distances(adapted, src, tgt.x)
     src_scores = adapted.critic.predict_values(
-        adapted.extractor.predict_values(src.x.value))[:, 0]
+        adapted.extractor.predict_values(src.x))[:, 0]
     tgt_scores = adapted.critic.predict_values(
-        adapted.target_encoder.predict_values(tgt.x.value))[:, 0]
+        adapted.target_encoder.predict_values(tgt.x))[:, 0]
     want = np.abs(src_scores - tgt_scores.mean())
     np.testing.assert_allclose(tau, want, atol=1e-12)
 
@@ -440,7 +437,7 @@ def test_distill_finetune_matches_a_manual_replay():
     tuned = distill_finetune(adapted, src, sel, TrainConfig(6, 8, 1e-3), stream(17, "ft"))
 
     rng = stream(17, "ft")
-    feats = adapted.extractor.predict_values(src.x.value)
+    feats = adapted.extractor.predict_values(src.x)
     tape = Tape()
     classifier = clone_mlp(adapted.classifier, tape)
     opt = adam(1e-3)
@@ -537,7 +534,7 @@ def test_aggregate_single_source_reproduces_its_probabilities():
     bundle = _constant_bundle(0.9)
     x = np.zeros((5, 2))
     alone = aggregate_predict([bundle], uniform_weights(1), x)
-    assert np.array_equal(alone.probs.value, single_source_probs(bundle, x))
+    assert np.array_equal(alone.probs, single_source_probs(bundle, x))
     assert np.array_equal(alone.labels, np.zeros(5, dtype=np.int64))
 
 
@@ -545,7 +542,7 @@ def test_aggregate_two_constant_sources():
     bundles = [_constant_bundle(0.9, "a"), _constant_bundle(0.2, "b")]
     weights = DomainWeights(raw=np.array([0.6, 0.2]), normalized=np.array([0.75, 0.25]))
     prediction = aggregate_predict(bundles, weights, np.zeros((3, 2)))
-    np.testing.assert_allclose(prediction.probs.value,
+    np.testing.assert_allclose(prediction.probs,
                                np.tile([0.725, 0.275], (3, 1)), atol=1e-12)
     assert np.array_equal(prediction.labels, np.zeros(3, dtype=np.int64))
 
@@ -559,13 +556,13 @@ def test_aggregate_is_invariant_to_rescaling_raw_weights():
     a = aggregate_predict(bundles, first, x)
     b = aggregate_predict(bundles, second, x)
     assert np.array_equal(a.labels, b.labels)
-    np.testing.assert_allclose(a.probs.value, b.probs.value, atol=1e-12)
+    np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
 
 def test_aggregate_rows_sum_to_one():
     bundles = [_constant_bundle(0.7, "a"), _constant_bundle(0.4, "b")]
     prediction = aggregate_predict(bundles, domain_weight([0.2, 0.9]), np.zeros((6, 2)))
-    np.testing.assert_allclose(prediction.probs.value.sum(axis=1), np.ones(6), atol=1e-12)
+    np.testing.assert_allclose(prediction.probs.sum(axis=1), np.ones(6), atol=1e-12)
 
 
 def test_aggregate_requires_adapted_bundles():
@@ -581,50 +578,13 @@ def test_aggregate_weight_count_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# baselines
-
-
-def test_baseline_uniform_matches_aggregate_with_equal_weights():
-    bundles = [_constant_bundle(0.9, "a"), _constant_bundle(0.2, "b")]
-    x = np.zeros((4, 2))
-    a = baseline_uniform(bundles, x)
-    b = aggregate_predict(bundles, uniform_weights(2), x)
-    assert np.array_equal(a.probs.value, b.probs.value)
-    assert np.array_equal(a.labels, b.labels)
-    solo = baseline_uniform(bundles[:1], x)
-    assert np.array_equal(solo.probs.value, single_source_probs(bundles[0], x))
-
-
-def test_baseline_source_combined_pools_and_adapts():
-    a = _toy_data(22, n=30, label="a")
-    b = _toy_data(23, n=30, label="b")
-    assert concat_datasets([a, b], "pool").n == 60
-    tgt = _toy_data(24, n=20, label="t")
-    bundle = baseline_source_combined([a, b], EXTRACTOR, CLASSIFIER, TrainConfig(5, 8, 1e-3),
-                                      tgt.x, AdaptConfig(steps=2, batch_size=8, n_critic=2,
-                                                         critic_hidden=(6,)),
-                                      stream(25, "combined"))
-    assert bundle.stage == 2
-    assert bundle.name == "combined"
-
-
-def test_baseline_single_best_picks_the_most_accurate_source():
-    bundles = [_constant_bundle(0.9, "a"), _constant_bundle(0.2, "b")]
-    tgt = Dataset(x=np.zeros((4, 2)), y=np.array([0, 0, 0, 1]), domain_name="t")
-    best, accs = baseline_single_best(bundles, tgt)
-    assert best == 0
-    np.testing.assert_allclose(accs, [0.75, 0.25], atol=1e-12)
-    assert accs[best] >= accs.mean()
-
-
-# ---------------------------------------------------------------------------
 # checkpoints
 
 
 def test_bundle_round_trip_stage_one(tmp_path):
     _, bundle = _toy_bundle(steps=10)
-    save_bundle(bundle, tmp_path / "b")
-    back = load_bundle(tmp_path / "b")
+    save_bundle(bundle, tmp_path / "b", "stamp")
+    back = load_bundle(tmp_path / "b", "stamp")
     assert back.name == bundle.name and back.stage == 1
     assert back.target_encoder is None and back.wd_estimate is None
     for pa, pb in zip(back.extractor.params + back.classifier.params,
@@ -638,8 +598,8 @@ def test_bundle_round_trip_stage_three(tmp_path):
     adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(27, "adapt"))
     sel = distill_select(sample_distances(adapted, src, tgt.x))
     tuned = distill_finetune(adapted, src, sel, TrainConfig(4, 8, 1e-3), stream(28, "ft"))
-    save_bundle(tuned, tmp_path / "b")
-    back = load_bundle(tmp_path / "b")
+    save_bundle(tuned, tmp_path / "b", "stamp")
+    back = load_bundle(tmp_path / "b", "stamp")
     assert back.stage == 3 and back.distilled
     assert back.wd_estimate == tuned.wd_estimate
     for attr in ("extractor", "classifier", "target_encoder", "critic"):
@@ -649,21 +609,29 @@ def test_bundle_round_trip_stage_three(tmp_path):
                           single_source_probs(tuned, tgt.x))
 
 
+def test_bundle_stamp_must_match_the_experiment(tmp_path):
+    _, bundle = _toy_bundle(steps=0)
+    save_bundle(bundle, tmp_path / "b", "stamp-a")
+    assert load_bundle(tmp_path / "b", "stamp-a").name == bundle.name
+    with pytest.raises(ConfigError, match="rerun pretrain"):
+        load_bundle(tmp_path / "b", "stamp-b")
+
+
 def test_bundle_missing_network_file(tmp_path):
     _, bundle = _toy_bundle(steps=0)
-    save_bundle(bundle, tmp_path / "b")
+    save_bundle(bundle, tmp_path / "b", "stamp")
     (tmp_path / "b" / "extractor.bin").unlink()
     with pytest.raises((DataFormatError, OSError)):
-        load_bundle(tmp_path / "b")
+        load_bundle(tmp_path / "b", "stamp")
 
 
 def test_bundle_corrupt_metadata(tmp_path):
     _, bundle = _toy_bundle(steps=0)
-    save_bundle(bundle, tmp_path / "b")
+    save_bundle(bundle, tmp_path / "b", "stamp")
     meta = tmp_path / "b" / "meta.json"
     meta.write_text("not json at all")
     with pytest.raises((DataFormatError, ValueError)):
-        load_bundle(tmp_path / "b")
+        load_bundle(tmp_path / "b", "stamp")
     meta.write_text('{"schema_version": 99}')
     with pytest.raises(ConfigError, match="schema"):
-        load_bundle(tmp_path / "b")
+        load_bundle(tmp_path / "b", "stamp")
