@@ -292,6 +292,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), a.value @ b.value)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b`` for x [batch x in], w [out x in] and b [out], recorded
+    as one node: the affine map of an MLP layer."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    if x.value.ndim != 2 or w.value.ndim != 2 or b.shape != w.shape[:1] or x.shape[1] != w.shape[1]:
+        raise ShapeError(
+            f"linear needs [batch x in], [out x in] and [out], got {x.shape}, {w.shape} and {b.shape}"
+        )
+    # the product takes a contiguous copy of w.T, as matmul(x, w.T) does
+    with np.errstate(all="ignore"):
+        value = x.value @ w.value.T.copy() + b.value
+    return _emit("linear", (x, w, b), value)
+
+
 def _step_mask(x: Tensor, slope: float) -> Tensor:
     # 1 where x > 0, `slope` elsewhere (the kink at 0 takes the negative
     # side).  Derivative is zero almost everywhere, so it propagates no
@@ -384,6 +398,24 @@ def _vjp_matmul(tape, nid, node, g, needed):
         out.append((0, matmul(g, b.T)))
     if needed[1]:
         out.append((1, matmul(a.T, g)))
+    return out
+
+
+def _vjp_linear(tape, nid, node, g, needed):
+    # The same products, in the same order of operands, as the VJPs of the
+    # transpose -> matmul -> add chain that ``linear`` stands for; the bias
+    # gradient is a ones-row product, not ``g.sum()``, whose pairwise
+    # summation rounds differently.
+    w = tape.handle(node.inputs[1])
+    out = []
+    if needed[0]:
+        out.append((0, matmul(g, w)))
+    if needed[1]:
+        x = tape.handle(node.inputs[0])
+        out.append((1, matmul(x.T, g).T))
+    if needed[2]:
+        ones = Tensor.of(np.ones((1, g.shape[0])))
+        out.append((2, matmul(ones, g).reshape(w.shape[:1])))
     return out
 
 
@@ -480,6 +512,7 @@ _VJP = {
     "div": _vjp_div,
     "neg": _vjp_neg,
     "matmul": _vjp_matmul,
+    "linear": _vjp_linear,
     "transpose": _vjp_transpose,
     "reshape": _vjp_reshape,
     "relu": _vjp_relu,

@@ -27,6 +27,8 @@ from .experiment import (
     pretrain_sources,
     run_experiment,
     sample_domains,
+    sample_sources,
+    sample_target,
 )
 from .pipeline import load_bundle, save_bundle
 from .scatter import export_scatter
@@ -127,7 +129,7 @@ def _cmd_gen_data(inv: CliInvocation, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_pretrain(inv: CliInvocation, cfg: ExperimentConfig) -> None:
-    _save_bundles(inv, cfg, pretrain_sources(cfg, 0, sample_domains(cfg, 0)))
+    _save_bundles(inv, cfg, pretrain_sources(cfg, 0, sample_sources(cfg, 0)))
 
 
 def _cmd_adapt(inv: CliInvocation, cfg: ExperimentConfig) -> None:
@@ -142,7 +144,7 @@ def _cmd_distill(inv: CliInvocation, cfg: ExperimentConfig) -> None:
 
 def _cmd_predict(inv: CliInvocation, cfg: ExperimentConfig) -> None:
     bundles = _load_bundles(inv, cfg, 3 if cfg.method.distill else 2)
-    test = sample_domains(cfg, 0).tgt_test
+    _, _, test = sample_target(cfg, 0)
     pred = predict_target(bundles, cfg.method.weighting, test.x)
     acc = accuracy(pred.labels, test.y)
     path = os.path.join(inv.output_dir, "predictions.csv")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NonFiniteError, json_field
+from .errors import ConfigError, DataFormatError, NonFiniteError, json_field, json_float, json_int
 from .rng import Xoshiro256
 
 
@@ -264,19 +264,19 @@ def spec_to_dict(spec: DomainSpec) -> dict:
 def spec_from_dict(data: dict) -> DomainSpec:
     return DomainSpec(
         name=json_field(data, "name", str),
-        n_classes=json_field(data, "n_classes", int),
-        d=json_field(data, "d", int),
+        n_classes=json_field(data, "n_classes", json_int),
+        d=json_field(data, "d", json_int),
         base_means=json_field(data, "means", lambda v: tuple(_floats(m) for m in v)),
-        cov_scale=json_field(data, "cov_scale", float),
-        rotation=json_field(data, "rotation", float, 0.0),
+        cov_scale=json_field(data, "cov_scale", json_float),
+        rotation=json_field(data, "rotation", json_float, 0.0),
         translation=json_field(data, "translation", _floats, ()),
-        scale=json_field(data, "scale", float, 1.0),
-        label_noise=json_field(data, "label_noise", float, 0.0),
+        scale=json_field(data, "scale", json_float, 1.0),
+        label_noise=json_field(data, "label_noise", json_float, 0.0),
     )
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(json_float(v) for v in values)
 
 
 def save_manifest(specs: list[DomainSpec], path) -> None:

@@ -54,3 +54,26 @@ def json_field(data, key: str, convert, default=_REQUIRED):
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"field {key!r}: {exc}") from None
+
+
+# Readers for scalar JSON values, passed to json_field as ``convert``.  They
+# check the JSON type instead of coercing: bool("false") is True and
+# int(2.9) is 2, and Python counts True as an int.
+
+
+def json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise DataFormatError(f"expected true or false, got {value!r}")
+    return value
+
+
+def json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataFormatError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataFormatError(f"expected a number, got {value!r}")
+    return float(value)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import Dataset, DomainSpec, sample_domain, spec_from_dict, spec_to_dict, split_rows
-from .errors import ConfigError, DataFormatError, MddaError, json_field
+from .errors import ConfigError, DataFormatError, MddaError, json_bool, json_field, json_float, json_int
 from .nn import MlpConfig, config_from_dict, config_to_dict
 from .pipeline import (
     AdaptConfig,
@@ -133,11 +133,11 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise DataFormatError(f"unsupported config schema_version {version!r}")
     return ExperimentConfig(
-        master_seed=json_field(data, "master_seed", int, 0),
+        master_seed=json_field(data, "master_seed", json_int, 0),
         sources=json_field(data, "sources", lambda v: tuple(spec_from_dict(s) for s in v)),
         target=json_field(data, "target", spec_from_dict),
-        n_source=json_field(data, "n_source", int, 1000),
-        n_target=json_field(data, "n_target", int, 1000),
+        n_source=json_field(data, "n_source", json_int, 1000),
+        n_target=json_field(data, "n_target", json_int, 1000),
         extractor=json_field(data, "extractor", config_from_dict),
         classifier=json_field(data, "classifier", config_from_dict),
         pretrain=json_field(data, "pretrain", _train_from_dict, TrainConfig()),
@@ -145,7 +145,7 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
         finetune=json_field(data, "finetune", _train_from_dict, TrainConfig(steps=500)),
         method=json_field(data, "method", _method_from_dict, MethodConfig()),
         ablations=json_field(data, "ablations", tuple, ()),
-        repeats=json_field(data, "repeats", int, 1),
+        repeats=json_field(data, "repeats", json_int, 1),
     )
 
 
@@ -166,9 +166,9 @@ def _train_to_dict(cfg: TrainConfig) -> dict:
 
 def _train_from_dict(data: dict) -> TrainConfig:
     return TrainConfig(
-        steps=json_field(data, "steps", int, 2000),
-        batch_size=json_field(data, "batch_size", int, 64),
-        learning_rate=json_field(data, "learning_rate", float, 1e-3),
+        steps=json_field(data, "steps", json_int, 2000),
+        batch_size=json_field(data, "batch_size", json_int, 64),
+        learning_rate=json_field(data, "learning_rate", json_float, 1e-3),
     )
 
 
@@ -189,25 +189,25 @@ def _adapt_to_dict(cfg: AdaptConfig) -> dict:
 
 def _adapt_from_dict(data: dict) -> AdaptConfig:
     return AdaptConfig(
-        alpha=json_field(data, "alpha", float, 10.0),
-        n_critic=json_field(data, "n_critic", int, 5),
-        steps=json_field(data, "steps", int, 300),
-        batch_size=json_field(data, "batch_size", int, 64),
-        lr_critic=json_field(data, "lr_critic", float, 1e-3),
-        lr_encoder=json_field(data, "lr_encoder", float, 5e-4),
-        include_endpoints=json_field(data, "include_endpoints", bool, True),
-        critic_hidden=json_field(data, "critic_hidden", lambda v: tuple(int(w) for w in v), (64, 64)),
-        critic_slope=json_field(data, "critic_slope", float, 0.2),
-        lr_decay=json_field(data, "lr_decay", bool, True),
+        alpha=json_field(data, "alpha", json_float, 10.0),
+        n_critic=json_field(data, "n_critic", json_int, 5),
+        steps=json_field(data, "steps", json_int, 300),
+        batch_size=json_field(data, "batch_size", json_int, 64),
+        lr_critic=json_field(data, "lr_critic", json_float, 1e-3),
+        lr_encoder=json_field(data, "lr_encoder", json_float, 5e-4),
+        include_endpoints=json_field(data, "include_endpoints", json_bool, True),
+        critic_hidden=json_field(data, "critic_hidden", lambda v: tuple(json_int(w) for w in v), (64, 64)),
+        critic_slope=json_field(data, "critic_slope", json_float, 0.2),
+        lr_decay=json_field(data, "lr_decay", json_bool, True),
     )
 
 
 def _method_from_dict(data: dict) -> MethodConfig:
     return MethodConfig(
         weighting=json_field(data, "weighting", str, "wasserstein"),
-        distill=json_field(data, "distill", bool, True),
+        distill=json_field(data, "distill", json_bool, True),
         distill_rule=json_field(data, "distill_rule", str, "closest"),
-        distill_fraction=json_field(data, "distill_fraction", float, 0.5),
+        distill_fraction=json_field(data, "distill_fraction", json_float, 0.5),
     )
 
 
@@ -299,23 +299,33 @@ class Domains(NamedTuple):
     tgt_test: Dataset  # second half: accuracy
 
 
-def sample_domains(cfg: ExperimentConfig, rep: int) -> Domains:
-    """Every source domain and the target domain, the target split in half."""
-    sources = [
+def sample_sources(cfg: ExperimentConfig, rep: int) -> list[Dataset]:
+    """Every source domain.  Each domain draws from its own stream, so a
+    stage that samples only the domains it uses gets the same rows."""
+    return [
         sample_domain(spec, cfg.n_source, seed_stream(cfg, rep, "data", spec.name))
         for spec in cfg.sources
     ]
+
+
+def sample_target(cfg: ExperimentConfig, rep: int) -> tuple[Dataset, Dataset, Dataset]:
+    """The target domain, then its first and its second half."""
     target = sample_domain(cfg.target, cfg.n_target, seed_stream(cfg, rep, "data", "target"))
-    return Domains(sources, target, *split_rows(target, cfg.n_target // 2))
+    return (target, *split_rows(target, cfg.n_target // 2))
 
 
-def pretrain_sources(cfg: ExperimentConfig, rep: int, data: Domains) -> list[SourceBundle]:
+def sample_domains(cfg: ExperimentConfig, rep: int) -> Domains:
+    """Every source domain and the target domain, the target split in half."""
+    return Domains(sample_sources(cfg, rep), *sample_target(cfg, rep))
+
+
+def pretrain_sources(cfg: ExperimentConfig, rep: int, sources: list[Dataset]) -> list[SourceBundle]:
     """Stage 1: an extractor and classifier per source."""
     return [
         pretrain_source(
             ds, cfg.extractor, cfg.classifier, cfg.pretrain, seed_stream(cfg, rep, "pretrain", ds.domain_name)
         )
-        for ds in data.sources
+        for ds in sources
     ]
 
 
@@ -364,7 +374,7 @@ def run_seed(cfg: ExperimentConfig, rep: int) -> SeedResult:
     try:
         data = sample_domains(cfg, rep)
         stage = "pretrain"
-        bundles = pretrain_sources(cfg, rep, data)
+        bundles = pretrain_sources(cfg, rep, data.sources)
         stage = "adapt"
         bundles = adapt_sources(cfg, rep, data, bundles)
         checksum_stage2 = _params_checksum(bundles)

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Grads, Tape, Tensor, matmul
-from .errors import ConfigError, DataFormatError, ShapeError, json_field
+from .autodiff import Grads, Tape, Tensor, linear
+from .errors import ConfigError, DataFormatError, ShapeError, json_field, json_float, json_int
 from .rng import Xoshiro256
 
 _ACTIVATIONS = ("relu", "leaky_relu", "tanh")
@@ -107,14 +107,10 @@ def forward(net: Mlp, x) -> Tensor:
         raise ShapeError(
             f"input shape {x.shape} does not match [batch x {net.config.d_in}]"
         )
-    n_batch = x.shape[0]
-    ones = Tensor.of(np.ones((n_batch, 1)))
     n_layers = len(net.config.layer_widths) - 1
     h = x
     for i in range(n_layers):
-        w = net.params[2 * i]
-        b = net.params[2 * i + 1]
-        h = matmul(h, w.T) + matmul(ones, b.reshape((1, b.value.size)))
+        h = linear(h, net.params[2 * i], net.params[2 * i + 1])
         if i < n_layers - 1:
             if net.config.activation == "relu":
                 h = h.relu()
@@ -138,9 +134,9 @@ def config_to_dict(cfg: MlpConfig) -> dict:
 
 def config_from_dict(data: dict) -> MlpConfig:
     return MlpConfig(
-        layer_widths=json_field(data, "layer_widths", lambda v: tuple(int(w) for w in v)),
+        layer_widths=json_field(data, "layer_widths", lambda v: tuple(json_int(w) for w in v)),
         activation=json_field(data, "activation", str, "relu"),
-        leaky_slope=json_field(data, "leaky_slope", float, 0.2),
+        leaky_slope=json_field(data, "leaky_slope", json_float, 0.2),
         final_activation=json_field(data, "final_activation", str, "none"),
     )
 

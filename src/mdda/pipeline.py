@@ -20,7 +20,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
 from .datagen import Dataset
-from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError, json_field
+from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError
+from .errors import json_bool, json_field, json_float
 from .nn import (
     Mlp,
     MlpConfig,
@@ -524,8 +525,8 @@ def load_bundle(directory, experiment: str) -> SourceBundle:
     try:
         name = json_field(meta, "name", str)
         configs = json_field(meta, "configs", lambda v: {a: config_from_dict(v[a]) for a in _NET_FILES if a in v})
-        wd_estimate = json_field(meta, "wd_estimate", lambda v: None if v is None else float(v))
-        distilled = json_field(meta, "distilled", bool)
+        wd_estimate = json_field(meta, "wd_estimate", lambda v: None if v is None else json_float(v))
+        distilled = json_field(meta, "distilled", json_bool)
     except DataFormatError as exc:
         raise DataFormatError(f"{directory}/meta.json: {exc}") from None
     if meta.get("experiment_hash") != experiment:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mdda.autodiff import Tape, backward, softmax_cross_entropy
+from mdda.autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
 from mdda.nn import Mlp, MlpConfig, forward, init_mlp
 from mdda.pipeline import gradient_penalty
 from mdda.rng import stream
@@ -34,6 +34,14 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def six_op_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map of an MLP layer as six recorded ops: transpose,
+    matmul, a lifted ones leaf, reshape, a ones-column matmul for the bias,
+    and add.  ``autodiff.linear`` must match it bit for bit."""
+    ones = Tensor.of(np.ones((x.shape[0], 1)))
+    return matmul(x, w.T) + matmul(ones, b.reshape((1, b.value.size)))
 
 
 def kink_margin(net: Mlp, x: np.ndarray) -> float:

@@ -4,12 +4,15 @@ contract for shapes, finiteness, and tape lifetime."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from mdda.autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
+from mdda.autodiff import Tape, Tensor, backward, linear, matmul, softmax_cross_entropy
 from mdda.errors import NonFiniteError, ShapeError
 from mdda.nn import MlpConfig, forward, init_mlp
 from mdda.rng import stream
@@ -86,6 +89,13 @@ def test_exp_overflow_raises():
 def test_tensor_values_must_be_finite():
     with pytest.raises(NonFiniteError):
         Tensor.of(np.array([[np.inf]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, -np.inf, 2.0], [np.inf, -np.inf]):
+            with pytest.raises(NonFiniteError):
+                Tensor.of(np.array(bad))
+        # finite values whose sum overflows are still finite
+        assert np.array_equal(Tensor.of(np.array([1e308, 1e308])).value, [1e308, 1e308])
 
 
 def test_binary_ops_broadcast_equal_or_single_element():
@@ -252,6 +262,89 @@ def test_second_order_parameter_gradients_match_finite_differences():
     fd = helpers.central_difference(lambda: penalty(arrays)[0], arrays)
     worst = max(helpers.relative_error(r, f) for r, f in zip(recorded, fd))
     assert worst <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the affine layer op
+
+_LINEAR_SHAPES = dict(
+    batch=st.integers(1, 5), d_in=st.integers(1, 4), d_out=st.integers(1, 4), seed=st.integers(0, 999)
+)
+
+
+def _linear_arrays(batch, d_in, d_out, seed):
+    rng = stream(seed, "linear")
+    return (
+        rng.uniforms(batch * d_in, -1.5, 1.5).reshape(batch, d_in),
+        rng.uniforms(d_out * d_in, -1.0, 1.0).reshape(d_out, d_in),
+        rng.uniforms(d_out, -0.5, 0.5),
+    )
+
+
+def _critic_values(layer, arrays, activation):
+    """Two layers of ``layer`` around an activation, as in the critic: the
+    forward value, first-order gradients of its sum, the recorded input
+    gradient, and the parameter gradients of that gradient's squared norm."""
+    x, w1, b1, w2, b2 = arrays
+    tape = Tape()
+    xl, *params = (tape.leaf(a) for a in (x, w1, b1, w2, b2))
+    h = layer(xl, params[0], params[1])
+    h = h.leaky_relu(0.2) if activation == "leaky_relu" else h.tanh()
+    y = layer(h, params[2], params[3])
+    first = backward(y.sum(), [xl] + params)
+    grad_x = backward(y.sum(), [xl], record=True)[xl.id]
+    second = backward(grad_x.square().sum(), params)
+    return (
+        [y.value, grad_x.value]
+        + [first[t.id].value for t in [xl] + params]
+        + [second[p.id].value for p in params]
+    )
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(hidden=st.integers(1, 4), **_LINEAR_SHAPES)
+def test_linear_is_bit_equal_to_the_six_op_layer(batch, d_in, hidden, d_out, seed):
+    x, w1, b1 = _linear_arrays(batch, d_in, hidden, seed)
+    _, w2, b2 = _linear_arrays(1, hidden, d_out, seed + 1000)
+    arrays = (x, w1, b1, w2, b2)
+    for activation in ("leaky_relu", "tanh"):
+        got = _critic_values(linear, arrays, activation)
+        want = _critic_values(helpers.six_op_layer, arrays, activation)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_linear_records_one_node_and_checks_shapes():
+    tape = Tape()
+    x, w, b = (tape.leaf(a) for a in _linear_arrays(3, 2, 4, 0))
+    before = tape.mark()
+    linear(x, w, b)
+    assert tape.mark() == before + 1
+    with pytest.raises(ShapeError):
+        linear(x, w.T, b)
+    with pytest.raises(ShapeError):
+        linear(x, w, b.reshape((1, 4)))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(**_LINEAR_SHAPES)
+def test_linear_gradients_match_finite_differences(batch, d_in, d_out, seed):
+    arrays = list(_linear_arrays(batch, d_in, d_out, seed))
+
+    def grads_of(order):
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        total = linear(*leaves).tanh().sum()
+        if order == 2:
+            grad_x = backward(total, leaves[:1], record=True)[leaves[0].id]
+            total = grad_x.square().sum()
+        grads = backward(total, leaves)
+        return total.item(), [grads[t.id].value for t in leaves]
+
+    for order, bound in ((1, 1e-6), (2, 1e-4)):
+        _, analytic = grads_of(order)
+        fd = helpers.central_difference(lambda: grads_of(order)[0], arrays)
+        assert max(helpers.relative_error(a, f) for a, f in zip(analytic, fd)) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_experiment_config
+from mdda import experiment
 from mdda.cli import dispatch, main, parse_args
 from mdda.experiment import (
     MethodConfig,
@@ -131,7 +132,7 @@ def test_staged_predict_equals_run_seed_zero(method, tmp_path, monkeypatch):
     rows = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1, ndmin=2)
 
     data = sample_domains(cfg, 0)
-    adapted = adapt_sources(cfg, 0, data, pretrain_sources(cfg, 0, data))
+    adapted = adapt_sources(cfg, 0, data, pretrain_sources(cfg, 0, data.sources))
     pred = predict_target(distill_sources(cfg, 0, data, adapted), cfg.method.weighting, data.tgt_test.x)
     assert np.array_equal(rows[:, 0].astype(np.int64), pred.labels)
     assert np.array_equal(rows[:, 1:], pred.probs)
@@ -164,6 +165,25 @@ def test_stages_run_in_order(config_file, tmp_path, capsys):
     assert "bundle already at stage 3; rerun pretrain" in capsys.readouterr().err
 
 
+def test_each_staged_subcommand_samples_only_the_domains_it_uses(config_file, tmp_path, monkeypatch):
+    sampled = []
+    sample_domain = experiment.sample_domain
+
+    def noted(spec, n, rng):
+        sampled.append(spec.name)
+        return sample_domain(spec, n, rng)
+
+    monkeypatch.setattr(experiment, "sample_domain", noted)
+    out = str(tmp_path / "out")
+    every = ["near", "off", "target"]
+    expected = {"gen-data": every, "pretrain": ["near", "off"], "adapt": every, "distill": every,
+                "predict": ["target"]}
+    for sub, names in expected.items():
+        sampled.clear()
+        assert main([sub, "--config", config_file, "--out", out, "-q"]) == 0
+        assert sampled == names, sub
+
+
 def _set_config_field(key, value):
     def apply(config, out):
         path = Path(config)
@@ -179,23 +199,40 @@ def _drop_bundle_name(config, out):
     meta.write_text(json.dumps(data))
 
 
+def _set_section_field(section, key, value):
+    def apply(config, out):
+        path = Path(config)
+        data = json.loads(path.read_text())
+        data[section][key] = value
+        path.write_text(json.dumps(data))
+    return apply
+
+
 @pytest.mark.parametrize(
-    "sub, corrupt",
+    "sub, corrupt, field",
     [
-        ("run", _set_config_field("repeats", None)),
-        ("run", _set_config_field("n_source", None)),
-        ("run", _set_config_field("sources", 5)),
-        ("run", _set_config_field("method", 3)),
-        ("adapt", _drop_bundle_name),
+        ("run", _set_config_field("repeats", None), "repeats"),
+        ("run", _set_config_field("n_source", None), "n_source"),
+        ("run", _set_config_field("sources", 5), "sources"),
+        ("run", _set_config_field("method", 3), "method"),
+        ("adapt", _drop_bundle_name, "name"),
+        ("run", _set_section_field("method", "distill", "false"), "distill"),
+        ("run", _set_section_field("adapt", "lr_decay", "no"), "lr_decay"),
+        ("run", _set_config_field("repeats", 2.9), "repeats"),
+        ("run", _set_config_field("master_seed", 1.5), "master_seed"),
+        ("run", _set_config_field("n_source", True), "n_source"),
     ],
-    ids=["repeats-null", "n_source-null", "sources-int", "method-int", "meta-without-name"],
+    ids=["repeats-null", "n_source-null", "sources-int", "method-int", "meta-without-name",
+         "distill-string", "lr_decay-string", "repeats-float", "master_seed-float", "n_source-bool"],
 )
-def test_malformed_json_fields_exit_one(sub, corrupt, config_file, tmp_path, capsys):
+def test_malformed_json_fields_exit_one(sub, corrupt, field, config_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     corrupt(config_file, out)
     capsys.readouterr()
     assert main([sub, "--config", config_file, "--out", out, "-q"]) == 1
-    assert capsys.readouterr().err.startswith(f"mdda {sub}:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdda {sub}:")
+    assert f"field '{field}'" in err
 
 
 def test_quiet_suppresses_progress(config_file, tmp_path, capsys):

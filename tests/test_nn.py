@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from mdda.autodiff import Tape, backward, matmul, softmax_cross_entropy
-from mdda.errors import ConfigError, DataFormatError, ShapeError
+from mdda.errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from mdda.nn import (
     MlpConfig,
     adam,
@@ -148,6 +149,33 @@ def test_predict_values_does_not_grow_the_tape():
     before = tape.mark()
     net.predict_values(np.ones((4, 2)))
     assert tape.mark() == before
+
+
+@pytest.mark.parametrize("final_activation", ["none", "tanh"])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "tanh"])
+def test_predict_values_is_bit_equal_to_forward(activation, final_activation):
+    cfg = MlpConfig((3, 7, 5, 2), activation=activation, leaky_slope=0.3, final_activation=final_activation)
+    net = init_mlp(cfg, stream(4, "bit-equal"))
+    for b in net.biases:
+        b.assign(stream(5, "bias", str(b.id)).uniforms(b.value.size, -0.5, 0.5))
+    for batch in (1, 9):
+        x = stream(6, "x", str(batch)).uniforms(3 * batch, -2.0, 2.0).reshape(batch, 3)
+        before = net.tape.mark()
+        got = net.predict_values(x)
+        assert net.tape.mark() == before
+        assert got.tobytes() == forward(net, x).value.tobytes()
+
+
+@pytest.mark.parametrize("widths", [(1, 1), (1, 1, 1)])
+def test_predict_values_rejects_an_overflowing_affine_map(widths):
+    # tanh(inf) is 1: the check after each affine map must catch the overflow
+    net = init_mlp(MlpConfig(widths, activation="tanh", final_activation="tanh"), stream(0, "big"))
+    net.params[0].assign(np.array([[1e300]]))
+    with warnings.catch_warnings(), pytest.raises(NonFiniteError):
+        warnings.simplefilter("error")
+        net.predict_values(np.array([[1e10]]))
+    with pytest.raises(ShapeError):
+        net.predict_values(np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
