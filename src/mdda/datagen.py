@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NonFiniteError, json_field, json_float, json_int
+from .errors import ConfigError, DataFormatError, NonFiniteError, from_json, to_json
 from .rng import Xoshiro256
 
 
@@ -23,7 +23,7 @@ class DomainSpec:
     name: str
     n_classes: int
     d: int
-    base_means: tuple[tuple[float, ...], ...]
+    base_means: tuple[tuple[float, ...], ...] = field(metadata={"json": "means"})
     cov_scale: float
     rotation: float = 0.0
     translation: tuple[float, ...] = ()
@@ -247,41 +247,9 @@ def _stem(path) -> str:
 # JSON domain-spec manifests
 
 
-def spec_to_dict(spec: DomainSpec) -> dict:
-    return {
-        "name": spec.name,
-        "n_classes": spec.n_classes,
-        "d": spec.d,
-        "means": [list(m) for m in spec.base_means],
-        "cov_scale": spec.cov_scale,
-        "rotation": spec.rotation,
-        "translation": list(spec.translation),
-        "scale": spec.scale,
-        "label_noise": spec.label_noise,
-    }
-
-
-def spec_from_dict(data: dict) -> DomainSpec:
-    return DomainSpec(
-        name=json_field(data, "name", str),
-        n_classes=json_field(data, "n_classes", json_int),
-        d=json_field(data, "d", json_int),
-        base_means=json_field(data, "means", lambda v: tuple(_floats(m) for m in v)),
-        cov_scale=json_field(data, "cov_scale", json_float),
-        rotation=json_field(data, "rotation", json_float, 0.0),
-        translation=json_field(data, "translation", _floats, ()),
-        scale=json_field(data, "scale", json_float, 1.0),
-        label_noise=json_field(data, "label_noise", json_float, 0.0),
-    )
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(json_float(v) for v in values)
-
-
 def save_manifest(specs: list[DomainSpec], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([spec_to_dict(s) for s in specs], fh, indent=2, sort_keys=True)
+        json.dump(to_json(specs), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -290,4 +258,4 @@ def load_manifest(path) -> list[DomainSpec]:
         data = json.load(fh)
     if not isinstance(data, list):
         raise DataFormatError(f"{path}: manifest must be a JSON list")
-    return [spec_from_dict(entry) for entry in data]
+    return from_json(list[DomainSpec], data)

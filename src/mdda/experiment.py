@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import Dataset, DomainSpec, sample_domain, spec_from_dict, spec_to_dict, split_rows
-from .errors import ConfigError, DataFormatError, MddaError, json_bool, json_field, json_float, json_int
-from .nn import MlpConfig, config_from_dict, config_to_dict
+from .datagen import Dataset, DomainSpec, sample_domain, split_rows
+from .errors import ConfigError, DataFormatError, MddaError, from_json, to_json
+from .nn import MlpConfig
 from .pipeline import (
     AdaptConfig,
     Prediction,
@@ -104,111 +104,27 @@ class ExperimentConfig:
             raise ConfigError("classifier output width must cover all classes")
 
 
-def config_to_json_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "master_seed": cfg.master_seed,
-        "sources": [spec_to_dict(s) for s in cfg.sources],
-        "target": spec_to_dict(cfg.target),
-        "n_source": cfg.n_source,
-        "n_target": cfg.n_target,
-        "extractor": config_to_dict(cfg.extractor),
-        "classifier": config_to_dict(cfg.classifier),
-        "pretrain": _train_to_dict(cfg.pretrain),
-        "adapt": _adapt_to_dict(cfg.adapt),
-        "finetune": _train_to_dict(cfg.finetune),
-        "method": {
-            "weighting": cfg.method.weighting,
-            "distill": cfg.method.distill,
-            "distill_rule": cfg.method.distill_rule,
-            "distill_fraction": cfg.method.distill_fraction,
-        },
-        "ablations": list(cfg.ablations),
-        "repeats": cfg.repeats,
-    }
+def _versioned(obj) -> dict:
+    """The JSON form of a config or report, stamped with the schema version."""
+    return {"schema_version": SCHEMA_VERSION, **to_json(obj)}
 
 
-def config_from_json_dict(data: dict) -> ExperimentConfig:
+def _check_version(data, what: str):
     version = data.get("schema_version") if isinstance(data, dict) else None
     if version != SCHEMA_VERSION:
-        raise DataFormatError(f"unsupported config schema_version {version!r}")
-    return ExperimentConfig(
-        master_seed=json_field(data, "master_seed", json_int, 0),
-        sources=json_field(data, "sources", lambda v: tuple(spec_from_dict(s) for s in v)),
-        target=json_field(data, "target", spec_from_dict),
-        n_source=json_field(data, "n_source", json_int, 1000),
-        n_target=json_field(data, "n_target", json_int, 1000),
-        extractor=json_field(data, "extractor", config_from_dict),
-        classifier=json_field(data, "classifier", config_from_dict),
-        pretrain=json_field(data, "pretrain", _train_from_dict, TrainConfig()),
-        adapt=json_field(data, "adapt", _adapt_from_dict, AdaptConfig()),
-        finetune=json_field(data, "finetune", _train_from_dict, TrainConfig(steps=500)),
-        method=json_field(data, "method", _method_from_dict, MethodConfig()),
-        ablations=json_field(data, "ablations", tuple, ()),
-        repeats=json_field(data, "repeats", json_int, 1),
-    )
+        raise DataFormatError(f"unsupported {what} schema_version {version!r}")
+    return data
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json_dict(json.load(fh))
+        return from_json(ExperimentConfig, _check_version(json.load(fh), "config"))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_json_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(_versioned(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _train_to_dict(cfg: TrainConfig) -> dict:
-    return {"steps": cfg.steps, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate}
-
-
-def _train_from_dict(data: dict) -> TrainConfig:
-    return TrainConfig(
-        steps=json_field(data, "steps", json_int, 2000),
-        batch_size=json_field(data, "batch_size", json_int, 64),
-        learning_rate=json_field(data, "learning_rate", json_float, 1e-3),
-    )
-
-
-def _adapt_to_dict(cfg: AdaptConfig) -> dict:
-    return {
-        "alpha": cfg.alpha,
-        "n_critic": cfg.n_critic,
-        "steps": cfg.steps,
-        "batch_size": cfg.batch_size,
-        "lr_critic": cfg.lr_critic,
-        "lr_encoder": cfg.lr_encoder,
-        "include_endpoints": cfg.include_endpoints,
-        "critic_hidden": list(cfg.critic_hidden),
-        "critic_slope": cfg.critic_slope,
-        "lr_decay": cfg.lr_decay,
-    }
-
-
-def _adapt_from_dict(data: dict) -> AdaptConfig:
-    return AdaptConfig(
-        alpha=json_field(data, "alpha", json_float, 10.0),
-        n_critic=json_field(data, "n_critic", json_int, 5),
-        steps=json_field(data, "steps", json_int, 300),
-        batch_size=json_field(data, "batch_size", json_int, 64),
-        lr_critic=json_field(data, "lr_critic", json_float, 1e-3),
-        lr_encoder=json_field(data, "lr_encoder", json_float, 5e-4),
-        include_endpoints=json_field(data, "include_endpoints", json_bool, True),
-        critic_hidden=json_field(data, "critic_hidden", lambda v: tuple(json_int(w) for w in v), (64, 64)),
-        critic_slope=json_field(data, "critic_slope", json_float, 0.2),
-        lr_decay=json_field(data, "lr_decay", json_bool, True),
-    )
-
-
-def _method_from_dict(data: dict) -> MethodConfig:
-    return MethodConfig(
-        weighting=json_field(data, "weighting", str, "wasserstein"),
-        distill=json_field(data, "distill", json_bool, True),
-        distill_rule=json_field(data, "distill_rule", str, "closest"),
-        distill_fraction=json_field(data, "distill_fraction", json_float, 0.5),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +204,7 @@ def seed_stream(cfg: ExperimentConfig, rep: int, *labels: str):
 def experiment_hash(cfg: ExperimentConfig) -> str:
     """Digest of the whole config, stamped on bundle checkpoints so that no
     stage continues from the bundles of another experiment or seed."""
-    canon = json.dumps(config_to_json_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(_versioned(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -414,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     variants = ["mdda"] + [name for name in _VALID_ABLATIONS if name in cfg.ablations]
     per_seed = [run_seed(cfg, rep) for rep in range(cfg.repeats)]
     return Report(
-        config=config_to_json_dict(cfg),
+        config=_versioned(cfg),
         variants=variants,
         per_seed=per_seed,
         aggregate=_aggregate(variants, per_seed),
@@ -425,56 +341,12 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # report serialization
 
 
-def report_to_dict(report: Report) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": report.config,
-        "variants": list(report.variants),
-        "per_seed": [
-            {
-                "seed": res.seed,
-                "accuracies": res.accuracies,
-                "wd_estimates": res.wd_estimates,
-                "weights_raw": res.weights_raw,
-                "weights_normalized": res.weights_normalized,
-                "solo_accuracies": res.solo_accuracies,
-                "artifact_checksums": res.artifact_checksums,
-            }
-            for res in report.per_seed
-        ],
-        "aggregate": report.aggregate,
-    }
-
-
-def report_from_dict(data: dict) -> Report:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise DataFormatError(f"unsupported report schema_version {data.get('schema_version')!r}")
-    per_seed = [
-        SeedResult(
-            seed=int(entry["seed"]),
-            accuracies={k: float(v) for k, v in entry["accuracies"].items()},
-            wd_estimates=[float(v) for v in entry["wd_estimates"]],
-            weights_raw=[float(v) for v in entry["weights_raw"]],
-            weights_normalized=[float(v) for v in entry["weights_normalized"]],
-            solo_accuracies=[float(v) for v in entry["solo_accuracies"]],
-            artifact_checksums=dict(entry["artifact_checksums"]),
-        )
-        for entry in data["per_seed"]
-    ]
-    return Report(
-        config=data["config"],
-        variants=list(data["variants"]),
-        per_seed=per_seed,
-        aggregate={k: dict(v) for k, v in data["aggregate"].items()},
-    )
-
-
 def export_report(report: Report, directory) -> None:
     """Write report.json (full precision) and summary.csv (6 significant
     digits, one row per method variant)."""
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(_versioned(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     n = len(report.per_seed)
     header = ["variant", "mean", "std"] + [f"seed{i}" for i in range(n)]
@@ -492,4 +364,4 @@ def export_report(report: Report, directory) -> None:
 
 def load_report(path) -> Report:
     with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+        return from_json(Report, _check_version(json.load(fh), "report"))

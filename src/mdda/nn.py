@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Grads, Tape, Tensor, linear
-from .errors import ConfigError, DataFormatError, ShapeError, json_field, json_float, json_int
+from .errors import ConfigError, DataFormatError, ShapeError
 from .rng import Xoshiro256
 
 _ACTIVATIONS = ("relu", "leaky_relu", "tanh")
@@ -71,9 +71,6 @@ class Mlp:
     def biases(self) -> list[Tensor]:
         return self.params[1::2]
 
-    def forward(self, x) -> Tensor:
-        return forward(self, x)
-
     def predict_values(self, x: np.ndarray) -> np.ndarray:
         """Forward pass without touching the tape (frozen evaluation)."""
         with self.tape.paused():
@@ -121,32 +118,6 @@ def forward(net: Mlp, x) -> Tensor:
         elif net.config.final_activation == "tanh":
             h = h.tanh()
     return h
-
-
-def config_to_dict(cfg: MlpConfig) -> dict:
-    return {
-        "layer_widths": list(cfg.layer_widths),
-        "activation": cfg.activation,
-        "leaky_slope": cfg.leaky_slope,
-        "final_activation": cfg.final_activation,
-    }
-
-
-def config_from_dict(data: dict) -> MlpConfig:
-    return MlpConfig(
-        layer_widths=json_field(data, "layer_widths", lambda v: tuple(json_int(w) for w in v)),
-        activation=json_field(data, "activation", str, "relu"),
-        leaky_slope=json_field(data, "leaky_slope", json_float, 0.2),
-        final_activation=json_field(data, "final_activation", str, "none"),
-    )
-
-
-def clone_params(src: Mlp, dst: Mlp) -> None:
-    """Copy parameter values; the two nets stay fully independent."""
-    if src.config != dst.config:
-        raise ConfigError("clone_params needs identical configs")
-    for ps, pd in zip(src.params, dst.params):
-        pd.assign(ps.value)
 
 
 def clone_mlp(src: Mlp, tape: Tape | None = None) -> Mlp:
@@ -266,15 +237,15 @@ def load_params(path) -> list[np.ndarray]:
         return arrays
 
 
-def load_params_into(net: Mlp, path) -> None:
+def load_mlp(config: MlpConfig, path, tape: Tape) -> Mlp:
+    """A net of ``config`` with the parameters of the file at ``path``,
+    which must hold one array of the right shape per parameter."""
     arrays = load_params(path)
-    if len(arrays) != len(net.params):
-        raise DataFormatError(
-            f"{path}: has {len(arrays)} parameters, net needs {len(net.params)}"
-        )
-    for p, arr in zip(net.params, arrays):
-        if arr.shape != p.value.shape:
-            raise DataFormatError(
-                f"{path}: parameter shape {arr.shape} does not match {p.value.shape}"
-            )
-        p.assign(arr)
+    widths = config.layer_widths
+    shapes = [shape for w_in, w_out in zip(widths, widths[1:]) for shape in ((w_out, w_in), (w_out,))]
+    if len(arrays) != len(shapes):
+        raise DataFormatError(f"{path}: has {len(arrays)} parameters, net needs {len(shapes)}")
+    for arr, shape in zip(arrays, shapes):
+        if arr.shape != shape:
+            raise DataFormatError(f"{path}: parameter shape {arr.shape} does not match {shape}")
+    return Mlp(config, tape, [tape.leaf(a) for a in arrays])

@@ -21,17 +21,15 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
 from .datagen import Dataset
 from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError
-from .errors import json_bool, json_field, json_float
+from .errors import from_json, json_bool, json_field, json_float, json_str, to_json
 from .nn import (
     Mlp,
     MlpConfig,
     adam,
     clone_mlp,
-    config_from_dict,
-    config_to_dict,
     forward,
     init_mlp,
-    load_params,
+    load_mlp,
     save_params,
     step,
 )
@@ -491,14 +489,22 @@ _NET_FILES = ("extractor", "classifier", "target_encoder", "critic")
 
 def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
     """Write one parameter file per network plus meta.json, stamped with
-    ``experiment``, the hash of the experiment that produced the bundle."""
+    ``experiment``, the hash of the experiment that produced the bundle.
+
+    meta.json is removed first and replaced last, so a write cut short
+    leaves a bundle that does not load rather than one mixing old and new
+    networks.
+    """
     os.makedirs(directory, exist_ok=True)
+    meta_path = os.path.join(directory, "meta.json")
+    if os.path.exists(meta_path):
+        os.remove(meta_path)
     configs = {}
     for attr in _NET_FILES:
         net = getattr(bundle, attr)
         if net is None:
             continue
-        configs[attr] = config_to_dict(net.config)
+        configs[attr] = to_json(net.config)
         save_params(net, os.path.join(directory, f"{attr}.bin"))
     meta = {
         "schema_version": 1,
@@ -509,22 +515,24 @@ def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
         "configs": configs,
         "experiment_hash": experiment,
     }
-    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
+    with open(meta_path + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(meta_path + ".tmp", meta_path)
 
 
 def load_bundle(directory, experiment: str) -> SourceBundle:
     """Read a checkpoint.  A bundle stamped with any experiment hash other
-    than ``experiment`` is stale and rejected."""
+    than ``experiment`` is stale and rejected, and so is a parameter file
+    that does not fit its network's config."""
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     version = meta.get("schema_version") if isinstance(meta, dict) else None
     if version != 1:
         raise ConfigError(f"{directory}: unsupported bundle schema {version!r}")
     try:
-        name = json_field(meta, "name", str)
-        configs = json_field(meta, "configs", lambda v: {a: config_from_dict(v[a]) for a in _NET_FILES if a in v})
+        name = json_field(meta, "name", json_str)
+        configs = json_field(meta, "configs", lambda v: from_json(dict[str, MlpConfig], v))
         wd_estimate = json_field(meta, "wd_estimate", lambda v: None if v is None else json_float(v))
         distilled = json_field(meta, "distilled", json_bool)
     except DataFormatError as exc:
@@ -538,8 +546,9 @@ def load_bundle(directory, experiment: str) -> SourceBundle:
         raise ConfigError(f"{directory}: checkpoint lacks extractor or classifier")
     tape = Tape()
     nets = {
-        attr: Mlp(cfg, tape, [tape.leaf(a) for a in load_params(os.path.join(directory, f"{attr}.bin"))])
-        for attr, cfg in configs.items()
+        attr: load_mlp(configs[attr], os.path.join(directory, f"{attr}.bin"), tape)
+        for attr in _NET_FILES
+        if attr in configs
     }
     return SourceBundle(
         name=name,

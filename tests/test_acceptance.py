@@ -17,13 +17,13 @@ import numpy as np
 from conftest import tiny_experiment_config
 from mdda.cli import main
 from mdda.datagen import DomainSpec, ShiftDelta, concat_datasets, load_csv, make_shift_family, sample_domain, save_csv
+from mdda.errors import from_json, to_json
 from mdda.experiment import (
     ExperimentConfig,
     MethodConfig,
+    Report,
     export_report,
     load_report,
-    report_from_dict,
-    report_to_dict,
     run_experiment,
     save_config,
 )
@@ -282,7 +282,7 @@ def test_criterion_9_artifacts_and_exit_codes(criterion, tmp_path, capsys, monke
 
     report = run_experiment(tiny_experiment_config(repeats=1))
     export_report(report, tmp_path / "rep")
-    json_ok = (report_from_dict(report_to_dict(report)) == report
+    json_ok = (from_json(Report, to_json(report)) == report
                and load_report(tmp_path / "rep" / "report.json") == report)
 
     from mdda.scatter import export_scatter

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import tiny_experiment_config
-from mdda import experiment
+from mdda import experiment, nn, pipeline
+from mdda.autodiff import Tensor
 from mdda.cli import dispatch, main, parse_args
 from mdda.experiment import (
     MethodConfig,
@@ -23,6 +24,7 @@ from mdda.experiment import (
     sample_domains,
     save_config,
 )
+from mdda.nn import load_params, save_params
 
 
 @pytest.fixture
@@ -191,12 +193,14 @@ def _set_config_field(key, value):
     return apply
 
 
-def _drop_bundle_name(config, out):
-    assert main(["pretrain", "--config", config, "--out", out, "-q"]) == 0
-    meta = Path(out, "bundles", "near", "meta.json")
-    data = json.loads(meta.read_text())
-    del data["name"]
-    meta.write_text(json.dumps(data))
+def _edit_bundle_meta(edit):
+    def apply(config, out):
+        assert main(["pretrain", "--config", config, "--out", out, "-q"]) == 0
+        meta = Path(out, "bundles", "near", "meta.json")
+        data = json.loads(meta.read_text())
+        edit(data)
+        meta.write_text(json.dumps(data))
+    return apply
 
 
 def _set_section_field(section, key, value):
@@ -215,15 +219,20 @@ def _set_section_field(section, key, value):
         ("run", _set_config_field("n_source", None), "n_source"),
         ("run", _set_config_field("sources", 5), "sources"),
         ("run", _set_config_field("method", 3), "method"),
-        ("adapt", _drop_bundle_name, "name"),
+        ("adapt", _edit_bundle_meta(lambda meta: meta.pop("name")), "name"),
         ("run", _set_section_field("method", "distill", "false"), "distill"),
         ("run", _set_section_field("adapt", "lr_decay", "no"), "lr_decay"),
         ("run", _set_config_field("repeats", 2.9), "repeats"),
         ("run", _set_config_field("master_seed", 1.5), "master_seed"),
         ("run", _set_config_field("n_source", True), "n_source"),
+        ("run", _set_section_field("target", "name", 5), "name"),
+        ("run", _set_config_field("ablations", "uniform"), "ablations"),
+        ("run", _set_section_field("extractor", "activation", 3), "activation"),
+        ("adapt", _edit_bundle_meta(lambda meta: meta.update(name=5)), "name"),
     ],
     ids=["repeats-null", "n_source-null", "sources-int", "method-int", "meta-without-name",
-         "distill-string", "lr_decay-string", "repeats-float", "master_seed-float", "n_source-bool"],
+         "distill-string", "lr_decay-string", "repeats-float", "master_seed-float", "n_source-bool",
+         "domain-name-int", "ablations-string", "activation-int", "meta-name-int"],
 )
 def test_malformed_json_fields_exit_one(sub, corrupt, field, config_file, tmp_path, capsys):
     out = str(tmp_path / "out")
@@ -233,6 +242,50 @@ def test_malformed_json_fields_exit_one(sub, corrupt, field, config_file, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"mdda {sub}:")
     assert f"field '{field}'" in err
+
+
+def _truncate_params(arrays):
+    return arrays[:2]
+
+
+def _transpose_first_weight(arrays):
+    return [arrays[0].T] + arrays[1:]
+
+
+@pytest.mark.parametrize("damage", [_truncate_params, _transpose_first_weight], ids=["two-of-four", "transposed"])
+def test_parameter_file_that_does_not_fit_its_config_exits_one(damage, config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["pretrain", "--config", config_file, "--out", out, "-q"]) == 0
+    path = Path(out, "bundles", "near", "extractor.bin")
+    save_params([Tensor.of(a) for a in damage(load_params(path))], path)
+    capsys.readouterr()
+    assert main(["adapt", "--config", config_file, "--out", out, "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdda adapt:")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_an_interrupted_bundle_write_does_not_load(config_file, tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "out")
+    for sub in ("pretrain", "adapt"):
+        assert main([sub, "--config", config_file, "--out", out, "-q"]) == 0
+    calls = []
+
+    def fail_on_second_network(net, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        nn.save_params(net, path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "save_params", fail_on_second_network)
+        assert main(["pretrain", "--config", config_file, "--out", out, "-q"]) == 1
+    capsys.readouterr()
+    # the bundle now holds a fresh extractor beside the adapted networks of
+    # the run before; it must not load as a stage-2 bundle
+    assert main(["distill", "--config", config_file, "--out", out, "-q"]) == 1
+    assert "meta.json" in capsys.readouterr().err
 
 
 def test_quiet_suppresses_progress(config_file, tmp_path, capsys):

@@ -21,8 +21,6 @@ from mdda.datagen import (
     sample_domain,
     save_csv,
     save_manifest,
-    spec_from_dict,
-    spec_to_dict,
     split_rows,
 )
 from mdda.errors import ConfigError, DataFormatError, NonFiniteError
@@ -263,10 +261,3 @@ def test_manifest_must_be_a_list(tmp_path):
     path.write_text('{"name": "x"}\n')
     with pytest.raises(DataFormatError, match="list"):
         load_manifest(path)
-
-
-def test_spec_dict_round_trip():
-    spec = _spec(rotation=0.25, translation=(0.5, -0.5), scale=1.1, label_noise=0.05)
-    data = spec_to_dict(spec)
-    assert "means" in data
-    assert spec_from_dict(data) == spec

@@ -11,20 +11,16 @@ import pytest
 
 from conftest import tiny_experiment_config
 from mdda.datagen import DomainSpec
-from mdda.errors import ConfigError, DataFormatError, MddaError
+from mdda.errors import ConfigError, DataFormatError, MddaError, to_json
 from mdda.experiment import (
     ExperimentConfig,
     MethodConfig,
     Report,
     SeedResult,
     accuracy,
-    config_from_json_dict,
-    config_to_json_dict,
     export_report,
     load_config,
     load_report,
-    report_from_dict,
-    report_to_dict,
     run_experiment,
     save_config,
     seed_stream,
@@ -58,11 +54,6 @@ def test_accuracy_values():
 # configuration
 
 
-def test_config_json_round_trip():
-    cfg = tiny_experiment_config()
-    assert config_from_json_dict(config_to_json_dict(cfg)) == cfg
-
-
 def test_config_file_round_trip(tmp_path):
     cfg = tiny_experiment_config()
     path = tmp_path / "exp.json"
@@ -70,18 +61,21 @@ def test_config_file_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
-def test_config_rejects_unknown_schema():
-    data = config_to_json_dict(tiny_experiment_config())
-    data["schema_version"] = 99
+def test_config_rejects_unknown_schema(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**to_json(tiny_experiment_config()), "schema_version": 99}))
     with pytest.raises(DataFormatError, match="schema_version"):
-        config_from_json_dict(data)
+        load_config(path)
 
 
-def test_config_missing_field():
-    data = config_to_json_dict(tiny_experiment_config())
+def test_config_missing_field(tmp_path):
+    path = tmp_path / "exp.json"
+    save_config(tiny_experiment_config(), path)
+    data = json.loads(path.read_text())
     del data["sources"]
-    with pytest.raises(DataFormatError, match="missing"):
-        config_from_json_dict(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(DataFormatError, match="missing field 'sources'"):
+        load_config(path)
 
 
 def test_config_validation():
@@ -135,7 +129,7 @@ def test_run_experiment_smoke():
 
 def test_run_experiment_is_deterministic():
     again = run_experiment(tiny_experiment_config())
-    assert report_to_dict(again) == report_to_dict(_tiny_report())
+    assert to_json(again) == to_json(_tiny_report())
 
 
 def test_no_ablations_gives_only_the_primary_column():
@@ -177,16 +171,11 @@ def test_run_seed_wraps_stage_errors_with_context():
 # reports
 
 
-def test_report_dict_round_trip():
-    report = _tiny_report()
-    assert report_from_dict(report_to_dict(report)) == report
-
-
 def test_export_report_files(tmp_path):
     report = _tiny_report()
     export_report(report, tmp_path)
     text = (tmp_path / "report.json").read_text()
-    assert text == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps({"schema_version": 1, **to_json(report)}, indent=2, sort_keys=True) + "\n"
     assert load_report(tmp_path / "report.json") == report
 
     lines = (tmp_path / "summary.csv").read_text().splitlines()
@@ -217,8 +206,8 @@ def test_report_validation():
                aggregate={"mdda": {"mean": 0.5, "std": 0.0}})
 
 
-def test_report_rejects_unknown_schema():
-    data = report_to_dict(_tiny_report())
-    data["schema_version"] = 2
+def test_report_rejects_unknown_schema(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**to_json(_tiny_report()), "schema_version": 2}))
     with pytest.raises(DataFormatError, match="schema_version"):
-        report_from_dict(data)
+        load_report(path)

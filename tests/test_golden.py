@@ -1,5 +1,6 @@
 """Golden bytes: the exported files of the tiny config and of a mid-size
-variant, pinned by sha256.
+variant, and the tiny config's own JSON file and experiment hash, pinned
+by sha256.
 
 A refactor must leave these bytes unchanged.  A change that alters the
 numerics on purpose updates the digests here and says so.
@@ -10,7 +11,7 @@ import hashlib
 
 from conftest import tiny_experiment_config
 from mdda.cli import main
-from mdda.experiment import export_report, run_experiment, save_config
+from mdda.experiment import experiment_hash, export_report, run_experiment, save_config
 from mdda.pipeline import AdaptConfig, TrainConfig
 
 REPORT_SHA256 = "9fb3e2d310081887b7d2620c8baec93badd2e64b87808971c12bc38fb3572aa9"
@@ -52,3 +53,18 @@ def test_mid_size_report_json_bytes(tmp_path):
     )
     export_report(run_experiment(cfg), tmp_path)
     assert _sha256(tmp_path / "report.json") == MID_SIZE_REPORT_SHA256
+
+
+CONFIG_SHA256 = "f03b9f95984d3d907f5cb2cae1c676ca06797015882a50f2e71f70fa630299e9"
+EXPERIMENT_HASH = "e8ec18b946445dc4"
+
+
+def test_config_json_bytes(tmp_path):
+    save_config(tiny_experiment_config(), tmp_path / "exp.json")
+    assert _sha256(tmp_path / "exp.json") == CONFIG_SHA256
+
+
+def test_experiment_hash_value():
+    """Bundles are stamped with this hash, so a change to it makes every
+    existing checkpoint stale."""
+    assert experiment_hash(tiny_experiment_config()) == EXPERIMENT_HASH

@@ -16,13 +16,10 @@ from mdda.nn import (
     MlpConfig,
     adam,
     clone_mlp,
-    clone_params,
-    config_from_dict,
-    config_to_dict,
     forward,
     init_mlp,
+    load_mlp,
     load_params,
-    load_params_into,
     save_params,
     sgd,
     step,
@@ -47,11 +44,6 @@ def test_config_validation():
         MlpConfig((2, 3), activation="leaky_relu", leaky_slope=1.5)
     with pytest.raises(ConfigError):
         MlpConfig((2, 3), final_activation="relu")
-
-
-def test_config_dict_round_trip():
-    cfg = MlpConfig((4, 6, 2), activation="leaky_relu", leaky_slope=0.1, final_activation="tanh")
-    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +184,6 @@ def test_clone_matches_then_diverges_independently():
     assert not np.array_equal(src.params[0].value, dup.params[0].value)
 
 
-def test_clone_params_requires_matching_config():
-    a = init_mlp(MlpConfig((2, 3)), stream(1, "a"))
-    b = init_mlp(MlpConfig((2, 4)), stream(1, "b"))
-    with pytest.raises(ConfigError):
-        clone_params(a, b)
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 
@@ -329,8 +314,7 @@ def test_parameter_file_round_trip_is_bitwise(tmp_path):
     for arr, p in zip(arrays, net.params):
         assert np.array_equal(arr, p.value)
 
-    twin = init_mlp(MlpConfig((3, 5, 2), activation="leaky_relu"), stream(99, "other"))
-    load_params_into(twin, path)
+    twin = load_mlp(net.config, path, Tape())
     for pt, ps in zip(twin.params, net.params):
         assert np.array_equal(pt.value, ps.value)
 
@@ -365,6 +349,7 @@ def test_parameter_file_error_reporting(tmp_path):
     with pytest.raises(DataFormatError, match="header"):
         load_params(short_header)
 
-    mismatched = init_mlp(MlpConfig((2, 3)), stream(1, "shape"))
-    with pytest.raises(DataFormatError):
-        load_params_into(mismatched, path)
+    with pytest.raises(DataFormatError, match="net needs 4"):
+        load_mlp(MlpConfig((2, 3, 2)), path, Tape())
+    with pytest.raises(DataFormatError, match=r"shape \(2, 2\) does not match \(3, 2\)"):
+        load_mlp(MlpConfig((2, 3)), path, Tape())

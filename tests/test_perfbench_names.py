@@ -1,0 +1,53 @@
+"""Every function and method that the traced benchmark names resolves to a
+public function or method of ``mdda``, so that deleting or renaming one
+fails here in seconds instead of in a traced benchmark run."""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import mdda.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+
+_METHOD_SPANS = {span: (layer, cls, attr) for layer, cls, attr, span in tracer.METHODS}
+# spans that the tracer names per call from the arguments of another function
+_DERIVED = {"autodiff.backward_recorded": "autodiff.backward"}
+_DERIVED.update({f"cli.{sub}": "cli.dispatch" for sub in mdda.cli._HANDLERS})
+
+
+def _resolve(span: str):
+    if span in _METHOD_SPANS:
+        layer, cls, attr = _METHOD_SPANS[span]
+        return getattr(getattr(importlib.import_module(f"mdda.{layer}"), cls), attr)
+    layer, attr = _DERIVED.get(span, span).split(".")
+    fn = getattr(importlib.import_module(f"mdda.{layer}"), attr)
+    assert fn.__module__ == f"mdda.{layer}", f"{span} is not defined in mdda.{layer}"
+    return fn
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_traced_spans_resolve_to_public_functions(workload):
+    for span in workloads.WORKLOADS[workload].spans:
+        assert not span.rsplit(".", 1)[-1].startswith("_"), span
+        assert inspect.isfunction(_resolve(span)), span
+
+
+def test_traced_methods_resolve():
+    for span in _METHOD_SPANS:
+        assert inspect.isfunction(_resolve(span)), span
