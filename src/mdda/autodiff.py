@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Every operation is recorded as a node on a :class:`Tape`.  The backward
-pass is itself written in terms of the same forward primitives, so when
-``backward(..., record=True)`` is used the produced gradients live on the
-tape as ordinary nodes and can be differentiated again.  That is what
-makes the critic's gradient penalty (a loss containing an input
-gradient) trainable with a single engine.
+pass is written once over a small op set.  With ``backward(...,
+record=True)`` it runs on the same forward primitives, so the produced
+gradients live on the tape as ordinary nodes and can be differentiated
+again.  That is what makes the critic's gradient penalty (a loss
+containing an input gradient) trainable with a single engine.  A
+first-order backward runs the same IEEE operations, in the same order, on
+plain arrays, under the same finiteness contract.
 
 Conventions kept deliberately narrow:
 
@@ -20,6 +22,7 @@ Conventions kept deliberately narrow:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -206,15 +209,9 @@ class Tape:
             raise ValueError(f"invalid tape mark {mark}")
         del self.nodes[mark:]
 
-    @contextmanager
     def paused(self):
         """Run ops without recording; results come back detached."""
-        prev = self._recording
-        self._recording = False
-        try:
-            yield
-        finally:
-            self._recording = prev
+        return self._forced(False)
 
     @contextmanager
     def _forced(self, recording: bool):
@@ -266,21 +263,27 @@ def _unary(op: str, a: Tensor, fn, aux=None) -> Tensor:
     return _emit(op, (a,), value, aux)
 
 
+def _binary_value(op: str, av: np.ndarray, bv: np.ndarray, fn) -> np.ndarray:
+    """``fn`` over operands of equal shape, or with a one-element operand
+    taken as a scalar: the broadcast rule of every binary op."""
+    if av.shape == bv.shape:
+        value = fn(av, bv)
+    elif bv.size == 1:
+        value = fn(av, float(bv.reshape(())))
+    elif av.size == 1:
+        value = fn(float(av.reshape(())), bv)
+    else:
+        raise ShapeError(
+            f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
+            "nor one-element-broadcastable"
+        )
+    return np.asarray(value)
+
+
 def _binary(op: str, a: Tensor, b: Tensor, fn) -> Tensor:
-    av, bv = a.value, b.value
     with np.errstate(all="ignore"):
-        if av.shape == bv.shape:
-            value = fn(av, bv)
-        elif bv.size == 1:
-            value = fn(av, float(bv.reshape(())))
-        elif av.size == 1:
-            value = fn(float(av.reshape(())), bv)
-        else:
-            raise ShapeError(
-                f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
-                "nor one-element-broadcastable"
-            )
-    return _emit(op, (a, b), np.asarray(value), aux=None)
+        value = _binary_value(op, a.value, b.value, fn)
+    return _emit(op, (a, b), value)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -333,176 +336,229 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# vector-Jacobian rules, each expressed in the primitives above
+# the op set the vector-Jacobian rules are written in, twice: the recording
+# primitives, for a differentiable backward, and their twins on plain arrays
+
+_TAPE_OPS = SimpleNamespace(
+    value=Tape.handle,
+    const=Tensor.of,
+    add=Tensor.__add__,
+    sub=Tensor.__sub__,
+    mul=Tensor.__mul__,
+    div=Tensor.__truediv__,
+    neg=Tensor.__neg__,
+    matmul=lambda a, b: matmul(a, b),  # looked up per call, so a wrapper of it sees the call
+    transpose=Tensor.transpose,
+    reshape=Tensor.reshape,
+    sum=Tensor.sum,
+    square=Tensor.square,
+    exp=Tensor.exp,
+    step_mask=_step_mask,
+)
 
 
-def _reduce_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
+def _array_op(op: str, fn):
+    """``fn`` on arrays, with the finiteness check of the primitive ``op``."""
+    def run(*args):
+        value = fn(*args)
+        _require_finite(value, op)
+        return value
+    return run
+
+
+def _array_binary(op: str, fn):
+    return _array_op(op, lambda a, b: _binary_value(op, a, b, fn))
+
+
+# Run inside one ``np.errstate`` by ``backward``.  Each op checks its result
+# as the primitive does; constants are built from finite values.
+_ARRAY_OPS = SimpleNamespace(
+    value=lambda tape, nid: tape.nodes[nid].value,
+    const=_as_array,
+    add=_array_binary("add", np.add),
+    sub=_array_binary("sub", np.subtract),
+    mul=_array_binary("mul", np.multiply),
+    div=_array_binary("div", np.divide),
+    neg=_array_op("neg", np.negative),
+    matmul=_array_op("matmul", np.matmul),
+    transpose=_array_op("transpose", lambda v: v.T.copy()),
+    reshape=_array_op("reshape", lambda v, shape: v.reshape(shape).copy()),
+    sum=_array_op("sum", lambda v: np.asarray(v.sum())),
+    square=_array_op("square", np.square),
+    exp=_array_op("exp", np.exp),
+    step_mask=_array_op("step_mask", lambda v, slope: np.where(v > 0.0, 1.0, slope)),
+)
+
+
+# ---------------------------------------------------------------------------
+# vector-Jacobian rules, each written once over an op set
+
+
+def _reduce_to(ops, g, shape: tuple[int, ...]):
     if g.shape == shape:
         return g
-    return g.sum().reshape(shape)
+    return ops.reshape(ops.sum(g), shape)
 
 
 def _shape_of(tape: Tape, nid: int) -> tuple[int, ...]:
     return tape.nodes[nid].value.shape
 
 
-def _vjp_add(tape, nid, node, g, needed):
+def _vjp_add(ops, tape, nid, node, g, needed):
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(g, _shape_of(tape, node.inputs[0]))))
+        out.append((0, _reduce_to(ops, g, _shape_of(tape, node.inputs[0]))))
     if needed[1]:
-        out.append((1, _reduce_to(g, _shape_of(tape, node.inputs[1]))))
+        out.append((1, _reduce_to(ops, g, _shape_of(tape, node.inputs[1]))))
     return out
 
 
-def _vjp_sub(tape, nid, node, g, needed):
+def _vjp_sub(ops, tape, nid, node, g, needed):
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(g, _shape_of(tape, node.inputs[0]))))
+        out.append((0, _reduce_to(ops, g, _shape_of(tape, node.inputs[0]))))
     if needed[1]:
-        out.append((1, _reduce_to(-g, _shape_of(tape, node.inputs[1]))))
+        out.append((1, _reduce_to(ops, ops.neg(g), _shape_of(tape, node.inputs[1]))))
     return out
 
 
-def _vjp_mul(tape, nid, node, g, needed):
-    a = tape.handle(node.inputs[0])
-    b = tape.handle(node.inputs[1])
+def _vjp_mul(ops, tape, nid, node, g, needed):
+    a = ops.value(tape, node.inputs[0])
+    b = ops.value(tape, node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(g * b, a.shape)))
+        out.append((0, _reduce_to(ops, ops.mul(g, b), a.shape)))
     if needed[1]:
-        out.append((1, _reduce_to(g * a, b.shape)))
+        out.append((1, _reduce_to(ops, ops.mul(g, a), b.shape)))
     return out
 
 
-def _vjp_div(tape, nid, node, g, needed):
-    b = tape.handle(node.inputs[1])
+def _vjp_div(ops, tape, nid, node, g, needed):
+    b = ops.value(tape, node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(g / b, _shape_of(tape, node.inputs[0]))))
+        out.append((0, _reduce_to(ops, ops.div(g, b), _shape_of(tape, node.inputs[0]))))
     if needed[1]:
-        q = tape.handle(nid)
-        out.append((1, _reduce_to(-(g * (q / b)), b.shape)))
+        q = ops.value(tape, nid)
+        out.append((1, _reduce_to(ops, ops.neg(ops.mul(g, ops.div(q, b))), b.shape)))
     return out
 
 
-def _vjp_neg(tape, nid, node, g, needed):
-    return [(0, -g)] if needed[0] else []
+def _vjp_neg(ops, tape, nid, node, g, needed):
+    return [(0, ops.neg(g))] if needed[0] else []
 
 
-def _vjp_matmul(tape, nid, node, g, needed):
-    a = tape.handle(node.inputs[0])
-    b = tape.handle(node.inputs[1])
+def _vjp_matmul(ops, tape, nid, node, g, needed):
+    a = ops.value(tape, node.inputs[0])
+    b = ops.value(tape, node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, matmul(g, b.T)))
+        out.append((0, ops.matmul(g, ops.transpose(b))))
     if needed[1]:
-        out.append((1, matmul(a.T, g)))
+        out.append((1, ops.matmul(ops.transpose(a), g)))
     return out
 
 
-def _vjp_linear(tape, nid, node, g, needed):
+def _vjp_linear(ops, tape, nid, node, g, needed):
     # The same products, in the same order of operands, as the VJPs of the
     # transpose -> matmul -> add chain that ``linear`` stands for; the bias
     # gradient is a ones-row product, not ``g.sum()``, whose pairwise
     # summation rounds differently.
-    w = tape.handle(node.inputs[1])
+    w = ops.value(tape, node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, matmul(g, w)))
+        out.append((0, ops.matmul(g, w)))
     if needed[1]:
-        x = tape.handle(node.inputs[0])
-        out.append((1, matmul(x.T, g).T))
+        x = ops.value(tape, node.inputs[0])
+        out.append((1, ops.transpose(ops.matmul(ops.transpose(x), g))))
     if needed[2]:
-        ones = Tensor.of(np.ones((1, g.shape[0])))
-        out.append((2, matmul(ones, g).reshape(w.shape[:1])))
+        ones = ops.const(np.ones((1, g.shape[0])))
+        out.append((2, ops.reshape(ops.matmul(ones, g), w.shape[:1])))
     return out
 
 
-def _vjp_transpose(tape, nid, node, g, needed):
-    return [(0, g.T)] if needed[0] else []
+def _vjp_transpose(ops, tape, nid, node, g, needed):
+    return [(0, ops.transpose(g))] if needed[0] else []
 
 
-def _vjp_reshape(tape, nid, node, g, needed):
-    return [(0, g.reshape(node.aux))] if needed[0] else []
+def _vjp_reshape(ops, tape, nid, node, g, needed):
+    return [(0, ops.reshape(g, node.aux))] if needed[0] else []
 
 
-def _vjp_relu(tape, nid, node, g, needed):
+def _vjp_relu(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
-    x = tape.handle(node.inputs[0])
-    return [(0, g * _step_mask(x, 0.0))]
+    x = ops.value(tape, node.inputs[0])
+    return [(0, ops.mul(g, ops.step_mask(x, 0.0)))]
 
 
-def _vjp_leaky_relu(tape, nid, node, g, needed):
+def _vjp_leaky_relu(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
-    x = tape.handle(node.inputs[0])
-    return [(0, g * _step_mask(x, node.aux))]
+    x = ops.value(tape, node.inputs[0])
+    return [(0, ops.mul(g, ops.step_mask(x, node.aux)))]
 
 
-def _vjp_tanh(tape, nid, node, g, needed):
+def _vjp_tanh(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
-    y = tape.handle(nid)
-    return [(0, g * (1.0 - y.square()))]
+    y = ops.value(tape, nid)
+    return [(0, ops.mul(g, ops.sub(ops.const(1.0), ops.square(y))))]
 
 
-def _vjp_exp(tape, nid, node, g, needed):
+def _vjp_exp(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
-    y = tape.handle(nid)
-    return [(0, g * y)]
+    y = ops.value(tape, nid)
+    return [(0, ops.mul(g, y))]
 
 
-def _vjp_square(tape, nid, node, g, needed):
+def _vjp_square(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
-    x = tape.handle(node.inputs[0])
-    return [(0, g * (x * 2.0))]
+    x = ops.value(tape, node.inputs[0])
+    return [(0, ops.mul(g, ops.mul(x, ops.const(2.0))))]
 
 
-def _vjp_sqrt(tape, nid, node, g, needed):
+def _vjp_sqrt(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
-    y = tape.handle(nid)
-    return [(0, (g * 0.5) / y)]
+    y = ops.value(tape, nid)
+    return [(0, ops.div(ops.mul(g, ops.const(0.5)), y))]
 
 
-def _vjp_sum(tape, nid, node, g, needed):
+def _vjp_sum(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
-    ones = Tensor.of(np.ones(node.aux))
-    return [(0, ones * g)]
+    return [(0, ops.mul(ops.const(np.ones(node.aux)), g))]
 
 
-def _vjp_mean(tape, nid, node, g, needed):
+def _vjp_mean(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
     shape = node.aux
     size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    scaled = Tensor.of(np.full(shape, 1.0 / size))
-    return [(0, scaled * g)]
+    return [(0, ops.mul(ops.const(np.full(shape, 1.0 / size)), g))]
 
 
-def _vjp_softmax_xent(tape, nid, node, g, needed):
+def _vjp_softmax_xent(ops, tape, nid, node, g, needed):
     if not needed[0]:
         return []
     y, rowmax = node.aux
-    z = tape.handle(node.inputs[0])
+    z = ops.value(tape, node.inputs[0])
     n_batch, n_classes = z.shape
     # Shift by the recorded row maxima (constants; softmax is shift
     # invariant so the derivative is exact), then rebuild the softmax
     # with primitives so this rule is differentiable again.
-    shift = Tensor.of(np.repeat(rowmax, n_classes, axis=1))
-    e = (z - shift).exp()
-    rowsum = matmul(e, Tensor.of(np.ones((n_classes, 1))))
-    tiled = matmul(rowsum, Tensor.of(np.ones((1, n_classes))))
-    probs = e / tiled
+    shift = ops.const(np.repeat(rowmax, n_classes, axis=1))
+    e = ops.exp(ops.sub(z, shift))
+    rowsum = ops.matmul(e, ops.const(np.ones((n_classes, 1))))
+    tiled = ops.matmul(rowsum, ops.const(np.ones((1, n_classes))))
+    probs = ops.div(e, tiled)
     onehot = np.zeros((n_batch, n_classes))
     onehot[np.arange(n_batch), y] = 1.0
-    diff = probs - Tensor.of(onehot)
-    return [(0, diff * (g * (1.0 / n_batch)))]
+    diff = ops.sub(probs, ops.const(onehot))
+    return [(0, ops.mul(diff, ops.mul(g, ops.const(1.0 / n_batch))))]
 
 
 _VJP = {
@@ -535,7 +591,9 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
     Returns a mapping from each requested parameter's node id to its
     gradient tensor.  Parameters unreachable from the output get zero
     gradients.  With ``record=True`` the backward arithmetic is appended
-    to the tape, so the returned gradients are differentiable.
+    to the tape, so the returned gradients are differentiable.  Without
+    it the sweep runs on plain arrays, records nothing and returns
+    detached tensors.
     """
     tape = output.tape
     if tape is None:
@@ -567,15 +625,15 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
                 break
 
     grads: Grads = {}
-    with tape._forced(record):
-        seed = Tensor.of(np.ones_like(output.value))
-        adjoint: dict[int, Tensor] = {output.id: seed}
+    ops = _TAPE_OPS if record else _ARRAY_OPS
+    with tape._forced(True) if record else np.errstate(all="ignore"):
+        adjoint = {output.id: ops.const(np.ones_like(output.value))}
         for nid in range(limit, -1, -1):
             g = adjoint.pop(nid, None)
             if g is None:
                 continue
             if nid in wrt_set:
-                grads[nid] = g
+                grads[nid] = g if record else Tensor(None, None, g)
             node = nodes[nid]
             rule = _VJP[node.op]
             if rule is None:
@@ -583,11 +641,11 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
             needed = tuple(reach[iid] for iid in node.inputs)
             if not any(needed):
                 continue
-            for idx, gi in rule(tape, nid, node, g, needed):
+            for idx, gi in rule(ops, tape, nid, node, g, needed):
                 iid = node.inputs[idx]
                 prev = adjoint.get(iid)
-                adjoint[iid] = gi if prev is None else prev + gi
-        for nid in wrt_ids:
-            if nid not in grads:
-                grads[nid] = Tensor.of(np.zeros_like(nodes[nid].value))
+                adjoint[iid] = gi if prev is None else ops.add(prev, gi)
+    for nid in wrt_ids:
+        if nid not in grads:
+            grads[nid] = Tensor.of(np.zeros_like(nodes[nid].value))
     return grads

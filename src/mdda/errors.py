@@ -112,8 +112,14 @@ def from_json(tp, data):
 
     A dataclass reads each field through json_field, with the field's
     default when its key is absent, so every error names the path to it.
+    A key that names no field is an error, not a silent default.
     """
     if dataclasses.is_dataclass(tp):
+        if isinstance(data, dict):
+            keys = {f.metadata.get("json", f.name) for f in dataclasses.fields(tp)}
+            for key in data:
+                if key not in keys:
+                    raise DataFormatError(f"unknown field {key!r}")
         hints = typing.get_type_hints(tp)
         return tp(**{
             f.name: json_field(

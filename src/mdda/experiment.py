@@ -109,11 +109,12 @@ def _versioned(obj) -> dict:
     return {"schema_version": SCHEMA_VERSION, **to_json(obj)}
 
 
-def _check_version(data, what: str):
+def _check_version(data, what: str) -> dict:
+    """The JSON form of a config or report without its checked schema version."""
     version = data.get("schema_version") if isinstance(data, dict) else None
     if version != SCHEMA_VERSION:
         raise DataFormatError(f"unsupported {what} schema_version {version!r}")
-    return data
+    return {k: v for k, v in data.items() if k != "schema_version"}
 
 
 def load_config(path) -> ExperimentConfig:

@@ -13,6 +13,7 @@ import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from conftest import tiny_experiment_config
 from mdda.cli import main
@@ -86,6 +87,7 @@ def test_criterion_2_penalty_closed_forms(criterion):
 # criterion 3 — distance estimates track the size of the domain shift
 
 
+@pytest.mark.slow
 def test_criterion_3_distance_tracks_shift(criterion):
     start = time.monotonic()
     base = DomainSpec(name="s0", n_classes=3, d=2,
@@ -127,6 +129,7 @@ def test_criterion_3_distance_tracks_shift(criterion):
 # criterion 4 — distance weighting beats uniform weighting
 
 
+@pytest.mark.slow
 def test_criterion_4_weighting_beats_uniform(criterion):
     start = time.monotonic()
     means = ((1.5, 0.0), (3.0, 0.0), (4.5, 0.0))
@@ -173,6 +176,7 @@ def test_criterion_4_weighting_beats_uniform(criterion):
 # criterion 5 — distilling recovers accuracy lost to corrupted samples
 
 
+@pytest.mark.slow
 def test_criterion_5_distilling_helps_on_corrupted_source(criterion):
     start = time.monotonic()
     means = ((1.5, 0.0), (3.0, 0.0), (4.5, 0.0))

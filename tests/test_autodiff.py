@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from mdda import autodiff
 from mdda.autodiff import Tape, Tensor, backward, linear, matmul, softmax_cross_entropy
 from mdda.errors import NonFiniteError, ShapeError
 from mdda.nn import MlpConfig, forward, init_mlp
@@ -220,6 +221,127 @@ def test_identical_replay_is_bitwise_deterministic():
     assert loss_a == loss_b
     for ga, gb in zip(grads_a, grads_b):
         assert np.array_equal(ga, gb)
+
+
+def test_overflow_only_in_the_backward_raises_in_both_modes():
+    tape = Tape()
+    a, b, c = (_leaf(tape, [[v]]) for v in (1e300, 1e-300, 1e300))
+    loss = ((a * b) * c).sum()
+    assert loss.item() == pytest.approx(1e300)
+    # d loss / d b = a * c overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for record in (False, True):
+            with pytest.raises(NonFiniteError, match="mul"):
+                backward(loss, [b], record=record)
+
+
+# ---------------------------------------------------------------------------
+# the backward's two op sets: arrays (first order) and the tape (recorded)
+
+
+def _random_leaf(tape, rng, shape):
+    return tape.leaf(rng.uniforms(int(np.prod(shape, dtype=np.int64)), -1.5, 1.5).reshape(shape))
+
+
+def _binary_node(fn):
+    def build(draw, tape, rng, pool):
+        a = draw(st.sampled_from(pool))
+        b = draw(st.sampled_from([t for t in pool if t.shape == a.shape or t.value.size == 1 or a.value.size == 1]))
+        return fn(a, b) if draw(st.booleans()) else fn(b, a)
+    return build
+
+
+def _unary_node(fn):
+    return lambda draw, tape, rng, pool: fn(draw(st.sampled_from(pool)))
+
+
+def _matrix_node(fn):
+    def build(draw, tape, rng, pool):
+        return fn(draw, tape, rng, draw(st.sampled_from([t for t in pool if t.value.ndim == 2])))
+    return build
+
+
+def _matmul_node(draw, tape, rng, a):
+    n = draw(st.integers(1, 3))
+    return matmul(a, _random_leaf(tape, rng, (a.shape[1], n)))
+
+
+def _linear_node(draw, tape, rng, x):
+    d_out = draw(st.integers(1, 3))
+    return linear(x, _random_leaf(tape, rng, (d_out, x.shape[1])), _random_leaf(tape, rng, (d_out,)))
+
+
+def _reshape_node(draw, tape, rng, pool):
+    x = draw(st.sampled_from(pool))
+    n = x.value.size
+    return x.reshape(draw(st.sampled_from([(n,), (1, n), (n, 1)] + ([()] if n == 1 else []))))
+
+
+# recorded op -> a function that applies it to tensors drawn from the pool
+_DAG_NODES = {
+    "add": _binary_node(lambda a, b: a + b),
+    "sub": _binary_node(lambda a, b: a - b),
+    "mul": _binary_node(lambda a, b: a * b),
+    "div": _binary_node(lambda a, b: a / b),
+    "neg": _unary_node(lambda x: -x),
+    "matmul": _matrix_node(_matmul_node),
+    "linear": _matrix_node(_linear_node),
+    "transpose": _matrix_node(lambda draw, tape, rng, x: x.T),
+    "reshape": _reshape_node,
+    "relu": _unary_node(Tensor.relu),
+    "leaky_relu": _unary_node(lambda x: x.leaky_relu(0.2)),
+    "tanh": _unary_node(Tensor.tanh),
+    "exp": _unary_node(Tensor.exp),
+    "square": _unary_node(Tensor.square),
+    "sqrt": _unary_node(lambda x: (x.square() + 0.25).sqrt()),
+    "sum": _unary_node(Tensor.sum),
+    "mean": _unary_node(Tensor.mean),
+    "softmax_xent": _matrix_node(
+        lambda draw, tape, rng, z: softmax_cross_entropy(z, rng.integers(z.shape[0], z.shape[1]))
+    ),
+}
+
+
+def test_the_random_dags_cover_every_vjp_rule():
+    assert set(_DAG_NODES) == {op for op, rule in autodiff._VJP.items() if rule is not None}
+
+
+def _gradient_bytes(loss, wrt, record):
+    """Each gradient's shape and bytes, or the message of the NonFiniteError."""
+    try:
+        grads = backward(loss, wrt, record=record)
+    except NonFiniteError as exc:
+        return str(exc)
+    return [(grads[t.id].shape, grads[t.id].value.tobytes()) for t in wrt]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 999))
+def test_first_order_backward_is_bit_equal_to_the_recorded_one(data, seed):
+    draw, rng, tape = data.draw, stream(seed, "dag"), Tape()
+    # One-element leaves of three shapes meet every shape and each other, in
+    # a binary op first of all: (1, 1) against (3,) or (1,) is where NumPy's
+    # broadcasting would give another shape than the one-element rule.
+    shapes = [(), (1, 1), (1,), (3,)] + draw(st.lists(st.sampled_from([(3,), (2, 3), (3, 2)]), max_size=2))
+    pool = [_random_leaf(tape, rng, shape) for shape in shapes]
+    n_leaves = len(pool)
+    ops = [draw(st.sampled_from(["add", "sub", "mul", "div"]))]
+    ops += draw(st.lists(st.sampled_from(sorted(_DAG_NODES)), max_size=7))
+    for op in ops:
+        try:
+            with np.errstate(all="ignore"):
+                pool.append(_DAG_NODES[op](draw, tape, rng, pool))
+        except NonFiniteError:
+            pass  # an overflowing forward; the DAG goes on without that node
+    loss = pool[0].sum()
+    for t in pool[n_leaves:]:
+        loss = loss + t.sum()
+    wrt = [tape.handle(i) for i in range(len(tape)) if tape.nodes[i].op == "leaf"]
+    before = len(tape)
+    first_order = _gradient_bytes(loss, wrt, record=False)
+    assert len(tape) == before
+    assert first_order == _gradient_bytes(loss, wrt, record=True)
 
 
 # ---------------------------------------------------------------------------

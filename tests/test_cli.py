@@ -229,10 +229,13 @@ def _set_section_field(section, key, value):
         ("run", _set_config_field("ablations", "uniform"), "ablations"),
         ("run", _set_section_field("extractor", "activation", 3), "activation"),
         ("adapt", _edit_bundle_meta(lambda meta: meta.update(name=5)), "name"),
+        ("run", _set_config_field("n_sorce", 80), "n_sorce"),
+        ("run", _set_section_field("adapt", "n_critc", 1), "n_critc"),
     ],
     ids=["repeats-null", "n_source-null", "sources-int", "method-int", "meta-without-name",
          "distill-string", "lr_decay-string", "repeats-float", "master_seed-float", "n_source-bool",
-         "domain-name-int", "ablations-string", "activation-int", "meta-name-int"],
+         "domain-name-int", "ablations-string", "activation-int", "meta-name-int",
+         "unknown-top-level-key", "unknown-nested-key"],
 )
 def test_malformed_json_fields_exit_one(sub, corrupt, field, config_file, tmp_path, capsys):
     out = str(tmp_path / "out")
