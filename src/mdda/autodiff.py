@@ -371,7 +371,9 @@ def _array_binary(op: str, fn):
 
 
 # Run inside one ``np.errstate`` by ``backward``.  Each op checks its result
-# as the primitive does; constants are built from finite values.
+# as the primitive does, except ``transpose`` and ``reshape``, which only
+# move values that were checked already; constants are built from finite
+# values.
 _ARRAY_OPS = SimpleNamespace(
     value=lambda tape, nid: tape.nodes[nid].value,
     const=_as_array,
@@ -381,8 +383,8 @@ _ARRAY_OPS = SimpleNamespace(
     div=_array_binary("div", np.divide),
     neg=_array_op("neg", np.negative),
     matmul=_array_op("matmul", np.matmul),
-    transpose=_array_op("transpose", lambda v: v.T.copy()),
-    reshape=_array_op("reshape", lambda v, shape: v.reshape(shape).copy()),
+    transpose=lambda v: v.T.copy(),
+    reshape=lambda v, shape: v.reshape(shape).copy(),
     sum=_array_op("sum", lambda v: np.asarray(v.sum())),
     square=_array_op("square", np.square),
     exp=_array_op("exp", np.exp),
@@ -610,13 +612,14 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
 
     limit = output.id
     # Restrict propagation to nodes that depend on some wrt id; skipped
-    # paths would only ever produce gradients nobody asked for.
-    reach = np.zeros(limit + 1, dtype=bool)
+    # paths would only ever produce gradients nobody asked for.  Inputs
+    # precede their node, so no node before the first wrt id depends on one.
+    reach = bytearray(limit + 1)
     for nid in wrt_ids:
         if nid <= limit:
             reach[nid] = True
     nodes = tape.nodes
-    for nid in range(limit + 1):
+    for nid in range(min(wrt_ids, default=limit), limit + 1):
         if reach[nid]:
             continue
         for iid in nodes[nid].inputs:

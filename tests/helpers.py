@@ -1,12 +1,14 @@
 """Numerical helpers shared by the module and acceptance tests."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from mdda.autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
 from mdda.nn import Mlp, MlpConfig, forward, init_mlp
 from mdda.pipeline import gradient_penalty
-from mdda.rng import stream
+from mdda.rng import _MASK, _splitmix64, stream
 
 
 def central_difference(value, arrays, step=1e-5):
@@ -164,3 +166,98 @@ def identity_net(width: int = 1) -> Mlp:
     net.params[0].assign(np.eye(width))
     net.params[1].assign(np.zeros(width))
     return net
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python xoshiro256** that defined every stream before draws were
+# buffered; ``mdda.rng.Xoshiro256`` must reproduce it byte for byte
+
+
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _MASK
+
+
+class ReferenceXoshiro256:
+    """xoshiro256** generator over a 256-bit state."""
+
+    __slots__ = ("s0", "s1", "s2", "s3")
+
+    def __init__(self, seed: int):
+        sm = seed & _MASK
+        sm, self.s0 = _splitmix64(sm)
+        sm, self.s1 = _splitmix64(sm)
+        sm, self.s2 = _splitmix64(sm)
+        sm, self.s3 = _splitmix64(sm)
+        # All-zero state is a fixed point; SplitMix64 cannot produce it
+        # from the four consecutive outputs, but guard anyway.
+        if self.s0 == self.s1 == self.s2 == self.s3 == 0:
+            self.s3 = 1
+
+    def next_u64(self) -> int:
+        s1 = self.s1
+        result = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
+        t = (s1 << 17) & _MASK
+        s2 = self.s2 ^ self.s0
+        s3 = self.s3 ^ s1
+        self.s1 = s1 ^ s2
+        self.s0 = self.s0 ^ s3
+        self.s2 = s2 ^ t
+        self.s3 = _rotl(s3, 45)
+        return result
+
+    # ---- scalar draws -------------------------------------------------
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        # 53 random bits -> [0, 1)
+        u = (self.next_u64() >> 11) * 2.0**-53
+        return low + (high - low) * u
+
+    def randint_below(self, n: int) -> int:
+        """Uniform integer in [0, n), unbiased via rejection."""
+        if n <= 0:
+            raise ValueError("randint_below requires n >= 1")
+        threshold = ((1 << 64) // n) * n
+        while True:
+            x = self.next_u64()
+            if x < threshold:
+                return x % n
+
+    # ---- array draws --------------------------------------------------
+
+    def uniforms(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        span = high - low
+        nxt = self.next_u64
+        return np.array(
+            [low + span * ((nxt() >> 11) * 2.0**-53) for _ in range(count)],
+            dtype=np.float64,
+        )
+
+    def normals(self, count: int) -> np.ndarray:
+        """Standard normals via Box-Muller; pairs are drawn per call and
+        an unused spare from an odd count is discarded, so the draw
+        count is a function of `count` alone."""
+        out = np.empty(count, dtype=np.float64)
+        nxt = self.next_u64
+        i = 0
+        while i < count:
+            # u1 in (0, 1] so log(u1) is finite
+            u1 = ((nxt() >> 11) + 1) * 2.0**-53
+            u2 = (nxt() >> 11) * 2.0**-53
+            r = math.sqrt(-2.0 * math.log(u1))
+            a = 2.0 * math.pi * u2
+            out[i] = r * math.cos(a)
+            i += 1
+            if i < count:
+                out[i] = r * math.sin(a)
+                i += 1
+        return out
+
+    def integers(self, count: int, below: int) -> np.ndarray:
+        return np.array([self.randint_below(below) for _ in range(count)], dtype=np.int64)
+
+    def permutation(self, n: int) -> np.ndarray:
+        perm = np.arange(n, dtype=np.int64)
+        for i in range(n - 1, 0, -1):
+            j = self.randint_below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm

@@ -236,6 +236,38 @@ def test_overflow_only_in_the_backward_raises_in_both_modes():
                 backward(loss, [b], record=record)
 
 
+def test_first_order_backward_checks_all_but_transpose_and_reshape(monkeypatch):
+    # one pretrain step of the `supervised` networks: extractor and classifier
+    tape = Tape()
+    extractor = init_mlp(MlpConfig((2, 32, 32, 8), activation="leaky_relu"), stream(31, "ext"), tape)
+    classifier = init_mlp(MlpConfig((8, 3)), stream(31, "clf"), tape)
+    x = tape.leaf(stream(32, "x").uniforms(2 * 64, -2.0, 2.0).reshape(64, 2))
+    loss = softmax_cross_entropy(forward(classifier, forward(extractor, x)), stream(33, "y").integers(64, below=3))
+
+    called, checked = {}, {}
+    require_finite = autodiff._require_finite
+
+    def counted_check(value, op):
+        checked[op] = checked.get(op, 0) + 1
+        return require_finite(value, op)
+
+    def counted(name, fn):
+        def run(*args):
+            called[name] = called.get(name, 0) + 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(autodiff, "_require_finite", counted_check)
+    for name, fn in vars(autodiff._ARRAY_OPS).items():
+        if name not in ("value", "const"):
+            monkeypatch.setattr(autodiff._ARRAY_OPS, name, counted(name, fn))
+    backward(loss, extractor.params + classifier.params)
+
+    assert called["transpose"] > 0 and called["reshape"] > 0
+    assert "transpose" not in checked and "reshape" not in checked
+    assert checked == {op: n for op, n in called.items() if op not in ("transpose", "reshape")}
+
+
 # ---------------------------------------------------------------------------
 # the backward's two op sets: arrays (first order) and the tape (recorded)
 
