@@ -1,13 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Every operation is recorded as a node on a :class:`Tape`.  The backward
-pass is written once over a small op set.  With ``backward(...,
-record=True)`` it runs on the same forward primitives, so the produced
-gradients live on the tape as ordinary nodes and can be differentiated
-again.  That is what makes the critic's gradient penalty (a loss
-containing an input gradient) trainable with a single engine.  A
-first-order backward runs the same IEEE operations, in the same order, on
-plain arrays, under the same finiteness contract.
+Every operation is recorded as a node on a :class:`Tape`.  Each op is one
+entry of a table: its forward on arrays, its vector-Jacobian rule and
+whether its result is checked for finiteness.  The rules are written once
+over a small op set.  With ``backward(..., record=True)`` they run on the
+recording primitives, so the produced gradients live on the tape as
+ordinary nodes and can be differentiated again.  That is what makes the
+critic's gradient penalty (a loss containing an input gradient) trainable
+with a single engine.  A first-order backward runs the same IEEE
+operations, in the same order, on plain arrays, under the same finiteness
+contract.
 
 Conventions kept deliberately narrow:
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,31 +101,22 @@ class Tensor:
     # ---- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        return _binary("add", self, _lift(other), np.add)
-
-    def __radd__(self, other):
-        return _binary("add", _lift(other), self, np.add)
+        return _apply("add", (self, _lift(other)))
 
     def __sub__(self, other):
-        return _binary("sub", self, _lift(other), np.subtract)
-
-    def __rsub__(self, other):
-        return _binary("sub", _lift(other), self, np.subtract)
+        return _apply("sub", (self, _lift(other)))
 
     def __mul__(self, other):
-        return _binary("mul", self, _lift(other), np.multiply)
+        return _apply("mul", (self, _lift(other)))
 
     def __rmul__(self, other):
-        return _binary("mul", _lift(other), self, np.multiply)
+        return _apply("mul", (_lift(other), self))
 
     def __truediv__(self, other):
-        return _binary("div", self, _lift(other), np.divide)
-
-    def __rtruediv__(self, other):
-        return _binary("div", _lift(other), self, np.divide)
+        return _apply("div", (self, _lift(other)))
 
     def __neg__(self):
-        return _unary("neg", self, np.negative)
+        return _apply("neg", (self,))
 
     def __matmul__(self, other):
         return matmul(self, _lift(other))
@@ -131,31 +124,31 @@ class Tensor:
     # ---- primitives as methods ---------------------------------------
 
     def relu(self) -> "Tensor":
-        return _unary("relu", self, lambda v: np.maximum(v, 0.0))
+        return _apply("relu", (self,))
 
     def leaky_relu(self, slope: float) -> "Tensor":
         if not 0.0 < slope < 1.0:
             raise ValueError("leaky_relu slope must lie in (0, 1)")
-        return _unary("leaky_relu", self, lambda v: np.where(v > 0.0, v, slope * v), aux=slope)
+        return _apply("leaky_relu", (self,), slope)
 
     def tanh(self) -> "Tensor":
-        return _unary("tanh", self, np.tanh)
+        return _apply("tanh", (self,))
 
     def exp(self) -> "Tensor":
-        return _unary("exp", self, np.exp)
+        return _apply("exp", (self,))
 
     def square(self) -> "Tensor":
-        return _unary("square", self, np.square)
+        return _apply("square", (self,))
 
     def sqrt(self) -> "Tensor":
         if np.any(self.value < 0.0):
             raise NonFiniteError("sqrt of negative input")
-        return _unary("sqrt", self, np.sqrt)
+        return _apply("sqrt", (self,))
 
     def transpose(self) -> "Tensor":
         if self.value.ndim != 2:
             raise ShapeError(f"transpose needs a matrix, got shape {self.shape}")
-        return _emit("transpose", (self,), self.value.T.copy())
+        return _apply("transpose", (self,))
 
     @property
     def T(self) -> "Tensor":
@@ -165,13 +158,13 @@ class Tensor:
         shape = tuple(int(s) for s in shape)
         if int(np.prod(shape, dtype=np.int64)) != self.value.size:
             raise ShapeError(f"cannot reshape {self.shape} to {shape}")
-        return _emit("reshape", (self,), self.value.reshape(shape).copy(), aux=self.shape)
+        return _apply("reshape", (self,), shape)
 
     def sum(self) -> "Tensor":
-        return _emit("sum", (self,), np.asarray(self.value.sum()), aux=self.shape)
+        return _apply("sum", (self,))
 
     def mean(self) -> "Tensor":
-        return _emit("mean", (self,), np.asarray(self.value.mean()), aux=self.shape)
+        return _apply("mean", (self,))
 
     def __repr__(self) -> str:
         tag = "detached" if self.id is None else f"node {self.id}"
@@ -234,15 +227,24 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor.of(x)
 
 
-def _emit(op: str, operands: tuple[Tensor, ...], value: np.ndarray, aux=None) -> Tensor:
-    _require_finite(value, op)
+def _apply(op: str, operands: tuple[Tensor, ...], *args) -> Tensor:
+    """Run ``op``'s forward on the operands' values and record the node.
+    ``args`` holds the op's non-tensor argument, if any; it becomes the
+    node's ``aux``."""
+    spec = _OPS[op]
     tape = None
+    values = []
     for t in operands:
+        values.append(t.value)
         if t.tape is not None:
             if tape is None:
                 tape = t.tape
             elif tape is not t.tape:
                 raise ValueError(f"{op}: operands recorded on different tapes")
+    with np.errstate(all="ignore"):
+        value = spec.fn(*values, *args)
+    if spec.checked:
+        _require_finite(value, op)
     if tape is None or not tape._recording:
         return Tensor(None, None, value)
     ids = []
@@ -253,37 +255,8 @@ def _emit(op: str, operands: tuple[Tensor, ...], value: np.ndarray, aux=None) ->
             if t.id >= len(tape.nodes):
                 raise ValueError(f"{op}: operand was invalidated by a tape reset")
             ids.append(t.id)
-    tape.nodes.append(Node(op, tuple(ids), value, aux))
+    tape.nodes.append(Node(op, tuple(ids), value, args[0] if args else None))
     return Tensor(tape, len(tape.nodes) - 1, value)
-
-
-def _unary(op: str, a: Tensor, fn, aux=None) -> Tensor:
-    with np.errstate(all="ignore"):
-        value = fn(a.value)
-    return _emit(op, (a,), value, aux)
-
-
-def _binary_value(op: str, av: np.ndarray, bv: np.ndarray, fn) -> np.ndarray:
-    """``fn`` over operands of equal shape, or with a one-element operand
-    taken as a scalar: the broadcast rule of every binary op."""
-    if av.shape == bv.shape:
-        value = fn(av, bv)
-    elif bv.size == 1:
-        value = fn(av, float(bv.reshape(())))
-    elif av.size == 1:
-        value = fn(float(av.reshape(())), bv)
-    else:
-        raise ShapeError(
-            f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
-            "nor one-element-broadcastable"
-        )
-    return np.asarray(value)
-
-
-def _binary(op: str, a: Tensor, b: Tensor, fn) -> Tensor:
-    with np.errstate(all="ignore"):
-        value = _binary_value(op, a.value, b.value, fn)
-    return _emit(op, (a, b), value)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -292,7 +265,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    return _emit("matmul", (a, b), a.value @ b.value)
+    return _apply("matmul", (a, b))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -303,17 +276,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear needs [batch x in], [out x in] and [out], got {x.shape}, {w.shape} and {b.shape}"
         )
-    # the product takes a contiguous copy of w.T, as matmul(x, w.T) does
-    with np.errstate(all="ignore"):
-        value = x.value @ w.value.T.copy() + b.value
-    return _emit("linear", (x, w, b), value)
+    return _apply("linear", (x, w, b))
 
 
 def _step_mask(x: Tensor, slope: float) -> Tensor:
-    # 1 where x > 0, `slope` elsewhere (the kink at 0 takes the negative
-    # side).  Derivative is zero almost everywhere, so it propagates no
-    # gradient of its own.
-    return _unary("step_mask", x, lambda v: np.where(v > 0.0, 1.0, slope), aux=slope)
+    return _apply("step_mask", (x,), slope)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -327,73 +294,41 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"labels shape {y.shape} does not match batch size {n_batch}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
-    z = logits.value
-    rowmax = z.max(axis=1, keepdims=True)
-    shifted = z - rowmax
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    losses = lse[:, 0] - shifted[np.arange(n_batch), y]
-    return _emit("softmax_xent", (logits,), np.asarray(losses.mean()), aux=(y, rowmax))
+    return _apply("softmax_xent", (logits,), y)
 
 
 # ---------------------------------------------------------------------------
-# the op set the vector-Jacobian rules are written in, twice: the recording
-# primitives, for a differentiable backward, and their twins on plain arrays
-
-_TAPE_OPS = SimpleNamespace(
-    value=Tape.handle,
-    const=Tensor.of,
-    add=Tensor.__add__,
-    sub=Tensor.__sub__,
-    mul=Tensor.__mul__,
-    div=Tensor.__truediv__,
-    neg=Tensor.__neg__,
-    matmul=lambda a, b: matmul(a, b),  # looked up per call, so a wrapper of it sees the call
-    transpose=Tensor.transpose,
-    reshape=Tensor.reshape,
-    sum=Tensor.sum,
-    square=Tensor.square,
-    exp=Tensor.exp,
-    step_mask=_step_mask,
-)
+# forwards on float64 arrays
 
 
-def _array_op(op: str, fn):
-    """``fn`` on arrays, with the finiteness check of the primitive ``op``."""
-    def run(*args):
-        value = fn(*args)
-        _require_finite(value, op)
-        return value
+def _broadcasting(op: str, fn):
+    """``fn`` over operands of equal shape, or with a one-element operand
+    taken as a scalar: the broadcast rule of every binary op."""
+    def run(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+        if av.shape == bv.shape:
+            value = fn(av, bv)
+        elif bv.size == 1:
+            value = fn(av, float(bv.reshape(())))
+        elif av.size == 1:
+            value = fn(float(av.reshape(())), bv)
+        else:
+            raise ShapeError(
+                f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
+                "nor one-element-broadcastable"
+            )
+        return np.asarray(value)
     return run
 
 
-def _array_binary(op: str, fn):
-    return _array_op(op, lambda a, b: _binary_value(op, a, b, fn))
-
-
-# Run inside one ``np.errstate`` by ``backward``.  Each op checks its result
-# as the primitive does, except ``transpose`` and ``reshape``, which only
-# move values that were checked already; constants are built from finite
-# values.
-_ARRAY_OPS = SimpleNamespace(
-    value=lambda tape, nid: tape.nodes[nid].value,
-    const=_as_array,
-    add=_array_binary("add", np.add),
-    sub=_array_binary("sub", np.subtract),
-    mul=_array_binary("mul", np.multiply),
-    div=_array_binary("div", np.divide),
-    neg=_array_op("neg", np.negative),
-    matmul=_array_op("matmul", np.matmul),
-    transpose=lambda v: v.T.copy(),
-    reshape=lambda v, shape: v.reshape(shape).copy(),
-    sum=_array_op("sum", lambda v: np.asarray(v.sum())),
-    square=_array_op("square", np.square),
-    exp=_array_op("exp", np.exp),
-    step_mask=_array_op("step_mask", lambda v, slope: np.where(v > 0.0, 1.0, slope)),
-)
+def _softmax_xent(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return np.asarray((lse[:, 0] - shifted[np.arange(z.shape[0]), y]).mean())
 
 
 # ---------------------------------------------------------------------------
-# vector-Jacobian rules, each written once over an op set
+# vector-Jacobian rules, each written once over an op set: the recording
+# primitives, for a differentiable backward, or their twins on plain arrays
 
 
 def _reduce_to(ops, g, shape: tuple[int, ...]):
@@ -447,7 +382,7 @@ def _vjp_div(ops, tape, nid, node, g, needed):
 
 
 def _vjp_neg(ops, tape, nid, node, g, needed):
-    return [(0, ops.neg(g))] if needed[0] else []
+    return [(0, ops.neg(g))]
 
 
 def _vjp_matmul(ops, tape, nid, node, g, needed):
@@ -480,78 +415,57 @@ def _vjp_linear(ops, tape, nid, node, g, needed):
 
 
 def _vjp_transpose(ops, tape, nid, node, g, needed):
-    return [(0, ops.transpose(g))] if needed[0] else []
+    return [(0, ops.transpose(g))]
 
 
 def _vjp_reshape(ops, tape, nid, node, g, needed):
-    return [(0, ops.reshape(g, node.aux))] if needed[0] else []
+    return [(0, ops.reshape(g, _shape_of(tape, node.inputs[0])))]
 
 
 def _vjp_relu(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
+    # leaky_relu records its slope; relu records none, and its slope is 0
     x = ops.value(tape, node.inputs[0])
-    return [(0, ops.mul(g, ops.step_mask(x, 0.0)))]
-
-
-def _vjp_leaky_relu(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
-    x = ops.value(tape, node.inputs[0])
-    return [(0, ops.mul(g, ops.step_mask(x, node.aux)))]
+    return [(0, ops.mul(g, ops.step_mask(x, node.aux or 0.0)))]
 
 
 def _vjp_tanh(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
     y = ops.value(tape, nid)
     return [(0, ops.mul(g, ops.sub(ops.const(1.0), ops.square(y))))]
 
 
 def _vjp_exp(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
     y = ops.value(tape, nid)
     return [(0, ops.mul(g, y))]
 
 
 def _vjp_square(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
     x = ops.value(tape, node.inputs[0])
     return [(0, ops.mul(g, ops.mul(x, ops.const(2.0))))]
 
 
 def _vjp_sqrt(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
     y = ops.value(tape, nid)
     return [(0, ops.div(ops.mul(g, ops.const(0.5)), y))]
 
 
 def _vjp_sum(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
-    return [(0, ops.mul(ops.const(np.ones(node.aux)), g))]
+    return [(0, ops.mul(ops.const(np.ones(_shape_of(tape, node.inputs[0]))), g))]
 
 
 def _vjp_mean(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
-    shape = node.aux
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    return [(0, ops.mul(ops.const(np.full(shape, 1.0 / size)), g))]
+    x = tape.nodes[node.inputs[0]].value
+    return [(0, ops.mul(ops.const(np.full(x.shape, 1.0 / x.size)), g))]
 
 
 def _vjp_softmax_xent(ops, tape, nid, node, g, needed):
-    if not needed[0]:
-        return []
-    y, rowmax = node.aux
+    y = node.aux
     z = ops.value(tape, node.inputs[0])
     n_batch, n_classes = z.shape
-    # Shift by the recorded row maxima (constants; softmax is shift
-    # invariant so the derivative is exact), then rebuild the softmax
-    # with primitives so this rule is differentiable again.
+    # Shift by the row maxima as constants (softmax is shift invariant so
+    # the derivative is exact, and max rounds nothing, so they equal the
+    # forward's), then rebuild the softmax with primitives so this rule is
+    # differentiable again.
+    rowmax = tape.nodes[node.inputs[0]].value.max(axis=1, keepdims=True)
     shift = ops.const(np.repeat(rowmax, n_classes, axis=1))
     e = ops.exp(ops.sub(z, shift))
     rowsum = ops.matmul(e, ops.const(np.ones((n_classes, 1))))
@@ -563,28 +477,82 @@ def _vjp_softmax_xent(ops, tape, nid, node, g, needed):
     return [(0, ops.mul(diff, ops.mul(g, ops.const(1.0 / n_batch))))]
 
 
-_VJP = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "mul": _vjp_mul,
-    "div": _vjp_div,
-    "neg": _vjp_neg,
-    "matmul": _vjp_matmul,
-    "linear": _vjp_linear,
-    "transpose": _vjp_transpose,
-    "reshape": _vjp_reshape,
-    "relu": _vjp_relu,
-    "leaky_relu": _vjp_leaky_relu,
-    "tanh": _vjp_tanh,
-    "exp": _vjp_exp,
-    "square": _vjp_square,
-    "sqrt": _vjp_sqrt,
-    "sum": _vjp_sum,
-    "mean": _vjp_mean,
-    "softmax_xent": _vjp_softmax_xent,
-    "step_mask": None,  # derivative is zero almost everywhere
-    "leaf": None,
+# ---------------------------------------------------------------------------
+# the op table
+
+
+class _Op(NamedTuple):
+    """``fn`` is the forward on float64 arrays, with the op's non-tensor
+    argument last; ``vjp`` is the rule, ``None`` where the derivative is
+    zero almost everywhere; ``checked`` says whether the result goes
+    through ``_require_finite``, which ops that only move checked values
+    skip."""
+
+    fn: Callable
+    vjp: Callable | None
+    checked: bool = True
+
+
+_OPS: dict[str, _Op] = {
+    "add": _Op(_broadcasting("add", np.add), _vjp_add),
+    "sub": _Op(_broadcasting("sub", np.subtract), _vjp_sub),
+    "mul": _Op(_broadcasting("mul", np.multiply), _vjp_mul),
+    "div": _Op(_broadcasting("div", np.divide), _vjp_div),
+    "neg": _Op(np.negative, _vjp_neg),
+    "matmul": _Op(np.matmul, _vjp_matmul),
+    # the product takes a contiguous copy of w.T, as matmul(x, w.T) does
+    "linear": _Op(lambda x, w, b: x @ w.T.copy() + b, _vjp_linear),
+    "transpose": _Op(lambda v: v.T.copy(), _vjp_transpose, checked=False),
+    "reshape": _Op(lambda v, shape: v.reshape(shape).copy(), _vjp_reshape, checked=False),
+    "relu": _Op(lambda v: np.maximum(v, 0.0), _vjp_relu),
+    "leaky_relu": _Op(lambda v, slope: np.where(v > 0.0, v, slope * v), _vjp_relu),
+    "tanh": _Op(np.tanh, _vjp_tanh),
+    "exp": _Op(np.exp, _vjp_exp),
+    "square": _Op(np.square, _vjp_square),
+    "sqrt": _Op(np.sqrt, _vjp_sqrt),
+    "sum": _Op(lambda v: np.asarray(v.sum()), _vjp_sum),
+    "mean": _Op(lambda v: np.asarray(v.mean()), _vjp_mean),
+    "softmax_xent": _Op(_softmax_xent, _vjp_softmax_xent),
+    # 1 where x > 0, `slope` elsewhere (the kink at 0 takes the negative side)
+    "step_mask": _Op(lambda v, slope: np.where(v > 0.0, 1.0, slope), None),
 }
+
+
+# The two op sets the rules are written in.  The recording primitives:
+_TAPE_OPS = SimpleNamespace(
+    value=Tape.handle,
+    const=Tensor.of,
+    add=Tensor.__add__,
+    sub=Tensor.__sub__,
+    mul=Tensor.__mul__,
+    div=Tensor.__truediv__,
+    neg=Tensor.__neg__,
+    matmul=lambda a, b: matmul(a, b),  # looked up per call, so a wrapper of it sees the call
+    transpose=Tensor.transpose,
+    reshape=Tensor.reshape,
+    sum=Tensor.sum,
+    square=Tensor.square,
+    exp=Tensor.exp,
+    step_mask=_step_mask,
+)
+
+
+def _checked(op: str, fn):
+    def run(*args):
+        value = fn(*args)
+        _require_finite(value, op)
+        return value
+
+    return run
+
+
+# ... and each op's forward on plain arrays with its own check, run inside
+# one ``np.errstate`` by ``backward``; constants are built from finite values.
+_ARRAY_OPS = SimpleNamespace(
+    value=lambda tape, nid: tape.nodes[nid].value,
+    const=_as_array,
+    **{op: _checked(op, spec.fn) if spec.checked else spec.fn for op, spec in _OPS.items()},
+)
 
 
 def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Grads:
@@ -638,13 +606,13 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
             if nid in wrt_set:
                 grads[nid] = g if record else Tensor(None, None, g)
             node = nodes[nid]
-            rule = _VJP[node.op]
-            if rule is None:
+            spec = _OPS.get(node.op)  # None for a leaf
+            if spec is None or spec.vjp is None:
                 continue
             needed = tuple(reach[iid] for iid in node.inputs)
             if not any(needed):
                 continue
-            for idx, gi in rule(ops, tape, nid, node, g, needed):
+            for idx, gi in spec.vjp(ops, tape, nid, node, g, needed):
                 iid = node.inputs[idx]
                 prev = adjoint.get(iid)
                 adjoint[iid] = gi if prev is None else ops.add(prev, gi)

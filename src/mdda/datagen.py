@@ -98,13 +98,6 @@ def rotation_matrix(angle: float, d: int) -> np.ndarray:
     return r
 
 
-def domain_centroids(spec: DomainSpec) -> np.ndarray:
-    """Exact post-transform class means, [n_classes x d]."""
-    r = rotation_matrix(spec.rotation, spec.d)
-    means = np.asarray(spec.base_means)
-    return spec.scale * means @ r.T + np.asarray(spec.translation)
-
-
 def sample_domain(spec: DomainSpec, n: int, rng: Xoshiro256) -> Dataset:
     """Draw n labelled points.  Labels are uniform over classes; with
     probability label_noise a label is flipped to a uniformly random
@@ -167,14 +160,6 @@ def make_shift_family(base: DomainSpec, shifts: list[ShiftDelta]) -> list[Domain
             )
         )
     return out
-
-
-def concat_datasets(datasets: list[Dataset], name: str) -> Dataset:
-    if not datasets:
-        raise ConfigError("cannot concatenate zero datasets")
-    x = np.concatenate([ds.x for ds in datasets], axis=0)
-    y = np.concatenate([ds.y for ds in datasets])
-    return Dataset(x, y, name)
 
 
 def split_rows(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:

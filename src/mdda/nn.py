@@ -63,14 +63,6 @@ class Mlp:
         self.tape = tape
         self.params = params
 
-    @property
-    def weights(self) -> list[Tensor]:
-        return self.params[0::2]
-
-    @property
-    def biases(self) -> list[Tensor]:
-        return self.params[1::2]
-
     def predict_values(self, x: np.ndarray) -> np.ndarray:
         """Forward pass without touching the tape (frozen evaluation)."""
         with self.tape.paused():

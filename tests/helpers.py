@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 from mdda.autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
+from mdda.datagen import Dataset, DomainSpec, rotation_matrix
+from mdda.errors import ConfigError
 from mdda.nn import Mlp, MlpConfig, forward, init_mlp
 from mdda.pipeline import gradient_penalty
 from mdda.rng import _MASK, _splitmix64, stream
@@ -166,6 +168,25 @@ def identity_net(width: int = 1) -> Mlp:
     net.params[0].assign(np.eye(width))
     net.params[1].assign(np.zeros(width))
     return net
+
+
+# ---------------------------------------------------------------------------
+# domain helpers that only tests use
+
+
+def domain_centroids(spec: DomainSpec) -> np.ndarray:
+    """Exact post-transform class means, [n_classes x d]."""
+    r = rotation_matrix(spec.rotation, spec.d)
+    means = np.asarray(spec.base_means)
+    return spec.scale * means @ r.T + np.asarray(spec.translation)
+
+
+def concat_datasets(datasets: list[Dataset], name: str) -> Dataset:
+    if not datasets:
+        raise ConfigError("cannot concatenate zero datasets")
+    x = np.concatenate([ds.x for ds in datasets], axis=0)
+    y = np.concatenate([ds.y for ds in datasets])
+    return Dataset(x, y, name)
 
 
 # ---------------------------------------------------------------------------

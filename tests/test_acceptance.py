@@ -17,7 +17,7 @@ import pytest
 
 from conftest import tiny_experiment_config
 from mdda.cli import main
-from mdda.datagen import DomainSpec, ShiftDelta, concat_datasets, load_csv, make_shift_family, sample_domain, save_csv
+from mdda.datagen import DomainSpec, ShiftDelta, load_csv, make_shift_family, sample_domain, save_csv
 from mdda.errors import from_json, to_json
 from mdda.experiment import (
     ExperimentConfig,
@@ -45,7 +45,7 @@ from mdda.pipeline import (
 )
 from mdda.rng import stream
 
-from helpers import fd_sweep, gp_param_grad_worst_error, linear_critic
+from helpers import concat_datasets, fd_sweep, gp_param_grad_worst_error, linear_critic
 from test_pipeline import _constant_bundle, _toy_bundle, _toy_data
 
 FEATURES = MlpConfig((2, 32, 8), final_activation="tanh")

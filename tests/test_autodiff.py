@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -268,6 +268,56 @@ def test_first_order_backward_checks_all_but_transpose_and_reshape(monkeypatch):
     assert checked == {op: n for op, n in called.items() if op not in ("transpose", "reshape")}
 
 
+_NAN = [[np.nan]]
+
+# checked op -> (operand values, the recording primitive, the op's non-tensor
+# argument as its array twin takes it).  Ops that can overflow get finite
+# operands that make them overflow; ops that pass finite values through get
+# a NaN.  The mask is 1 or the slope whatever its input, so only a
+# non-finite slope makes it non-finite.
+_NON_FINITE_CASES = {
+    "add": ([[[1e308]], [[1e308]]], lambda a, b: a + b, ()),
+    "sub": ([[[1e308]], [[-1e308]]], lambda a, b: a - b, ()),
+    "mul": ([[[1e200]], [[1e200]]], lambda a, b: a * b, ()),
+    "div": ([[[1e200]], [[1e-200]]], lambda a, b: a / b, ()),
+    "matmul": ([[[1e200]], [[1e200]]], matmul, ()),
+    "linear": ([[[1e200]], [[1e200]], [0.0]], linear, ()),
+    "exp": ([[[1000.0]]], Tensor.exp, ()),
+    "square": ([[[1e200]]], Tensor.square, ()),
+    "sum": ([[[1e308, 1e308]]], Tensor.sum, ()),
+    "mean": ([[[1e308, 1e308]]], Tensor.mean, ()),
+    "softmax_xent": ([[[1e308, -1e308]]], lambda z: softmax_cross_entropy(z, [1]), (np.array([1]),)),
+    "neg": ([_NAN], Tensor.__neg__, ()),
+    "relu": ([_NAN], Tensor.relu, ()),
+    "leaky_relu": ([_NAN], lambda x: x.leaky_relu(0.2), (0.2,)),
+    "tanh": ([_NAN], Tensor.tanh, ()),
+    "sqrt": ([_NAN], Tensor.sqrt, ()),
+    "step_mask": ([[[-1.0]]], lambda x: autodiff._step_mask(x, np.inf), (np.inf,)),
+}
+
+
+def test_only_transpose_and_reshape_skip_the_finiteness_check():
+    unchecked = {op for op, spec in autodiff._OPS.items() if not spec.checked}
+    assert unchecked == {"transpose", "reshape"}
+    assert set(_NON_FINITE_CASES) == set(autodiff._OPS) - unchecked
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["primitive", "array_twin"])
+@pytest.mark.parametrize("op", sorted(_NON_FINITE_CASES))
+def test_each_checked_op_raises_on_a_non_finite_result(op, twin):
+    operands, primitive, args = _NON_FINITE_CASES[op]
+    arrays = [np.asarray(v, dtype=np.float64) for v in operands]
+    # with warnings as errors, a forward that warns outside ``np.errstate``
+    # fails here instead of reaching the check
+    with warnings.catch_warnings(), pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value$"):
+        warnings.simplefilter("error")
+        if twin:
+            with np.errstate(all="ignore"):  # as ``backward`` runs the twins
+                getattr(autodiff._ARRAY_OPS, op)(*arrays, *args)
+        else:
+            primitive(*(Tensor(None, None, a) for a in arrays))
+
+
 # ---------------------------------------------------------------------------
 # the backward's two op sets: arrays (first order) and the tape (recorded)
 
@@ -336,7 +386,7 @@ _DAG_NODES = {
 
 
 def test_the_random_dags_cover_every_vjp_rule():
-    assert set(_DAG_NODES) == {op for op, rule in autodiff._VJP.items() if rule is not None}
+    assert set(_DAG_NODES) == {op for op, spec in autodiff._OPS.items() if spec.vjp is not None}
 
 
 def _gradient_bytes(loss, wrt, record):
@@ -348,10 +398,10 @@ def _gradient_bytes(loss, wrt, record):
     return [(grads[t.id].shape, grads[t.id].value.tobytes()) for t in wrt]
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(data=st.data(), seed=st.integers(0, 999))
-def test_first_order_backward_is_bit_equal_to_the_recorded_one(data, seed):
-    draw, rng, tape = data.draw, stream(seed, "dag"), Tape()
+def _random_dag(draw, seed):
+    """A tape of random op nodes over random leaves, the scalar sum of every
+    node's sum, and handles to every leaf."""
+    rng, tape = stream(seed, "dag"), Tape()
     # One-element leaves of three shapes meet every shape and each other, in
     # a binary op first of all: (1, 1) against (3,) or (1,) is where NumPy's
     # broadcasting would give another shape than the one-element rule.
@@ -362,18 +412,56 @@ def test_first_order_backward_is_bit_equal_to_the_recorded_one(data, seed):
     ops += draw(st.lists(st.sampled_from(sorted(_DAG_NODES)), max_size=7))
     for op in ops:
         try:
-            with np.errstate(all="ignore"):
-                pool.append(_DAG_NODES[op](draw, tape, rng, pool))
+            pool.append(_DAG_NODES[op](draw, tape, rng, pool))
         except NonFiniteError:
             pass  # an overflowing forward; the DAG goes on without that node
     loss = pool[0].sum()
     for t in pool[n_leaves:]:
         loss = loss + t.sum()
     wrt = [tape.handle(i) for i in range(len(tape)) if tape.nodes[i].op == "leaf"]
+    return tape, loss, wrt
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 999))
+def test_first_order_backward_is_bit_equal_to_the_recorded_one(data, seed):
+    tape, loss, wrt = _random_dag(data.draw, seed)
     before = len(tape)
     first_order = _gradient_bytes(loss, wrt, record=False)
     assert len(tape) == before
     assert first_order == _gradient_bytes(loss, wrt, record=True)
+
+
+def _replay(tape) -> float:
+    """The tape's last node, recomputed from the current leaf values by each
+    node's forward in the op table."""
+    values = []
+    with np.errstate(all="ignore"):
+        for node in tape.nodes:
+            if node.op == "leaf":
+                values.append(node.value)
+            else:
+                args = () if node.aux is None else (node.aux,)
+                values.append(autodiff._OPS[node.op].fn(*(values[i] for i in node.inputs), *args))
+    return float(values[-1])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 999))
+def test_first_order_backward_matches_central_differences(data, seed):
+    tape, loss, wrt = _random_dag(data.draw, seed)
+    # No probe of the difference may cross a kink, and no denominator or
+    # steep value may make the step's truncation error show.
+    for node in tape.nodes:
+        assume(np.abs(node.value).max(initial=0.0) <= 100.0)
+        if node.op in ("relu", "leaky_relu", "sqrt"):
+            assume(np.abs(tape.nodes[node.inputs[0]].value).min() > 1e-3)
+        if node.op == "div":
+            assume(np.abs(tape.nodes[node.inputs[1]].value).min() > 1e-2)
+    grads = backward(loss, wrt)
+    fd = helpers.central_difference(lambda: _replay(tape), [t.value for t in wrt])
+    assert _replay(tape) == loss.item()
+    assert max(helpers.relative_error(grads[t.id].value, f) for t, f in zip(wrt, fd)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

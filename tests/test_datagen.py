@@ -12,8 +12,6 @@ from mdda.datagen import (
     Dataset,
     DomainSpec,
     ShiftDelta,
-    concat_datasets,
-    domain_centroids,
     load_csv,
     load_manifest,
     make_shift_family,
@@ -25,6 +23,8 @@ from mdda.datagen import (
 )
 from mdda.errors import ConfigError, DataFormatError, NonFiniteError
 from mdda.rng import stream
+
+from helpers import concat_datasets, domain_centroids
 
 
 def _spec(**overrides) -> DomainSpec:

@@ -148,7 +148,7 @@ def test_predict_values_does_not_grow_the_tape():
 def test_predict_values_is_bit_equal_to_forward(activation, final_activation):
     cfg = MlpConfig((3, 7, 5, 2), activation=activation, leaky_slope=0.3, final_activation=final_activation)
     net = init_mlp(cfg, stream(4, "bit-equal"))
-    for b in net.biases:
+    for b in net.params[1::2]:
         b.assign(stream(5, "bias", str(b.id)).uniforms(b.value.size, -0.5, 0.5))
     for batch in (1, 9):
         x = stream(6, "x", str(batch)).uniforms(3 * batch, -2.0, 2.0).reshape(batch, 3)

@@ -1,11 +1,14 @@
 """Every function and method that the traced benchmark names resolves to a
-public function or method of ``mdda``, so that deleting or renaming one
-fails here in seconds instead of in a traced benchmark run."""
+public function or method of ``mdda``, and the op micro-benchmark runs, so
+that deleting or renaming one fails here in seconds instead of in a traced
+benchmark run."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import inspect
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,14 @@ def test_traced_spans_resolve_to_public_functions(workload):
 def test_traced_methods_resolve():
     for span in _METHOD_SPANS:
         assert inspect.isfunction(_resolve(span)), span
+
+
+def test_op_microbench_reports_every_op_metric(monkeypatch):
+    opbench = _load("opbench")
+    monkeypatch.setattr(opbench, "REPEATS", 1)
+    monkeypatch.setattr(opbench, "CALLS", 1)
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    op_metrics = {m["name"] for m in declared if m["name"].startswith("op.")}
+    out = opbench.run()
+    assert len(op_metrics) == 25 and set(out) == op_metrics
+    assert all(math.isfinite(v) for v in out.values())

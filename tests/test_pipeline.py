@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mdda.autodiff import Tape, Tensor, backward, softmax_cross_entropy
-from mdda.datagen import Dataset, DomainSpec, concat_datasets, sample_domain
+from mdda.datagen import Dataset, DomainSpec, sample_domain
 from mdda.errors import (
     ConfigError,
     DataFormatError,
@@ -42,7 +42,7 @@ from mdda.pipeline import (
 )
 from mdda.rng import stream
 
-from helpers import gp_param_grad_worst_error, identity_net, linear_critic
+from helpers import concat_datasets, gp_param_grad_worst_error, identity_net, linear_critic
 
 EXTRACTOR = MlpConfig((2, 4, 3), final_activation="tanh")
 CLASSIFIER = MlpConfig((3, 2))
