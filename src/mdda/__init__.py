@@ -39,7 +39,7 @@ from .experiment import (
     run_experiment,
     save_config,
 )
-from .nn import Mlp, MlpConfig, adam, clone_mlp, forward, init_mlp, sgd, step
+from .nn import Mlp, MlpConfig, adam, clone_mlp, forward, init_mlp, step
 from .pipeline import (
     AdaptConfig,
     DistillSelection,

@@ -23,7 +23,6 @@ Conventions kept deliberately narrow:
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -179,11 +178,10 @@ class Tape:
     below the watermark (parameters) survive.
     """
 
-    __slots__ = ("nodes", "_recording")
+    __slots__ = ("nodes",)
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._recording = True
 
     def leaf(self, value) -> Tensor:
         arr = _as_array(value).copy()
@@ -201,19 +199,6 @@ class Tape:
         if mark < 0 or mark > len(self.nodes):
             raise ValueError(f"invalid tape mark {mark}")
         del self.nodes[mark:]
-
-    def paused(self):
-        """Run ops without recording; results come back detached."""
-        return self._forced(False)
-
-    @contextmanager
-    def _forced(self, recording: bool):
-        prev = self._recording
-        self._recording = recording
-        try:
-            yield
-        finally:
-            self._recording = prev
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -245,7 +230,7 @@ def _apply(op: str, operands: tuple[Tensor, ...], *args) -> Tensor:
         value = spec.fn(*values, *args)
     if spec.checked:
         _require_finite(value, op)
-    if tape is None or not tape._recording:
+    if tape is None:
         return Tensor(None, None, value)
     ids = []
     for t in operands:
@@ -527,12 +512,17 @@ _TAPE_OPS = SimpleNamespace(
     mul=Tensor.__mul__,
     div=Tensor.__truediv__,
     neg=Tensor.__neg__,
-    matmul=lambda a, b: matmul(a, b),  # looked up per call, so a wrapper of it sees the call
+    # looked up per call, so a wrapper of either sees the call
+    matmul=lambda a, b: matmul(a, b),
+    linear=lambda x, w, b: linear(x, w, b),
     transpose=Tensor.transpose,
     reshape=Tensor.reshape,
     sum=Tensor.sum,
     square=Tensor.square,
     exp=Tensor.exp,
+    relu=Tensor.relu,
+    leaky_relu=Tensor.leaky_relu,
+    tanh=Tensor.tanh,
     step_mask=_step_mask,
 )
 
@@ -547,7 +537,8 @@ def _checked(op: str, fn):
 
 
 # ... and each op's forward on plain arrays with its own check, run inside
-# one ``np.errstate`` by ``backward``; constants are built from finite values.
+# one ``np.errstate`` by ``backward`` and by frozen network evaluation;
+# constants are built from finite values.
 _ARRAY_OPS = SimpleNamespace(
     value=lambda tape, nid: tape.nodes[nid].value,
     const=_as_array,
@@ -597,7 +588,7 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
 
     grads: Grads = {}
     ops = _TAPE_OPS if record else _ARRAY_OPS
-    with tape._forced(True) if record else np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         adjoint = {output.id: ops.const(np.ones_like(output.value))}
         for nid in range(limit, -1, -1):
             g = adjoint.pop(nid, None)

@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from .datagen import save_csv, save_manifest
+from .datagen import save_csv, save_manifest, write_labelled_rows
 from .errors import ConfigError, MddaError
 from .experiment import (
     ExperimentConfig,
@@ -147,12 +147,8 @@ def _cmd_predict(inv: CliInvocation, cfg: ExperimentConfig) -> None:
     _, _, test = sample_target(cfg, 0)
     pred = predict_target(bundles, cfg.method.weighting, test.x)
     acc = accuracy(pred.labels, test.y)
-    path = os.path.join(inv.output_dir, "predictions.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        n_classes = pred.probs.shape[1]
-        fh.write("label," + ",".join(f"p{c}" for c in range(n_classes)) + "\n")
-        for label, row in zip(pred.labels, pred.probs):
-            fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    columns = ["label", *(f"p{c}" for c in range(pred.probs.shape[1]))]
+    write_labelled_rows(os.path.join(inv.output_dir, "predictions.csv"), columns, pred.labels, pred.probs)
     _say(inv, f"target test accuracy {acc:.4f} over {test.n} samples")
 
 

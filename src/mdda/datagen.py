@@ -177,10 +177,17 @@ def split_rows(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:
 
 
 def save_csv(ds: Dataset, path) -> None:
+    write_labelled_rows(path, ["y", *(f"x{i}" for i in range(ds.d))], ds.y, ds.x)
+
+
+def write_labelled_rows(path, columns: list[str], labels: np.ndarray, rows: np.ndarray) -> None:
+    """A CSV file of a header of ``columns`` and, per row, its int label
+    followed by its values at 17 significant digits, which read back
+    bit-exact."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("y," + ",".join(f"x{i}" for i in range(ds.d)) + "\n")
-        for yi, row in zip(ds.y, ds.x):
-            fh.write(str(int(yi)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for label, row in zip(labels, rows):
+            fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_csv(path, domain_name: str | None = None) -> Dataset:

@@ -1,4 +1,4 @@
-"""Multi-layer perceptrons, optimizers, and the parameter file format.
+"""Multi-layer perceptrons, the Adam optimizer, and the parameter file format.
 
 One MLP class covers the four network roles in the pipeline: feature
 extractor, classifier, target encoder, and critic.  They differ only in
@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Grads, Tape, Tensor, linear
-from .errors import ConfigError, DataFormatError, ShapeError
+from .autodiff import _ARRAY_OPS, _TAPE_OPS, Grads, Tape, Tensor
+from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .rng import Xoshiro256
 
 _ACTIVATIONS = ("relu", "leaky_relu", "tanh")
@@ -64,9 +64,13 @@ class Mlp:
         self.params = params
 
     def predict_values(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass without touching the tape (frozen evaluation)."""
-        with self.tape.paused():
-            return forward(self, Tensor.of(x)).value
+        """Forward pass on plain arrays, without touching the tape (frozen
+        evaluation): the same operations as :func:`forward`."""
+        x = np.asarray(x, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise NonFiniteError("network input contains a non-finite value")
+        with np.errstate(all="ignore"):
+            return _layers(self.config, [p.value for p in self.params], x, _ARRAY_OPS)
 
 
 def init_mlp(config: MlpConfig, rng: Xoshiro256, tape: Tape | None = None) -> Mlp:
@@ -88,27 +92,27 @@ def init_mlp(config: MlpConfig, rng: Xoshiro256, tape: Tape | None = None) -> Ml
 
 
 def forward(net: Mlp, x) -> Tensor:
+    """The recorded forward pass of ``net``."""
+    return _layers(net.config, net.params, x if isinstance(x, Tensor) else Tensor.of(x), _TAPE_OPS)
+
+
+def _layers(config: MlpConfig, params: list, h, ops):
     """Affine + activation per hidden layer, final affine plus the
-    configured final activation."""
-    if not isinstance(x, Tensor):
-        x = Tensor.of(x)
-    if x.value.ndim != 2 or x.shape[1] != net.config.d_in:
-        raise ShapeError(
-            f"input shape {x.shape} does not match [batch x {net.config.d_in}]"
-        )
-    n_layers = len(net.config.layer_widths) - 1
-    h = x
+    configured final activation, in the op set ``ops``."""
+    if len(h.shape) != 2 or h.shape[1] != config.d_in:
+        raise ShapeError(f"input shape {h.shape} does not match [batch x {config.d_in}]")
+    n_layers = len(config.layer_widths) - 1
     for i in range(n_layers):
-        h = linear(h, net.params[2 * i], net.params[2 * i + 1])
+        h = ops.linear(h, params[2 * i], params[2 * i + 1])
         if i < n_layers - 1:
-            if net.config.activation == "relu":
-                h = h.relu()
-            elif net.config.activation == "leaky_relu":
-                h = h.leaky_relu(net.config.leaky_slope)
+            if config.activation == "relu":
+                h = ops.relu(h)
+            elif config.activation == "leaky_relu":
+                h = ops.leaky_relu(h, config.leaky_slope)
             else:
-                h = h.tanh()
-        elif net.config.final_activation == "tanh":
-            h = h.tanh()
+                h = ops.tanh(h)
+        elif config.final_activation == "tanh":
+            h = ops.tanh(h)
     return h
 
 
@@ -119,15 +123,14 @@ def clone_mlp(src: Mlp, tape: Tape | None = None) -> Mlp:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; moment buffers are keyed by parameter position,
-    so the same parameter list must be passed to every step."""
+    """Adam state; moment buffers are keyed by parameter position, so the
+    same parameter list must be passed to every step."""
 
-    kind: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -137,32 +140,21 @@ class OptimizerState:
     _v: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.kind!r}")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be positive")
 
 
-def sgd(learning_rate: float) -> OptimizerState:
-    return OptimizerState("sgd", learning_rate)
-
-
 def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
          eps: float = 1e-8) -> OptimizerState:
-    return OptimizerState("adam", learning_rate, beta1, beta2, eps)
+    return OptimizerState(learning_rate, beta1, beta2, eps)
 
 
 def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads) -> None:
-    """Apply one update in place.  Every parameter must have a gradient
-    entry; a missing one is a caller bug, not a zero."""
+    """Apply one Adam update in place.  Every parameter must have a
+    gradient entry; a missing one is a caller bug, not a zero."""
     for p in params:
         if p.id not in grads:
             raise KeyError(f"missing gradient entry for parameter node {p.id}")
-    if opt.kind == "sgd":
-        for p in params:
-            p.assign(p.value - opt.learning_rate * grads[p.id].value)
-        opt.step_count += 1
-        return
     if not opt._m:
         opt._m = [np.zeros_like(p.value) for p in params]
         opt._v = [np.zeros_like(p.value) for p in params]

@@ -199,22 +199,30 @@ def pretrain_source(
     tape = Tape()
     extractor = init_mlp(extractor_cfg, rng, tape)
     classifier = init_mlp(classifier_cfg, rng, tape)
-    params = extractor.params + classifier.params
+    _train_supervised((extractor, classifier), src.x, src.y, train, rng, "pre-training")
+    return SourceBundle(name=name or src.domain_name, extractor=extractor, classifier=classifier)
+
+
+def _train_supervised(nets: tuple[Mlp, ...], x: np.ndarray, y: np.ndarray,
+                      train: TrainConfig, rng: Xoshiro256, what: str) -> None:
+    """Adam on the cross-entropy of the chained ``nets`` (one tape) over
+    minibatches of rows of ``x``; a non-finite value is a divergence."""
+    tape = nets[0].tape
+    params = [p for net in nets for p in net.params]
     opt = adam(train.learning_rate)
     mark = tape.mark()
     for i in range(train.steps):
         tape.reset(mark)
-        idx = rng.integers(train.batch_size, below=src.n)
-        xb = tape.leaf(src.x[idx])
+        idx = rng.integers(train.batch_size, below=x.shape[0])
+        h = tape.leaf(x[idx])
         try:
-            logits = forward(classifier, forward(extractor, xb))
-            loss = softmax_cross_entropy(logits, src.y[idx])
-            grads = backward(loss, params)
-            step(opt, params, grads)
+            for net in nets:
+                h = forward(net, h)
+            loss = softmax_cross_entropy(h, y[idx])
+            step(opt, params, backward(loss, params))
         except NonFiniteError as exc:
-            raise DivergenceError(f"pre-training diverged: {exc}", step=i) from exc
+            raise DivergenceError(f"{what} diverged: {exc}", step=i) from exc
     tape.reset(mark)
-    return SourceBundle(name=name or src.domain_name, extractor=extractor, classifier=classifier)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +352,14 @@ def adapt_target(
 
 
 def estimate_wd(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> float:
-    """Converged critic gap over the full source and target sets."""
-    if bundle.critic is None or bundle.target_encoder is None:
-        raise ConfigError("bundle missing critic; run adaptation first")
-    with bundle.critic.tape.paused():
-        sf = Tensor.of(bundle.extractor.predict_values(src.x))
-        tf = Tensor.of(bundle.target_encoder.predict_values(tgt))
-        return float(critic_loss(bundle.critic, sf, tf).item())
+    """Converged critic gap over the full source and target sets: the
+    mean source score minus the mean target score."""
+    src_scores, tgt_scores = _critic_scores(bundle, src, tgt)
+    with np.errstate(all="ignore"):
+        gap = float(src_scores.mean() - tgt_scores.mean())
+    if not math.isfinite(gap):
+        raise NonFiniteError("critic gap is non-finite")
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +369,20 @@ def estimate_wd(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> float:
 def sample_distances(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> np.ndarray:
     """Each source sample's critic score minus the mean target score,
     in absolute value."""
-    if bundle.critic is None or bundle.target_encoder is None:
-        raise ConfigError("bundle missing critic; run adaptation first")
-    if tgt.shape[0] < 1:
-        raise ConfigError("sample_distances needs non-empty target data")
-    src_scores = _critic_scores(bundle.critic, bundle.extractor.predict_values(src.x))
-    tgt_scores = _critic_scores(bundle.critic, bundle.target_encoder.predict_values(tgt))
+    src_scores, tgt_scores = _critic_scores(bundle, src, tgt)
     return np.abs(src_scores - tgt_scores.mean())
 
 
-def _critic_scores(critic: Mlp, feats: np.ndarray) -> np.ndarray:
-    return critic.predict_values(feats)[:, 0]
+def _critic_scores(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frozen critic's score of every source row through the extractor
+    and of every target row through the target encoder."""
+    if bundle.critic is None or bundle.target_encoder is None:
+        raise ConfigError("bundle missing critic; run adaptation first")
+    if tgt.shape[0] < 1:
+        raise ConfigError("critic scoring needs non-empty target data")
+    src_scores = bundle.critic.predict_values(bundle.extractor.predict_values(src.x))[:, 0]
+    tgt_scores = bundle.critic.predict_values(bundle.target_encoder.predict_values(tgt))[:, 0]
+    return src_scores, tgt_scores
 
 
 def distill_select(tau: np.ndarray, rule: str = "closest", fraction: float = 0.5) -> DistillSelection:
@@ -408,20 +420,8 @@ def distill_finetune(
     if sel.tau.size != src.n:
         raise ConfigError(f"selection over {sel.tau.size} samples, dataset has {src.n}")
     feats = bundle.extractor.predict_values(src.x)[sel.selected_indices]
-    labels = src.y[sel.selected_indices]
-    tape = Tape()
-    classifier = clone_mlp(bundle.classifier, tape)
-    opt = adam(train.learning_rate)
-    mark = tape.mark()
-    for i in range(train.steps):
-        tape.reset(mark)
-        idx = rng.integers(train.batch_size, below=feats.shape[0])
-        try:
-            loss = softmax_cross_entropy(forward(classifier, tape.leaf(feats[idx])), labels[idx])
-            step(opt, classifier.params, backward(loss, classifier.params))
-        except NonFiniteError as exc:
-            raise DivergenceError(f"fine-tuning diverged: {exc}", step=i) from exc
-    tape.reset(mark)
+    classifier = clone_mlp(bundle.classifier, Tape())
+    _train_supervised((classifier,), feats, src.y[sel.selected_indices], train, rng, "fine-tuning")
     return SourceBundle(
         name=bundle.name,
         extractor=bundle.extractor,

@@ -1,5 +1,5 @@
 """Fully-connected networks: construction, initialization statistics,
-forward oracles, cloning, optimizers, trainability, and the binary
+forward oracles, cloning, the optimizer, trainability, and the binary
 parameter-file format."""
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from mdda.nn import (
     load_mlp,
     load_params,
     save_params,
-    sgd,
     step,
 )
 from mdda.rng import stream
@@ -188,13 +187,6 @@ def test_clone_matches_then_diverges_independently():
 # optimizers
 
 
-def test_sgd_first_step():
-    tape = Tape()
-    w = tape.leaf(np.array([[1.0]]))
-    step(sgd(0.2), [w], backward(w.sum(), [w]))
-    assert w.value[0, 0] == 0.8
-
-
 def test_adam_first_step_magnitude_and_direction():
     tape = Tape()
     w = tape.leaf(np.array([[2.0]]))
@@ -206,14 +198,13 @@ def test_adam_first_step_magnitude_and_direction():
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
-    for make in (lambda: sgd(0.1), lambda: adam(0.1)):
-        tape = Tape()
-        w = tape.leaf(np.array([[1.5]]))
-        other = tape.leaf(np.array([[2.0]]))
-        grads = backward(other.square().sum(), [w, other])
-        before = w.value.copy()
-        step(make(), [w], grads)
-        assert np.array_equal(w.value, before)
+    tape = Tape()
+    w = tape.leaf(np.array([[1.5]]))
+    other = tape.leaf(np.array([[2.0]]))
+    grads = backward(other.square().sum(), [w, other])
+    before = w.value.copy()
+    step(adam(0.1), [w], grads)
+    assert np.array_equal(w.value, before)
 
 
 def test_missing_gradient_entry_raises():
@@ -222,7 +213,7 @@ def test_missing_gradient_entry_raises():
     v = tape.leaf(np.array([[2.0]]))
     grads = backward(v.square().sum(), [v])
     with pytest.raises(KeyError):
-        step(sgd(0.1), [w], grads)
+        step(adam(0.1), [w], grads)
 
 
 def test_optimizer_state_is_bound_to_one_parameter_list():
@@ -238,14 +229,16 @@ def test_optimizer_state_is_bound_to_one_parameter_list():
 
 
 def test_learning_rate_can_be_retuned_between_steps():
+    # a constant gradient keeps Adam's bias-corrected step at the learning
+    # rate (up to eps), so each step moves w by the rate in force
     tape = Tape()
     w = tape.leaf(np.array([[1.0]]))
-    opt = sgd(0.1)
+    opt = adam(0.1)
     step(opt, [w], backward(w.sum(), [w]))
-    assert abs(w.value[0, 0] - 0.9) <= 1e-15
+    assert abs(w.value[0, 0] - 0.9) <= 1e-8
     opt.learning_rate = 0.5
     step(opt, [w], backward(w.sum(), [w]))
-    assert abs(w.value[0, 0] - 0.4) <= 1e-15
+    assert abs(w.value[0, 0] - 0.4) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +251,9 @@ def test_gradient_descent_decreases_convex_quadratic():
     x = tape.leaf(rng.uniforms(20, -1.0, 1.0).reshape(10, 2))
     y = tape.leaf(rng.uniforms(10, -1.0, 1.0).reshape(10, 1))
     w = tape.leaf(np.zeros((1, 2)))
-    opt = sgd(0.1)
+    # Adam moves each coordinate by about the learning rate per step: 15
+    # steps of 0.02 stay short of the least-squares optimum (0.64, -0.51)
+    opt = adam(0.02)
     mark = tape.mark()
     losses = []
     for _ in range(15):

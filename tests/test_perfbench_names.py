@@ -1,7 +1,7 @@
 """Every function and method that the traced benchmark names resolves to a
-public function or method of ``mdda``, and the op micro-benchmark runs, so
-that deleting or renaming one fails here in seconds instead of in a traced
-benchmark run."""
+public function or method of ``mdda``, the tracer names the step kind of
+every backward, and the op micro-benchmark runs, so that deleting or
+renaming one fails here in seconds instead of in a traced benchmark run."""
 from __future__ import annotations
 
 import importlib
@@ -14,6 +14,10 @@ from pathlib import Path
 import pytest
 
 import mdda.cli
+import mdda.pipeline
+from mdda.datagen import DomainSpec, sample_domain
+from mdda.nn import MlpConfig
+from mdda.rng import stream
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,6 +58,28 @@ def test_traced_spans_resolve_to_public_functions(workload):
 def test_traced_methods_resolve():
     for span in _METHOD_SPANS:
         assert inspect.isfunction(_resolve(span)), span
+
+
+def test_tracer_names_the_step_kind_of_every_backward():
+    spec = DomainSpec(name="toy", n_classes=2, d=2, base_means=((0.0, 0.0), (3.0, 0.0)), cov_scale=0.3)
+    src = sample_domain(spec, 40, stream(1, "src"))
+    tgt = sample_domain(spec, 30, stream(2, "tgt")).x
+    train = mdda.pipeline.TrainConfig(steps=3, batch_size=8)
+    adapt = mdda.pipeline.AdaptConfig(steps=2, batch_size=8, n_critic=2, critic_hidden=(4,))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        # looked up on the module at call time, so the wrapped functions run
+        pipeline = mdda.pipeline
+        bundle = pipeline.pretrain_source(src, MlpConfig((2, 4, 3)), MlpConfig((3, 2)), train, stream(3, "pre"))
+        bundle = pipeline.adapt_target(bundle, src, tgt, adapt, stream(4, "adapt"))
+        sel = pipeline.distill_select(pipeline.sample_distances(bundle, src, tgt))
+        pipeline.distill_finetune(bundle, src, sel, train, stream(5, "fine"))
+    finally:
+        t.uninstall()
+    calls = {kind: sum(totals.values()) for kind, totals in t.step_nodes.items()}
+    assert calls == {"pretrain_step": 3, "critic_step": 4, "encoder_step": 2, "finetune_step": 3,
+                     "gp_inner": 4, "gp_inner_appended": 4}
 
 
 def test_op_microbench_reports_every_op_metric(monkeypatch):

@@ -355,6 +355,20 @@ def test_estimate_wd_requires_an_adapted_bundle():
         estimate_wd(bundle, src, src.x)
 
 
+def test_estimate_wd_equals_the_critic_loss_bit_for_bit():
+    # the frozen scoring on arrays rounds exactly as the recorded training
+    # loss does; sizes past 128 rows take numpy's pairwise summation
+    _, bundle = _toy_bundle(steps=10)
+    src = _toy_data(11, n=300, label="s")
+    tgt = _toy_data(12, n=257, label="t")
+    adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(13, "adapt"))
+    sf = adapted.extractor.predict_values(src.x)
+    tf = adapted.target_encoder.predict_values(tgt.x)
+    want = critic_loss(adapted.critic, Tensor.of(sf), Tensor.of(tf)).item()
+    assert estimate_wd(adapted, src, tgt.x) == want
+    assert adapted.wd_estimate == want
+
+
 # ---------------------------------------------------------------------------
 # stage 3: distilling
 
