@@ -9,7 +9,11 @@ ordinary nodes and can be differentiated again.  That is what makes the
 critic's gradient penalty (a loss containing an input gradient) trainable
 with a single engine.  A first-order backward runs the same IEEE
 operations, in the same order, on plain arrays, under the same finiteness
-contract.
+contract: it builds a schedule of the nodes that need a gradient, then
+sweeps it.  A training loop records its first step and captures it as a
+:class:`StepPlan`, which keeps that schedule and each node's forward, and
+replays every later step on arrays at its new inputs, with the same
+operations and checks and without recording.
 
 Conventions kept deliberately narrow:
 
@@ -140,8 +144,6 @@ class Tensor:
         return _apply("square", (self,))
 
     def sqrt(self) -> "Tensor":
-        if np.any(self.value < 0.0):
-            raise NonFiniteError("sqrt of negative input")
         return _apply("sqrt", (self,))
 
     def transpose(self) -> "Tensor":
@@ -273,13 +275,18 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     logits = _lift(logits)
     if logits.value.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy needs [batch x classes] logits, got {logits.shape}")
-    y = np.asarray(labels, dtype=np.int64)
-    n_batch, n_classes = logits.shape
+    return _apply("softmax_xent", (logits,), _labels(labels, *logits.shape))
+
+
+def _labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
+    """``labels`` as a fresh int64 vector of ``n_batch`` classes below
+    ``n_classes``: a step plan rewrites it in place."""
+    y = np.array(labels, dtype=np.int64)
     if y.shape != (n_batch,):
         raise ShapeError(f"labels shape {y.shape} does not match batch size {n_batch}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
-    return _apply("softmax_xent", (logits,), y)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +310,12 @@ def _broadcasting(op: str, fn):
             )
         return np.asarray(value)
     return run
+
+
+def _sqrt(v: np.ndarray) -> np.ndarray:
+    if np.any(v < 0.0):
+        raise NonFiniteError("sqrt of negative input")
+    return np.sqrt(v)
 
 
 def _softmax_xent(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -443,22 +456,18 @@ def _vjp_mean(ops, tape, nid, node, g, needed):
 
 
 def _vjp_softmax_xent(ops, tape, nid, node, g, needed):
-    y = node.aux
     z = ops.value(tape, node.inputs[0])
     n_batch, n_classes = z.shape
-    # Shift by the row maxima as constants (softmax is shift invariant so
-    # the derivative is exact, and max rounds nothing, so they equal the
-    # forward's), then rebuild the softmax with primitives so this rule is
-    # differentiable again.
-    rowmax = tape.nodes[node.inputs[0]].value.max(axis=1, keepdims=True)
-    shift = ops.const(np.repeat(rowmax, n_classes, axis=1))
-    e = ops.exp(ops.sub(z, shift))
+    # Shift by the row maxima, which carry no gradient (softmax is shift
+    # invariant so the derivative is exact, and max rounds nothing, so they
+    # equal the forward's), then rebuild the softmax with primitives so this
+    # rule is differentiable again.  The maxima and the one-hot labels are
+    # ops of z, not constants, so a replayed step recomputes them.
+    e = ops.exp(ops.sub(z, ops.row_max(z)))
     rowsum = ops.matmul(e, ops.const(np.ones((n_classes, 1))))
     tiled = ops.matmul(rowsum, ops.const(np.ones((1, n_classes))))
     probs = ops.div(e, tiled)
-    onehot = np.zeros((n_batch, n_classes))
-    onehot[np.arange(n_batch), y] = 1.0
-    diff = ops.sub(probs, ops.const(onehot))
+    diff = ops.sub(probs, ops.one_hot(z, node.aux))
     return [(0, ops.mul(diff, ops.mul(g, ops.const(1.0 / n_batch))))]
 
 
@@ -494,12 +503,16 @@ _OPS: dict[str, _Op] = {
     "tanh": _Op(np.tanh, _vjp_tanh),
     "exp": _Op(np.exp, _vjp_exp),
     "square": _Op(np.square, _vjp_square),
-    "sqrt": _Op(np.sqrt, _vjp_sqrt),
+    "sqrt": _Op(_sqrt, _vjp_sqrt),
     "sum": _Op(lambda v: np.asarray(v.sum()), _vjp_sum),
     "mean": _Op(lambda v: np.asarray(v.mean()), _vjp_mean),
     "softmax_xent": _Op(_softmax_xent, _vjp_softmax_xent),
+    # ops with a zero derivative, whose results are finite for any input:
     # 1 where x > 0, `slope` elsewhere (the kink at 0 takes the negative side)
-    "step_mask": _Op(lambda v, slope: np.where(v > 0.0, 1.0, slope), None),
+    "step_mask": _Op(lambda v, slope: np.where(v > 0.0, 1.0, slope), None, checked=False),
+    # each row's maximum, repeated across the row, and one-hot labels
+    "row_max": _Op(lambda v: np.repeat(v.max(axis=1, keepdims=True), v.shape[1], axis=1), None, checked=False),
+    "one_hot": _Op(lambda v, y: np.eye(v.shape[1])[y], None, checked=False),
 }
 
 
@@ -524,6 +537,8 @@ _TAPE_OPS = SimpleNamespace(
     leaky_relu=Tensor.leaky_relu,
     tanh=Tensor.tanh,
     step_mask=_step_mask,
+    row_max=lambda z: _apply("row_max", (z,)),
+    one_hot=lambda z, y: _apply("one_hot", (z,), y),
 )
 
 
@@ -556,58 +571,110 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
     it the sweep runs on plain arrays, records nothing and returns
     detached tensors.
     """
-    tape = output.tape
-    if tape is None:
+    wrt_ids = _wrt_ids(output, wrt)
+    schedule = _schedule(output.tape.nodes, output.id, wrt_ids)
+    with np.errstate(all="ignore"):
+        return _sweep(_TAPE_OPS if record else _ARRAY_OPS, output.tape, output.id, schedule, wrt_ids)
+
+
+def _wrt_ids(output: Tensor, wrt: Sequence[Tensor]) -> list[int]:
+    if output.tape is None:
         raise ValueError("backward needs an output recorded on a tape")
     if output.value.size != 1:
         raise ShapeError(f"backward output must be scalar, got shape {output.shape}")
+    if any(p.tape is not output.tape for p in wrt):
+        raise ValueError("wrt tensor is not on the output's tape")
+    return [p.id for p in wrt]
 
-    wrt_ids: list[int] = []
-    for p in wrt:
-        if p.tape is not tape:
-            raise ValueError("wrt tensor is not on the output's tape")
-        wrt_ids.append(p.id)
+
+def _schedule(nodes: list[Node], out_id: int, wrt_ids: list[int]) -> list[tuple]:
+    """The sweep from ``out_id`` down over the nodes that depend on some wrt
+    id (other paths would only produce gradients nobody asked for): per
+    node, its id, the node, its VJP rule (``None`` where no input needs a
+    gradient), which inputs need one, and whether it is a wrt id.  Inputs
+    precede their node, so no node before the first wrt id depends on one."""
+    reach = bytearray(out_id + 1)
     wrt_set = set(wrt_ids)
+    schedule = []
+    for nid in range(min(wrt_ids, default=out_id + 1), out_id + 1):
+        node = nodes[nid]
+        needed = tuple(reach[iid] for iid in node.inputs)
+        reach[nid] = nid in wrt_set or any(needed)
+        spec = _OPS.get(node.op)  # None for a leaf
+        vjp = spec.vjp if spec is not None and any(needed) else None
+        if vjp is not None or nid in wrt_set:
+            schedule.append((nid, node, vjp, needed, nid in wrt_set))
+    return schedule[::-1]
 
-    limit = output.id
-    # Restrict propagation to nodes that depend on some wrt id; skipped
-    # paths would only ever produce gradients nobody asked for.  Inputs
-    # precede their node, so no node before the first wrt id depends on one.
-    reach = bytearray(limit + 1)
-    for nid in wrt_ids:
-        if nid <= limit:
-            reach[nid] = True
-    nodes = tape.nodes
-    for nid in range(min(wrt_ids, default=limit), limit + 1):
-        if reach[nid]:
-            continue
-        for iid in nodes[nid].inputs:
-            if reach[iid]:
-                reach[nid] = True
-                break
 
+def _sweep(ops, ctx, out_id: int, schedule: list[tuple], wrt_ids: list[int]) -> Grads:
+    """Run the VJP rules of ``schedule`` in the op set ``ops`` over the nodes
+    of ``ctx`` (a tape, or a step plan), from a unit adjoint at ``out_id``."""
     grads: Grads = {}
-    ops = _TAPE_OPS if record else _ARRAY_OPS
-    with np.errstate(all="ignore"):
-        adjoint = {output.id: ops.const(np.ones_like(output.value))}
-        for nid in range(limit, -1, -1):
-            g = adjoint.pop(nid, None)
-            if g is None:
-                continue
-            if nid in wrt_set:
-                grads[nid] = g if record else Tensor(None, None, g)
-            node = nodes[nid]
-            spec = _OPS.get(node.op)  # None for a leaf
-            if spec is None or spec.vjp is None:
-                continue
-            needed = tuple(reach[iid] for iid in node.inputs)
-            if not any(needed):
-                continue
-            for idx, gi in spec.vjp(ops, tape, nid, node, g, needed):
-                iid = node.inputs[idx]
-                prev = adjoint.get(iid)
-                adjoint[iid] = gi if prev is None else ops.add(prev, gi)
+    adjoint = {out_id: ops.const(np.ones_like(ctx.nodes[out_id].value))}
+    for nid, node, vjp, needed, is_wrt in schedule:
+        g = adjoint.pop(nid, None)
+        if g is None:
+            continue
+        if is_wrt:
+            grads[nid] = g if isinstance(g, Tensor) else Tensor(None, None, g)
+        if vjp is None:
+            continue
+        for idx, gi in vjp(ops, ctx, nid, node, g, needed):
+            iid = node.inputs[idx]
+            prev = adjoint.get(iid)
+            adjoint[iid] = gi if prev is None else ops.add(prev, gi)
     for nid in wrt_ids:
         if nid not in grads:
-            grads[nid] = Tensor.of(np.zeros_like(nodes[nid].value))
+            grads[nid] = Tensor.of(np.zeros_like(ctx.nodes[nid].value))
     return grads
+
+
+class StepPlan:
+    """A training step captured from the nodes its first run recorded past
+    a tape mark, to be replayed on arrays at new inputs.
+
+    The first ``n_inputs`` nodes past ``mark`` must be the step's input
+    leaves (batch rows, penalty points).  Later leaves are constants; the
+    leaves below the mark (parameters) are read as they stand at each
+    replay.  The plan keeps its own list of the nodes, so the tape may be
+    reset to record another step.  :meth:`run` runs the same IEEE
+    operations, in the same order and under the same checks, as recording
+    the step afresh and calling ``backward(loss, wrt)``.
+    """
+
+    def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int):
+        self.wrt_ids = _wrt_ids(loss, wrt)
+        self.out = loss.id
+        self.nodes = loss.tape.nodes[: loss.id + 1]
+        self.inputs = self.nodes[mark : mark + n_inputs]
+        if len(self.inputs) != n_inputs or any(node.op != "leaf" for node in self.inputs):
+            raise ValueError(f"the first {n_inputs} nodes past mark {mark} are not all leaves")
+        step = self.nodes[mark + n_inputs :]
+        self.forwards = [(node, getattr(_ARRAY_OPS, node.op), [self.nodes[i] for i in node.inputs])
+                         for node in step if node.op != "leaf"]
+        # a recorded backward through one of these shares its label array
+        self.softmax = [node for node in step if node.op == "softmax_xent"]
+        self.schedule = _schedule(self.nodes, self.out, self.wrt_ids)
+
+    def run(self, inputs: Sequence, labels: Sequence = ()) -> Grads:
+        """The step's first-order gradients at new input values and new
+        labels, one vector per ``softmax_cross_entropy`` in recording order.
+        The loss value is ``nodes[out].value``."""
+        if len(inputs) != len(self.inputs) or len(labels) != len(self.softmax):
+            raise ValueError(f"the step takes {len(self.inputs)} inputs and {len(self.softmax)} label vectors")
+        values = [_as_array(v).copy() for v in inputs]
+        for node, arr in zip(self.inputs, values):
+            if arr.shape != node.value.shape:
+                raise ShapeError(f"step input shape {arr.shape} != captured shape {node.value.shape}")
+            _require_finite(arr, "leaf")
+        ys = [_labels(y, *self.nodes[node.inputs[0]].value.shape) for node, y in zip(self.softmax, labels)]
+        for node, arr in zip(self.inputs, values):
+            node.value = arr
+        for node, y in zip(self.softmax, ys):
+            node.aux[...] = y
+        with np.errstate(all="ignore"):
+            for node, fn, ins in self.forwards:
+                args = [n.value for n in ins]
+                node.value = fn(*args) if node.aux is None else fn(*args, node.aux)
+            return _sweep(_ARRAY_OPS, self, self.out, self.schedule, self.wrt_ids)

@@ -184,10 +184,14 @@ def write_labelled_rows(path, columns: list[str], labels: np.ndarray, rows: np.n
     """A CSV file of a header of ``columns`` and, per row, its int label
     followed by its values at 17 significant digits, which read back
     bit-exact."""
+    line = "%d" + ",%.17g" * rows.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for label, row in zip(labels, rows):
-            fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        # 256 rows at a time, so neither the text nor the Python values of
+        # the whole array are held at once
+        for i in range(0, len(rows), 256):
+            block = zip(labels[i : i + 256].tolist(), rows[i : i + 256].tolist())
+            fh.write("".join([line % (label, *row) for label, row in block]))
 
 
 def load_csv(path, domain_name: str | None = None) -> Dataset:

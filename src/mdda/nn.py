@@ -128,16 +128,16 @@ def clone_mlp(src: Mlp, tape: Tape | None = None) -> Mlp:
 
 @dataclass
 class OptimizerState:
-    """Adam state; moment buffers are keyed by parameter position, so the
-    same parameter list must be passed to every step."""
+    """Adam state; the moment buffers are flat over the parameters in list
+    order, so the same parameter list must be passed to every step."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    _m: list[np.ndarray] = field(default_factory=list, repr=False)
-    _v: list[np.ndarray] = field(default_factory=list, repr=False)
+    _m: np.ndarray | None = field(default=None, repr=False)
+    _v: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -151,25 +151,31 @@ def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
 
 def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads) -> None:
     """Apply one Adam update in place.  Every parameter must have a
-    gradient entry; a missing one is a caller bug, not a zero."""
+    gradient entry; a missing one is a caller bug, not a zero.  The update
+    runs once over the concatenated gradients and values; it is element-wise,
+    so each value gets the bits a per-parameter update would give it."""
     for p in params:
         if p.id not in grads:
             raise KeyError(f"missing gradient entry for parameter node {p.id}")
-    if not opt._m:
-        opt._m = [np.zeros_like(p.value) for p in params]
-        opt._v = [np.zeros_like(p.value) for p in params]
-    elif len(opt._m) != len(params):
+    g = np.concatenate([grads[p.id].value.ravel() for p in params])
+    if opt._m is None:
+        opt._m = np.zeros_like(g)
+        opt._v = np.zeros_like(g)
+    elif opt._m.size != g.size:
         raise ShapeError("optimizer state does not match the parameter list")
     opt.step_count += 1
     t = opt.step_count
     b1, b2 = opt.beta1, opt.beta2
-    for i, p in enumerate(params):
-        g = grads[p.id].value
-        opt._m[i] = b1 * opt._m[i] + (1.0 - b1) * g
-        opt._v[i] = b2 * opt._v[i] + (1.0 - b2) * g * g
-        m_hat = opt._m[i] / (1.0 - b1**t)
-        v_hat = opt._v[i] / (1.0 - b2**t)
-        p.assign(p.value - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps))
+    opt._m = b1 * opt._m + (1.0 - b1) * g
+    opt._v = b2 * opt._v + (1.0 - b2) * g * g
+    m_hat = opt._m / (1.0 - b1**t)
+    v_hat = opt._v / (1.0 - b2**t)
+    values = np.concatenate([p.value.ravel() for p in params])
+    values = values - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+    start = 0
+    for p in params:
+        p.assign(values[start : start + p.value.size].reshape(p.shape))
+        start += p.value.size
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
+from .autodiff import StepPlan, Tape, Tensor, backward, matmul, softmax_cross_entropy
 from .datagen import Dataset
 from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError
 from .errors import from_json, json_bool, json_field, json_float, json_str, to_json
@@ -206,20 +206,26 @@ def pretrain_source(
 def _train_supervised(nets: tuple[Mlp, ...], x: np.ndarray, y: np.ndarray,
                       train: TrainConfig, rng: Xoshiro256, what: str) -> None:
     """Adam on the cross-entropy of the chained ``nets`` (one tape) over
-    minibatches of rows of ``x``; a non-finite value is a divergence."""
+    minibatches of rows of ``x``; a non-finite value is a divergence.  The
+    first step is recorded and captured, and the others replay it."""
     tape = nets[0].tape
     params = [p for net in nets for p in net.params]
     opt = adam(train.learning_rate)
     mark = tape.mark()
+    plan = None
     for i in range(train.steps):
-        tape.reset(mark)
         idx = rng.integers(train.batch_size, below=x.shape[0])
-        h = tape.leaf(x[idx])
         try:
-            for net in nets:
-                h = forward(net, h)
-            loss = softmax_cross_entropy(h, y[idx])
-            step(opt, params, backward(loss, params))
+            if plan is None:
+                tape.reset(mark)
+                h = tape.leaf(x[idx])
+                for net in nets:
+                    h = forward(net, h)
+                loss = softmax_cross_entropy(h, y[idx])
+                grads, plan = backward(loss, params), StepPlan(loss, params, mark, 1)
+            else:
+                grads = plan.run([x[idx]], [y[idx]])
+            step(opt, params, grads)
         except NonFiniteError as exc:
             raise DivergenceError(f"{what} diverged: {exc}", step=i) from exc
     tape.reset(mark)
@@ -259,21 +265,26 @@ def gradient_penalty(
     include_endpoints.  The inner input gradient is recorded so the result
     stays differentiable with respect to the critic parameters.
     """
-    if s.shape != t.shape:
-        raise ShapeError(f"paired batches must match: {s.shape} vs {t.shape}")
-    if s.ndim != 2 or s.shape[0] < 1:
-        raise ConfigError("gradient_penalty needs a non-empty [batch x features] pair")
-    eps = rng.uniforms(s.shape[0])[:, None]
-    points = eps * s + (1.0 - eps) * t
-    if include_endpoints:
-        points = np.concatenate([points, s, t], axis=0)
     tape = critic.tape
+    points = _penalty_points(s, t, rng, include_endpoints)
+    # the points' leaf is the first node recorded, which a step plan of the
+    # critic step takes as an input
     x_hat = tape.leaf(points)
     total = forward(critic, x_hat).sum()
     grad = backward(total, [x_hat], record=True)[x_hat.id]
     row_sq = matmul(grad.square(), tape.leaf(np.ones((points.shape[1], 1))))
     norms = (row_sq + _EPS_NORM).sqrt()
     return (norms - 1.0).square().mean()
+
+
+def _penalty_points(s: np.ndarray, t: np.ndarray, rng: Xoshiro256, include_endpoints: bool) -> np.ndarray:
+    if s.shape != t.shape:
+        raise ShapeError(f"paired batches must match: {s.shape} vs {t.shape}")
+    if s.ndim != 2 or s.shape[0] < 1:
+        raise ConfigError("gradient_penalty needs a non-empty [batch x features] pair")
+    eps = rng.uniforms(s.shape[0])[:, None]
+    points = eps * s + (1.0 - eps) * t
+    return np.concatenate([points, s, t], axis=0) if include_endpoints else points
 
 
 def adapt_target(
@@ -308,6 +319,8 @@ def adapt_target(
     opt_critic = adam(cfg.lr_critic, beta1=0.5, beta2=0.9)
     opt_encoder = adam(cfg.lr_encoder, beta1=0.5, beta2=0.9)
     mark = tape.mark()
+    # each kind of step is recorded and captured once, and then replayed
+    critic_plan = encoder_plan = None
     for i in range(cfg.steps):
         if cfg.lr_decay:
             # anneal both players to zero so the endpoint is settled,
@@ -317,21 +330,28 @@ def adapt_target(
             opt_encoder.learning_rate = cfg.lr_encoder * factor
         try:
             for _ in range(cfg.n_critic):
-                tape.reset(mark)
                 si = rng.integers(cfg.batch_size, below=src.n)
                 ti = rng.integers(cfg.batch_size, below=tgt.shape[0])
                 s = src_feats[si]
                 t = target_encoder.predict_values(tgt[ti])
-                sf, tf = tape.leaf(s), tape.leaf(t)
-                loss = cfg.alpha * gradient_penalty(
-                    critic, s, t, rng, cfg.include_endpoints
-                ) - critic_loss(critic, sf, tf)
-                step(opt_critic, critic.params, backward(loss, critic.params))
-            tape.reset(mark)
+                if critic_plan is None:
+                    tape.reset(mark)
+                    sf, tf = tape.leaf(s), tape.leaf(t)
+                    penalty = gradient_penalty(critic, s, t, rng, cfg.include_endpoints)
+                    loss = cfg.alpha * penalty - critic_loss(critic, sf, tf)
+                    grads, critic_plan = backward(loss, critic.params), StepPlan(loss, critic.params, mark, 3)
+                else:
+                    grads = critic_plan.run([s, t, _penalty_points(s, t, rng, cfg.include_endpoints)])
+                step(opt_critic, critic.params, grads)
             ti = rng.integers(cfg.batch_size, below=tgt.shape[0])
-            feats = forward(target_encoder, tape.leaf(tgt[ti]))
-            loss = encoder_loss(critic, feats)
-            step(opt_encoder, target_encoder.params, backward(loss, target_encoder.params))
+            if encoder_plan is None:
+                tape.reset(mark)
+                loss = encoder_loss(critic, forward(target_encoder, tape.leaf(tgt[ti])))
+                grads = backward(loss, target_encoder.params)
+                encoder_plan = StepPlan(loss, target_encoder.params, mark, 1)
+            else:
+                grads = encoder_plan.run([tgt[ti]])
+            step(opt_encoder, target_encoder.params, grads)
         except NonFiniteError as exc:
             raise DivergenceError(f"adaptation diverged: {exc}", step=i) from exc
     tape.reset(mark)

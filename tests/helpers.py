@@ -189,6 +189,15 @@ def concat_datasets(datasets: list[Dataset], name: str) -> Dataset:
     return Dataset(x, y, name)
 
 
+def write_labelled_rows_per_value(path, columns: list[str], labels: np.ndarray, rows: np.ndarray) -> None:
+    """The CSV writer that ``mdda.datagen.write_labelled_rows`` must match
+    byte for byte: one f-string per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for label, row in zip(labels, rows):
+            fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # the pure-Python xoshiro256** that defined every stream before draws were
 # buffered; ``mdda.rng.Xoshiro256`` must reproduce it byte for byte

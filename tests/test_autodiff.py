@@ -236,7 +236,7 @@ def test_overflow_only_in_the_backward_raises_in_both_modes():
                 backward(loss, [b], record=record)
 
 
-def test_first_order_backward_checks_all_but_transpose_and_reshape(monkeypatch):
+def test_first_order_backward_checks_every_checked_op(monkeypatch):
     # one pretrain step of the `supervised` networks: extractor and classifier
     tape = Tape()
     extractor = init_mlp(MlpConfig((2, 32, 32, 8), activation="leaky_relu"), stream(31, "ext"), tape)
@@ -263,9 +263,9 @@ def test_first_order_backward_checks_all_but_transpose_and_reshape(monkeypatch):
             monkeypatch.setattr(autodiff._ARRAY_OPS, name, counted(name, fn))
     backward(loss, extractor.params + classifier.params)
 
-    assert called["transpose"] > 0 and called["reshape"] > 0
-    assert "transpose" not in checked and "reshape" not in checked
-    assert checked == {op: n for op, n in called.items() if op not in ("transpose", "reshape")}
+    unchecked = ("transpose", "reshape", "step_mask", "row_max", "one_hot")
+    assert all(called[op] > 0 for op in unchecked)
+    assert checked == {op: n for op, n in called.items() if op not in unchecked}
 
 
 _NAN = [[np.nan]]
@@ -273,8 +273,7 @@ _NAN = [[np.nan]]
 # checked op -> (operand values, the recording primitive, the op's non-tensor
 # argument as its array twin takes it).  Ops that can overflow get finite
 # operands that make them overflow; ops that pass finite values through get
-# a NaN.  The mask is 1 or the slope whatever its input, so only a
-# non-finite slope makes it non-finite.
+# a NaN.
 _NON_FINITE_CASES = {
     "add": ([[[1e308]], [[1e308]]], lambda a, b: a + b, ()),
     "sub": ([[[1e308]], [[-1e308]]], lambda a, b: a - b, ()),
@@ -292,13 +291,15 @@ _NON_FINITE_CASES = {
     "leaky_relu": ([_NAN], lambda x: x.leaky_relu(0.2), (0.2,)),
     "tanh": ([_NAN], Tensor.tanh, ()),
     "sqrt": ([_NAN], Tensor.sqrt, ()),
-    "step_mask": ([[[-1.0]]], lambda x: autodiff._step_mask(x, np.inf), (np.inf,)),
 }
 
 
-def test_only_transpose_and_reshape_skip_the_finiteness_check():
+def test_only_ops_that_cannot_fail_skip_the_finiteness_check():
+    # transpose and reshape move checked values; the step mask is 1 or the
+    # validated slope, the row maxima are entries of checked logits, and
+    # one-hot labels are 0 or 1, whatever their input
     unchecked = {op for op, spec in autodiff._OPS.items() if not spec.checked}
-    assert unchecked == {"transpose", "reshape"}
+    assert unchecked == {"transpose", "reshape", "step_mask", "row_max", "one_hot"}
     assert set(_NON_FINITE_CASES) == set(autodiff._OPS) - unchecked
 
 
@@ -411,13 +412,15 @@ def _recorded_gradient(draw, tape, rng, pool):
     return backward(out.square().sum(), [wrt], record=True)[wrt.id]
 
 
-def _random_dag(draw, seed, second_order=False):
+def _random_dag(draw, seed, second_order=False, tape=None, strict=False):
     """A tape of random op nodes over random leaves, the scalar sum of every
     node's sum, and handles to every input leaf.  With ``second_order`` the
     DAG holds at least one recorded backward, whose gradient later nodes may
     take as an operand; the constant leaves that backward records are not
-    inputs."""
-    rng, tape = stream(seed, "dag"), Tape()
+    inputs.  The DAG is recorded on ``tape`` if given; with ``strict`` an
+    overflowing forward raises instead of being left out."""
+    rng = stream(seed, "dag")
+    tape = Tape() if tape is None else tape
     # One-element leaves of three shapes meet every shape and each other, in
     # a binary op first of all: (1, 1) against (3,) or (1,) is where NumPy's
     # broadcasting would give another shape than the one-element rule.
@@ -435,7 +438,9 @@ def _random_dag(draw, seed, second_order=False):
         try:
             pool.append(build(draw, tape, rng, pool))
         except NonFiniteError:
-            pass  # an overflowing forward; the DAG goes on without that node
+            if strict:
+                raise
+            # an overflowing forward; the DAG goes on without that node
         if op == "backward":
             recorded.update(range(before, len(tape)))
     loss = pool[0].sum()
@@ -453,6 +458,99 @@ def test_first_order_backward_is_bit_equal_to_the_recorded_one(data, seed):
     first_order = _gradient_bytes(loss, wrt, record=False)
     assert len(tape) == before
     assert first_order == _gradient_bytes(loss, wrt, record=True)
+
+
+def _logged(draw, log):
+    def run(strategy):
+        log.append(draw(strategy))
+        return log[-1]
+    return run
+
+
+def _replayed(log, tape):
+    """Draws that repeat ``log``, taking each drawn tensor from ``tape`` by
+    its node id: the same DAG, recorded again at other leaf values."""
+    values = iter(log)
+
+    def run(strategy):
+        value = next(values)
+        return tape.handle(value.id) if isinstance(value, Tensor) else value
+    return run
+
+
+def _loss_and_gradient_bytes(run):
+    """The loss's and each gradient's bytes of ``run()``, which returns the
+    loss value and the gradients in order, or the NonFiniteError message."""
+    try:
+        loss, grads = run()
+    except NonFiniteError as exc:
+        return str(exc)
+    return loss.tobytes(), [(g.shape, g.value.tobytes()) for g in grads]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 999))
+def test_a_replayed_step_is_byte_equal_to_a_freshly_recorded_one(data, seed):
+    log = []
+    try:
+        tape, loss, wrt = _random_dag(_logged(data.draw, log), seed, second_order=True, strict=True)
+    except NonFiniteError:
+        assume(False)  # a step whose recording fails is never captured
+    # the step's inputs are the leaves recorded before its first op
+    n_inputs = next(i for i, node in enumerate(tape.nodes) if node.op != "leaf")
+    plan = autodiff.StepPlan(loss, wrt, 0, n_inputs)
+
+    # the same step recorded afresh at new leaf values and labels
+    fresh = Tape()
+
+    def record():
+        _, fresh_loss, fresh_wrt = _random_dag(_replayed(log, fresh), seed + 1000, second_order=True, tape=fresh, strict=True)
+        grads = backward(fresh_loss, fresh_wrt)
+        return fresh_loss.value, [grads[t.id] for t in fresh_wrt]
+
+    expected = _loss_and_gradient_bytes(record)
+    inputs = [fresh.nodes[i].value for i in range(n_inputs)]
+    labels = [node.aux for node in fresh.nodes if node.op == "softmax_xent"]
+    labels += [node.aux for node in tape.nodes if node.op == "softmax_xent"][len(labels):]
+    # the later leaves stand for parameters, updated in place between steps
+    for old, new in zip(tape.nodes[n_inputs:], fresh.nodes[n_inputs:]):
+        if old.op == "leaf":
+            old.value[...] = new.value
+
+    bad = [np.zeros(inputs[0].shape + (2,))] + inputs[1:]
+    with pytest.raises(ShapeError):
+        plan.run(bad, labels)
+    if labels:
+        with pytest.raises(ShapeError):
+            plan.run(inputs, [labels[0][:-1]] + labels[1:])
+
+    def replay():
+        grads = plan.run(inputs, labels)
+        return plan.nodes[loss.id].value, [grads[t.id] for t in wrt]
+
+    assert _loss_and_gradient_bytes(replay) == expected
+
+
+def test_a_replay_recomputes_the_row_maxima_and_labels_of_a_recorded_softmax_backward():
+    w = stream(41, "w").uniforms(6, -1.0, 1.0).reshape(2, 3)
+
+    def record(x, y):
+        tape = Tape()
+        xs, ws = tape.leaf(x), tape.leaf(w)
+        loss = softmax_cross_entropy(matmul(xs, ws), y)
+        total = loss + backward(loss, [xs], record=True)[xs.id].square().sum()
+        return total, [xs, ws]
+
+    total, wrt = record(stream(42, "x").uniforms(8, -2.0, 2.0).reshape(4, 2), [0, 1, 2, 1])
+    plan = autodiff.StepPlan(total, wrt, 0, 1)
+    x, y = stream(43, "x").uniforms(8, -2.0, 2.0).reshape(4, 2), [2, 2, 0, 1]
+    fresh, fresh_wrt = record(x, y)
+    grads, want = plan.run([x], [y]), backward(fresh, fresh_wrt)
+    assert plan.nodes[total.id].value.tobytes() == fresh.value.tobytes()
+    for a, b in zip(wrt, fresh_wrt):
+        assert grads[a.id].value.tobytes() == want[b.id].value.tobytes()
+    with pytest.raises(NonFiniteError, match="^leaf produced a non-finite value$"):
+        plan.run([np.full((4, 2), np.nan)], [y])
 
 
 def _replay(tape) -> float:

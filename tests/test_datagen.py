@@ -20,11 +20,12 @@ from mdda.datagen import (
     save_csv,
     save_manifest,
     split_rows,
+    write_labelled_rows,
 )
 from mdda.errors import ConfigError, DataFormatError, NonFiniteError
 from mdda.rng import stream
 
-from helpers import concat_datasets, domain_centroids
+from helpers import concat_datasets, domain_centroids, write_labelled_rows_per_value
 
 
 def _spec(**overrides) -> DomainSpec:
@@ -214,6 +215,20 @@ def test_csv_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     assert back.domain_name == ds.domain_name
+
+
+def test_csv_writer_is_byte_equal_to_the_per_value_writer(tmp_path):
+    # signed zero, the smallest subnormal, huge and integral values and
+    # values that need all 17 digits, in more rows than one written block
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -2.0, 1e16, 0.1 + 0.2, 1.0 / 3.0,
+               2.0 / 3.0, 123456789.01234567, np.nextafter(1.0, 2.0)]
+    rows = np.concatenate([np.array(special).reshape(-1, 2),
+                           stream(3, "csv").normals(2 * 5000).reshape(-1, 2) * 1e3])
+    labels = np.arange(len(rows)) % 3
+    for n in (0, 1, len(rows)):
+        write_labelled_rows(tmp_path / "new.csv", ["y", "x0", "x1"], labels[:n], rows[:n])
+        write_labelled_rows_per_value(tmp_path / "old.csv", ["y", "x0", "x1"], labels[:n], rows[:n])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_csv_malformed_line_is_located(tmp_path):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import mdda.pipeline
 from mdda.autodiff import Tape, Tensor, backward, softmax_cross_entropy
 from mdda.datagen import Dataset, DomainSpec, sample_domain
 from mdda.errors import (
@@ -190,6 +191,73 @@ def test_pretrain_divergence_reports_the_step():
         with pytest.raises(DivergenceError, match="at step 0") as excinfo:
             pretrain_source(huge, EXTRACTOR, CLASSIFIER, TrainConfig(5, 4, 1e-3), stream(7, "pre"))
     assert excinfo.value.step == 0
+
+
+def _first_new_row(batches) -> tuple[int, int]:
+    """(row, step) of the first row that enters a batch after step 0."""
+    return next((int(r), i) for i in range(1, len(batches)) for r in batches[i]
+                if not any(r in b for b in batches[:i]))
+
+
+def _divergence(run, monkeypatch) -> tuple[DivergenceError, DivergenceError]:
+    """The DivergenceError of ``run()`` with its steps replayed, and with
+    every step recorded afresh (no step plan is ever captured)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as replayed:
+            run()
+        with monkeypatch.context() as patch:
+            patch.setattr(mdda.pipeline, "StepPlan", lambda *args: None)
+            with pytest.raises(DivergenceError) as recorded:
+                run()
+    return replayed.value, recorded.value
+
+
+def test_pretrain_divergence_at_a_replayed_step(monkeypatch):
+    src = _toy_data(5)
+    train = TrainConfig(20, 4, 1e-3)
+    # the stream's draws as pretrain_source makes them: initial weights, then
+    # one batch per step
+    rng = stream(7, "pre")
+    init_mlp(EXTRACTOR, rng)
+    init_mlp(CLASSIFIER, rng)
+    row, k = _first_new_row([rng.integers(train.batch_size, below=src.n) for _ in range(train.steps)])
+    x = src.x.copy()
+    x[row] = 1e308
+    huge = Dataset(x=x, y=src.y, domain_name="huge")
+    replayed, recorded = _divergence(
+        lambda: pretrain_source(huge, EXTRACTOR, CLASSIFIER, train, stream(7, "pre")), monkeypatch)
+    assert replayed.step == recorded.step == k > 0
+    assert str(replayed) == str(recorded)
+
+
+def test_adaptation_divergence_at_a_replayed_step(monkeypatch):
+    # an identity extractor passes a huge source row on to the critic
+    src, tgt = _toy_data(1), _toy_data(2, n=30).x
+    cfg = AdaptConfig(steps=8, batch_size=4, n_critic=2, critic_hidden=(6,))
+    # the stream's draws as adapt_target makes them: the critic's weights,
+    # then per step the critic steps' source and target batches and penalty
+    # interpolation weights, and the encoder step's target batch
+    rng = stream(9, "adapt")
+    init_mlp(MlpConfig((2, 6, 1), activation="leaky_relu", leaky_slope=cfg.critic_slope), rng)
+    batches = []
+    for _ in range(cfg.steps):
+        rows = []
+        for _ in range(cfg.n_critic):
+            rows.extend(rng.integers(cfg.batch_size, below=src.n))
+            rng.integers(cfg.batch_size, below=tgt.shape[0])
+            rng.uniforms(cfg.batch_size)
+        rng.integers(cfg.batch_size, below=tgt.shape[0])
+        batches.append(rows)
+    row, k = _first_new_row(batches)
+    x = src.x.copy()
+    x[row] = 1e308
+    huge = Dataset(x=x, y=src.y, domain_name="huge")
+    bundle = SourceBundle(name="id", extractor=identity_net(2),
+                          classifier=init_mlp(MlpConfig((2, 2)), stream(0, "clf")))
+    replayed, recorded = _divergence(
+        lambda: adapt_target(bundle, huge, tgt, cfg, stream(9, "adapt")), monkeypatch)
+    assert replayed.step == recorded.step == k > 0
+    assert str(replayed) == str(recorded)
 
 
 def test_pretrain_width_mismatches():
