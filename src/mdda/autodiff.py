@@ -2,18 +2,21 @@
 
 Every operation is recorded as a node on a :class:`Tape`.  Each op is one
 entry of a table: its forward on arrays, its vector-Jacobian rule and
-whether its result is checked for finiteness.  The rules are written once
-over a small op set.  With ``backward(..., record=True)`` they run on the
-recording primitives, so the produced gradients live on the tape as
-ordinary nodes and can be differentiated again.  That is what makes the
-critic's gradient penalty (a loss containing an input gradient) trainable
-with a single engine.  A first-order backward runs the same IEEE
-operations, in the same order, on plain arrays, under the same finiteness
-contract: it builds a schedule of the nodes that need a gradient, then
-sweeps it.  A training loop records its first step and captures it as a
-:class:`StepPlan`, which keeps that schedule and each node's forward, and
-replays every later step on arrays at its new inputs, with the same
-operations and checks and without recording.
+whether its result is checked for finiteness.  Both op sets the rules are
+written in come from that table: the recording primitives and their twins
+on plain arrays.  An op without a rule (a step mask, row maxima, one-hot
+labels) stops gradients: no gradient toward it is computed.  With
+``backward(..., record=True)`` the rules run on the recording primitives,
+so the produced gradients live on the tape as ordinary nodes and can be
+differentiated again.  That is what makes the critic's gradient penalty
+(a loss containing an input gradient) trainable with a single engine.  A
+first-order backward runs the same IEEE operations, in the same order, on
+plain arrays, under the same finiteness contract: it builds a schedule of
+the nodes that need a gradient, then sweeps it.  A training loop records
+its first step and captures it as a :class:`StepPlan`, which keeps that
+schedule and each node's forward, and replays every later step on arrays
+at its new inputs, with the same operations and checks and without
+recording.
 
 Conventions kept deliberately narrow:
 
@@ -120,9 +123,6 @@ class Tensor:
 
     def __neg__(self):
         return _apply("neg", (self,))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
     # ---- primitives as methods ---------------------------------------
 
@@ -266,6 +266,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _apply("linear", (x, w, b))
 
 
+# no caller in the package; perfbench/opbench.py times it
 def _step_mask(x: Tensor, slope: float) -> Tensor:
     return _apply("step_mask", (x,), slope)
 
@@ -478,9 +479,9 @@ def _vjp_softmax_xent(ops, tape, nid, node, g, needed):
 class _Op(NamedTuple):
     """``fn`` is the forward on float64 arrays, with the op's non-tensor
     argument last; ``vjp`` is the rule, ``None`` where the derivative is
-    zero almost everywhere; ``checked`` says whether the result goes
-    through ``_require_finite``, which ops that only move checked values
-    skip."""
+    zero almost everywhere, so the op stops gradients; ``checked`` says
+    whether the result goes through ``_require_finite``, which ops that
+    only move checked values skip."""
 
     fn: Callable
     vjp: Callable | None
@@ -516,30 +517,26 @@ _OPS: dict[str, _Op] = {
 }
 
 
-# The two op sets the rules are written in.  The recording primitives:
-_TAPE_OPS = SimpleNamespace(
+def _recording(op: str):
+    """``op``'s recording primitive: its tensor operands, then its one
+    non-tensor argument, if any, which becomes the node's ``aux``."""
+    def run(*args):
+        if isinstance(args[-1], Tensor):
+            return _apply(op, args)
+        return _apply(op, args[:-1], args[-1])
+
+    return run
+
+
+# The two op sets the rules are written in, both generated from the table.
+# The recording primitives; ``matmul`` and ``linear`` are looked up per
+# call, so a wrapper of either sees the call:
+_TAPE_OPS = SimpleNamespace(**{op: _recording(op) for op in _OPS} | dict(
     value=Tape.handle,
     const=Tensor.of,
-    add=Tensor.__add__,
-    sub=Tensor.__sub__,
-    mul=Tensor.__mul__,
-    div=Tensor.__truediv__,
-    neg=Tensor.__neg__,
-    # looked up per call, so a wrapper of either sees the call
     matmul=lambda a, b: matmul(a, b),
     linear=lambda x, w, b: linear(x, w, b),
-    transpose=Tensor.transpose,
-    reshape=Tensor.reshape,
-    sum=Tensor.sum,
-    square=Tensor.square,
-    exp=Tensor.exp,
-    relu=Tensor.relu,
-    leaky_relu=Tensor.leaky_relu,
-    tanh=Tensor.tanh,
-    step_mask=_step_mask,
-    row_max=lambda z: _apply("row_max", (z,)),
-    one_hot=lambda z, y: _apply("one_hot", (z,), y),
-)
+))
 
 
 def _checked(op: str, fn):
@@ -588,21 +585,23 @@ def _wrt_ids(output: Tensor, wrt: Sequence[Tensor]) -> list[int]:
 
 
 def _schedule(nodes: list[Node], out_id: int, wrt_ids: list[int]) -> list[tuple]:
-    """The sweep from ``out_id`` down over the nodes that depend on some wrt
-    id (other paths would only produce gradients nobody asked for): per
-    node, its id, the node, its VJP rule (``None`` where no input needs a
-    gradient), which inputs need one, and whether it is a wrt id.  Inputs
-    precede their node, so no node before the first wrt id depends on one."""
+    """The sweep from ``out_id`` down over the nodes that a gradient toward
+    some wrt id flows through (other paths would only produce gradients
+    nobody asked for): per node, its id, the node, its VJP rule (``None``
+    where no input needs a gradient), which inputs need one, and whether it
+    is a wrt id.  An op without a rule stops gradients, so its node needs
+    none unless it is a wrt id.  Inputs precede their node, so no node
+    before the first wrt id depends on one."""
     reach = bytearray(out_id + 1)
     wrt_set = set(wrt_ids)
     schedule = []
     for nid in range(min(wrt_ids, default=out_id + 1), out_id + 1):
         node = nodes[nid]
         needed = tuple(reach[iid] for iid in node.inputs)
-        reach[nid] = nid in wrt_set or any(needed)
         spec = _OPS.get(node.op)  # None for a leaf
         vjp = spec.vjp if spec is not None and any(needed) else None
-        if vjp is not None or nid in wrt_set:
+        reach[nid] = nid in wrt_set or vjp is not None
+        if reach[nid]:
             schedule.append((nid, node, vjp, needed, nid in wrt_set))
     return schedule[::-1]
 

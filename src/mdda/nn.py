@@ -6,6 +6,8 @@ layer widths and activations, which live in :class:`MlpConfig`.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -201,28 +203,24 @@ def save_params(params: Sequence[Tensor] | Mlp, path) -> None:
 
 def load_params(path) -> list[np.ndarray]:
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) != 12:
-            raise DataFormatError(f"{path}: truncated header")
-        magic, version, count = struct.unpack("<4sII", head)
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # a corrupt count must not ask for more bytes than the file holds
+            if n > size - fh.tell():
+                raise DataFormatError(f"{path}: truncated {what}")
+            return fh.read(n)
+
+        magic, version, count = struct.unpack("<4sII", read(12, "header"))
         if magic != _MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
             raise DataFormatError(f"{path}: unsupported version {version}")
         arrays = []
         for i in range(count):
-            raw = fh.read(4)
-            if len(raw) != 4:
-                raise DataFormatError(f"{path}: truncated parameter {i}")
-            (rank,) = struct.unpack("<I", raw)
-            raw = fh.read(4 * rank)
-            if len(raw) != 4 * rank:
-                raise DataFormatError(f"{path}: truncated dims for parameter {i}")
-            dims = struct.unpack(f"<{rank}I", raw)
-            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise DataFormatError(f"{path}: truncated values for parameter {i}")
+            (rank,) = struct.unpack("<I", read(4, f"parameter {i}"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims for parameter {i}"))
+            raw = read(8 * math.prod(dims), f"values for parameter {i}")
             arrays.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims))
         return arrays
 

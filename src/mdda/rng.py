@@ -166,13 +166,7 @@ class Xoshiro256:
 
     def randint_below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("randint_below requires n >= 1")
-        threshold = ((1 << 64) // n) * n
-        while True:
-            x = self.next_u64()
-            if x < threshold:
-                return x % n
+        return int(self.integers(1, below=n)[0])
 
     def uniforms(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         # 53 random bits -> [0, 1)
@@ -201,7 +195,7 @@ class Xoshiro256:
 
     def integers(self, count: int, below: int) -> np.ndarray:
         """``count`` uniform integers in [0, below): the first ``count``
-        raw outputs under the rejection threshold of ``randint_below``,
+        raw outputs below the largest multiple of ``below`` under 2**64,
         each taken modulo ``below``."""
         if count <= 0:
             return np.empty(0, dtype=np.int64)

@@ -553,6 +553,30 @@ def test_a_replay_recomputes_the_row_maxima_and_labels_of_a_recorded_softmax_bac
         plan.run([np.full((4, 2), np.nan)], [y])
 
 
+def test_both_op_sets_hold_every_op_of_the_table():
+    for op in autodiff._OPS:
+        assert hasattr(autodiff._TAPE_OPS, op) and hasattr(autodiff._ARRAY_OPS, op), op
+
+
+@pytest.mark.parametrize("inner", ["relu", "leaky_relu", "softmax"])
+def test_no_gradient_is_computed_toward_an_op_without_a_rule(inner):
+    # a recorded relu backward multiplies by a step mask, and a recorded
+    # softmax backward subtracts row maxima and one-hot labels
+    tape = Tape()
+    x = tape.leaf(stream(44, "x").uniforms(8, -2.0, 2.0).reshape(4, 2))
+    w = tape.leaf(stream(45, "w").uniforms(6, -1.0, 1.0).reshape(2, 3))
+    z = matmul(x, w)
+    if inner == "softmax":
+        loss = softmax_cross_entropy(z, [0, 1, 2, 1])
+    else:
+        loss = (z.relu() if inner == "relu" else z.leaky_relu(0.2)).square().sum()
+    total = loss + backward(loss, [x], record=True)[x.id].square().sum()
+    ruleless = {op for op, spec in autodiff._OPS.items() if spec.vjp is None}
+    assert any(node.op in ruleless for node in tape.nodes)
+    for _, node, _, needed, _ in autodiff._schedule(tape.nodes, total.id, [x.id, w.id]):
+        assert not any(flag and tape.nodes[iid].op in ruleless for iid, flag in zip(node.inputs, needed))
+
+
 def _replay(tape) -> float:
     """The tape's last node, recomputed from the current leaf values by each
     node's forward in the op table."""

@@ -2,13 +2,19 @@
 whole-experiment runs, and the exit-code contract."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import operator
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_experiment_config
 from mdda import experiment, nn, pipeline
@@ -269,6 +275,24 @@ def test_parameter_file_that_does_not_fit_its_config_exits_one(damage, config_fi
     assert "Traceback" not in err
 
 
+# the file starts with magic, version and count; parameter 0's rank word
+# follows at byte 12 and its first dimension word at byte 16
+@pytest.mark.parametrize("offset", [15, 19], ids=["rank-high-byte", "dim-high-byte"])
+def test_a_parameter_file_asking_for_more_bytes_than_it_holds_exits_one(offset, config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["pretrain", "--config", config_file, "--out", out, "-q"]) == 0
+    path = Path(out, "bundles", "near", "extractor.bin")
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["predict", "--config", config_file, "--out", out, "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdda predict:")
+    assert f"{path}: truncated" in err and "parameter 0" in err
+    assert "Traceback" not in err
+
+
 def test_an_interrupted_bundle_write_does_not_load(config_file, tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "out")
     for sub in ("pretrain", "adapt"):
@@ -297,6 +321,118 @@ def test_quiet_suppresses_progress(config_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.startswith("OK gen-data")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the contract through ``predict``: a mutated input exits 1, never
+# with a traceback
+
+# the values a JSON path is set to; none asks for a large allocation
+_ODD_VALUES = (None, True, False, 0, -1, 0.5, "", "x", [], {}, float("nan"), 1e308)
+
+
+def _json_paths(data, prefix=()):
+    """Every path into parsed JSON, the root first."""
+    yield prefix
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _at(data, path):
+    return functools.reduce(operator.getitem, path, data)
+
+
+@st.composite
+def _mutated_json(draw, text):
+    """``text`` with one path set to an odd value, one key dropped or
+    added, or the text cut short."""
+    data = json.loads(text)
+    paths = list(_json_paths(data))
+    kind = draw(st.sampled_from(["set", "drop", "add", "cut"]))
+    if kind == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "set":
+        path = draw(st.sampled_from(paths))
+        value = draw(st.sampled_from(_ODD_VALUES))
+        if not path:
+            return json.dumps(value)
+        _at(data, path[:-1])[path[-1]] = value
+    elif kind == "drop":
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(_at(data, p[:-1]), dict)]))
+        del _at(data, path[:-1])[path[-1]]
+    else:
+        path = draw(st.sampled_from([p for p in paths if isinstance(_at(data, p), dict)]))
+        _at(data, path)["extra"] = draw(st.sampled_from(_ODD_VALUES))
+    return json.dumps(data)
+
+
+@st.composite
+def _damaged_bytes(draw, data):
+    """``data`` cut short, or with one byte flipped."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    flipped = bytearray(data)
+    flipped[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(flipped)
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """The tiny experiment's config and an output directory holding its
+    stage-1 bundles, which ``predict`` must refuse."""
+    root = tmp_path_factory.mktemp("pretrained")
+    config, out = root / "exp.json", root / "out"
+    save_config(tiny_experiment_config(), config)
+    assert main(["pretrain", "--config", str(config), "--out", str(out), "-q"]) == 0
+    return config, out
+
+
+def _predict_exits_one(config, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["predict", "--config", str(config), "--out", str(out), "-q"])
+    assert code == 1, err.getvalue()
+    assert err.getvalue().startswith("mdda predict:")
+    assert "Traceback" not in err.getvalue()
+
+
+@contextlib.contextmanager
+def _replaced(path: Path, data: bytes):
+    original = path.read_bytes()
+    path.write_bytes(data)
+    try:
+        yield
+    finally:
+        path.write_bytes(original)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_a_mutated_config_exits_one(data, pretrained):
+    config, _ = pretrained
+    text = data.draw(_mutated_json(config.read_text()))
+    with _replaced(config, text.encode()):
+        # no run gets far enough to write into it
+        _predict_exits_one(config, config.parent / "empty")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_a_mutated_bundle_meta_exits_one(data, pretrained):
+    config, out = pretrained
+    meta = out / "bundles" / "near" / "meta.json"
+    with _replaced(meta, data.draw(_mutated_json(meta.read_text())).encode()):
+        _predict_exits_one(config, out)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_a_damaged_parameter_file_exits_one(data, pretrained):
+    config, out = pretrained
+    params = out / "bundles" / "near" / "extractor.bin"
+    with _replaced(params, data.draw(_damaged_bytes(params.read_bytes()))):
+        _predict_exits_one(config, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every function and method that the traced benchmark names resolves to a
-public function or method of ``mdda``, the tracer names the step kind of
-every backward, and the op micro-benchmark runs, so that deleting or
-renaming one fails here in seconds instead of in a traced benchmark run."""
+public function or method of ``mdda``, every pipeline span records a call
+in a tiny run, the tracer names the step kind of every backward, and the
+op micro-benchmark runs, so that deleting, renaming or silencing one fails
+here in seconds instead of in a traced benchmark run."""
 from __future__ import annotations
 
 import importlib
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tiny_experiment_config
 import mdda.cli
+import mdda.experiment
 import mdda.pipeline
 from mdda.datagen import DomainSpec, sample_domain
 from mdda.nn import MlpConfig
@@ -82,6 +85,19 @@ def test_tracer_names_the_step_kind_of_every_backward():
     calls = {kind: sum(totals.values()) for kind, totals in t.step_nodes.items()}
     assert calls == {"pretrain_step": 1, "critic_step": 1, "encoder_step": 1, "finetune_step": 1,
                      "gp_inner": 1, "gp_inner_appended": 1}
+
+
+def test_every_pipeline_span_records_a_call():
+    t = tracer.Tracer()
+    t.install()
+    try:
+        mdda.experiment.run_seed(tiny_experiment_config(), 0)
+    finally:
+        t.uninstall()
+    calls = {name: entry["calls"] for name, entry in t.summary().items()}
+    assert [span for span in workloads._PIPELINE_SPANS if not calls.get(span)] == []
+    # the recorded backward of the penalty reaches the public matmul
+    assert calls["autodiff.matmul"] > calls["pipeline.gradient_penalty"]
 
 
 def test_op_microbench_reports_every_op_metric(monkeypatch):
