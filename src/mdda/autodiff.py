@@ -25,8 +25,8 @@ Conventions kept deliberately narrow:
 - broadcasting is limited to equal shapes or a one-element operand
   against anything; batch reductions are explicit ``sum`` / ``mean``.
 - tensors produced by ops are immutable; only leaves may be rewritten
-  (via :meth:`Tensor.assign`) between computations, which is how
-  optimizers update parameters.
+  between computations: by :meth:`Tensor.assign`, or in place by an
+  optimizer, which rebinds its parameters to views of one flat buffer.
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ class Tensor:
         return float(self.value.reshape(()))
 
     def assign(self, value) -> None:
-        """Overwrite a leaf's value in place (optimizer updates).
+        """Overwrite a leaf's value in place.
 
         Only valid for leaves, and only between computations: nodes that
         consumed the old value must be discarded (``Tape.reset``) first.

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import _ARRAY_OPS, _TAPE_OPS, Grads, Tape, Tensor
+from .autodiff import _ARRAY_OPS, _TAPE_OPS, Grads, Tape, Tensor, _require_finite
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .rng import Xoshiro256
 
@@ -130,16 +130,21 @@ def clone_mlp(src: Mlp, tape: Tape | None = None) -> Mlp:
 
 @dataclass
 class OptimizerState:
-    """Adam state; the moment buffers are flat over the parameters in list
-    order, so the same parameter list must be passed to every step."""
+    """Adam state over one parameter list.  The first step copies the
+    parameters into one flat buffer and rebinds each (its tensor and its
+    tape node) to a view of it; every later step must pass the same list,
+    and Adam updates the buffer in place."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    _m: np.ndarray | None = field(default=None, repr=False)
-    _v: np.ndarray | None = field(default=None, repr=False)
+    # set by the first step: the flat values, five flat rows (gradient, the
+    # two moments, two scratch) and each parameter's value and gradient views
+    _values: np.ndarray | None = field(default=None, repr=False)
+    _rows: np.ndarray | None = field(default=None, repr=False)
+    _views: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -151,33 +156,55 @@ def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
     return OptimizerState(learning_rate, beta1, beta2, eps)
 
 
-def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads) -> None:
-    """Apply one Adam update in place.  Every parameter must have a
-    gradient entry; a missing one is a caller bug, not a zero.  The update
-    runs once over the concatenated gradients and values; it is element-wise,
-    so each value gets the bits a per-parameter update would give it."""
-    for p in params:
-        if p.id not in grads:
-            raise KeyError(f"missing gradient entry for parameter node {p.id}")
-    g = np.concatenate([grads[p.id].value.ravel() for p in params])
-    if opt._m is None:
-        opt._m = np.zeros_like(g)
-        opt._v = np.zeros_like(g)
-    elif opt._m.size != g.size:
-        raise ShapeError("optimizer state does not match the parameter list")
-    opt.step_count += 1
-    t = opt.step_count
-    b1, b2 = opt.beta1, opt.beta2
-    opt._m = b1 * opt._m + (1.0 - b1) * g
-    opt._v = b2 * opt._v + (1.0 - b2) * g * g
-    m_hat = opt._m / (1.0 - b1**t)
-    v_hat = opt._v / (1.0 - b2**t)
-    values = np.concatenate([p.value.ravel() for p in params])
-    values = values - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+def _bind(opt: OptimizerState, params: Sequence[Tensor]) -> None:
+    if any(p.tape is None or p.tape.nodes[p.id].op != "leaf" for p in params):
+        raise ValueError("an optimizer only updates tape leaves")
+    n = sum(p.value.size for p in params)
+    opt._values, opt._rows, opt._views = np.empty(n), np.zeros((5, n)), []
     start = 0
     for p in params:
-        p.assign(values[start : start + p.value.size].reshape(p.shape))
-        start += p.value.size
+        stop = start + p.value.size
+        view = opt._values[start:stop].reshape(p.shape)
+        view[...] = p.value
+        p.value = p.tape.nodes[p.id].value = view
+        opt._views.append((view, opt._rows[0, start:stop].reshape(p.shape)))
+        start = stop
+
+
+def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads) -> None:
+    """Apply one Adam update in place.  Every parameter must have a
+    gradient entry of its own shape; a missing one is a caller bug, not a
+    zero.  The update runs once over the flat buffer, element-wise, so each
+    value gets the bits a per-parameter update would give it.  A non-finite
+    result raises before any parameter is written."""
+    if opt._views is None:
+        _bind(opt, params)
+    if len(params) != len(opt._views):
+        raise ShapeError("optimizer state does not match the parameter list")
+    for p, (view, grad_view) in zip(params, opt._views):
+        if p.value is not view:
+            raise ShapeError("optimizer state does not match the parameter list")
+        if p.id not in grads:
+            raise KeyError(f"missing gradient entry for parameter node {p.id}")
+        g = grads[p.id].value
+        if g.shape != view.shape:
+            raise ShapeError(f"gradient shape {g.shape} != shape {view.shape} of parameter node {p.id}")
+        grad_view[...] = g
+    opt.step_count += 1
+    t, b1, b2 = opt.step_count, opt.beta1, opt.beta2
+    g, m, v, a, b = opt._rows
+    # the IEEE operations and order of the allocating update
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+    # values - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    with np.errstate(all="ignore"):
+        np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=a), out=m)
+        np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
+        np.add(np.multiply(v, b2, out=v), a, out=v)
+        np.multiply(np.divide(m, 1.0 - b1**t, out=a), opt.learning_rate, out=a)
+        np.add(np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b), opt.eps, out=b)
+        np.subtract(opt._values, np.divide(a, b, out=a), out=a)
+    _require_finite(a, "assign")
+    opt._values[...] = a
 
 
 # ---------------------------------------------------------------------------

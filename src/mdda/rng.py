@@ -200,7 +200,7 @@ class Xoshiro256:
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         if below <= 0:
-            raise ValueError("randint_below requires n >= 1")
+            raise ValueError(f"integers requires below >= 1, got {below}")
         top = np.uint64(((1 << 64) // below) * below - 1)
         parts, need = [], count
         # never draws past the count-th accepted output

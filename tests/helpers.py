@@ -170,6 +170,37 @@ def identity_net(width: int = 1) -> Mlp:
     return net
 
 
+class ReferenceAdam:
+    """The allocating Adam update that ``mdda.nn.step`` must match byte for
+    byte: moments over the concatenated gradients, fresh temporaries, new
+    values returned as fresh arrays."""
+
+    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.step_count = 0
+        self.m = self.v = None
+
+    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+        g = np.concatenate([grad.ravel() for grad in grads])
+        if self.m is None:
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * g * g
+        m_hat = self.m / (1.0 - b1**t)
+        v_hat = self.v / (1.0 - b2**t)
+        values = np.concatenate([arr.ravel() for arr in arrays])
+        values = values - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        out, start = [], 0
+        for arr in arrays:
+            out.append(values[start : start + arr.size].reshape(arr.shape))
+            start += arr.size
+        return out
+
+
 # ---------------------------------------------------------------------------
 # domain helpers that only tests use
 

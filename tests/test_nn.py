@@ -9,8 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mdda.autodiff import Tape, backward, matmul, softmax_cross_entropy
+from mdda.autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
 from mdda.errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from mdda.nn import (
     MlpConfig,
@@ -24,6 +26,8 @@ from mdda.nn import (
     step,
 )
 from mdda.rng import stream
+
+from helpers import ReferenceAdam
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,86 @@ def test_learning_rate_can_be_retuned_between_steps():
     opt.learning_rate = 0.5
     step(opt, [w], backward(w.sum(), [w]))
     assert abs(w.value[0, 0] - 0.4) <= 1e-8
+
+
+def test_optimizer_state_rejects_another_list_of_the_same_size():
+    tape = Tape()
+    w = tape.leaf(np.ones((2, 2)))
+    opt = adam(1e-3)
+    step(opt, [w], backward(w.square().sum(), [w]))
+    for others in ([tape.leaf(np.ones((2, 2)))], [tape.leaf(np.ones(3)), tape.leaf(np.ones(1))]):
+        with pytest.raises(ShapeError, match="does not match the parameter list"):
+            step(opt, others, {p.id: Tensor.of(np.ones(p.shape)) for p in others})
+    assert opt.step_count == 1
+
+
+def test_gradients_of_swapped_shapes_raise_naming_the_node():
+    tape = Tape()
+    w = tape.leaf(np.ones((2, 3)))
+    v = tape.leaf(np.ones(4))
+    grads = {w.id: Tensor.of(np.ones(4)), v.id: Tensor.of(np.ones((2, 3)))}
+    with pytest.raises(ShapeError, match=f"parameter node {w.id}"):
+        step(adam(0.1), [w, v], grads)
+    assert np.array_equal(w.value, np.ones((2, 3))) and np.array_equal(v.value, np.ones(4))
+
+
+def test_a_non_finite_update_raises_before_writing_any_parameter():
+    # an infinite gradient makes Adam's step inf / inf for b; a comes first
+    # in the list, and must keep its value, without any warning
+    tape = Tape()
+    a = tape.leaf(np.array([1.0]))
+    b = tape.leaf(np.array([1.0]))
+    grads = {a.id: Tensor.of(np.array([1.0])), b.id: Tensor(None, None, np.array([np.inf]))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="^assign produced a non-finite value$"):
+            step(adam(0.1), [a, b], grads)
+    assert a.value[0] == 1.0 and b.value[0] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_in_place_adam_is_byte_equal_to_the_allocating_reference(data):
+    shapes = data.draw(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+                                min_size=1, max_size=6))
+    beta1, beta2 = data.draw(st.sampled_from([(0.9, 0.999), (0.5, 0.9)]))
+    rates = data.draw(st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=20))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tape = Tape()
+    params = [tape.leaf(rng.normal(size=shape)) for shape in shapes]
+    arrays = [p.value.copy() for p in params]
+    opt, ref = adam(rates[0], beta1, beta2), ReferenceAdam(rates[0], beta1, beta2)
+    for rate in rates:
+        opt.learning_rate = ref.learning_rate = rate
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4) for shape in shapes]
+        step(opt, params, {p.id: Tensor.of(g) for p, g in zip(params, grads)})
+        arrays = ref.step(arrays, grads)
+        for p, want in zip(params, arrays):
+            assert p.value.tobytes() == want.tobytes()
+            assert tape.nodes[p.id].value is p.value
+
+
+def test_trained_parameters_clone_save_and_load_as_their_values(tmp_path):
+    cfg = MlpConfig((3, 5, 2))
+    tape = Tape()
+    net = init_mlp(cfg, stream(4, "bound"), tape)
+    arrays = [p.value.copy() for p in net.params]
+    opt, ref = adam(1e-2), ReferenceAdam(1e-2)
+    x, y = stream(5, "bound-x").normals(24).reshape(8, 3), np.arange(8) % 2
+    mark = tape.mark()
+    for _ in range(5):
+        tape.reset(mark)
+        grads = backward(softmax_cross_entropy(forward(net, tape.leaf(x)), y), net.params)
+        step(opt, net.params, grads)
+        arrays = ref.step(arrays, [grads[p.id].value for p in net.params])
+    tape.reset(mark)
+    for p, a in zip(clone_mlp(net).params, arrays):
+        assert p.value.tobytes() == a.tobytes() and p.value.flags.owndata
+    save_params(net, tmp_path / "bound.bin")
+    save_params([Tensor.of(a) for a in arrays], tmp_path / "unbound.bin")
+    assert (tmp_path / "bound.bin").read_bytes() == (tmp_path / "unbound.bin").read_bytes()
+    for p, a in zip(load_mlp(cfg, tmp_path / "bound.bin", Tape()).params, arrays):
+        assert p.value.tobytes() == a.tobytes()
 
 
 # ---------------------------------------------------------------------------

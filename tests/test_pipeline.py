@@ -18,6 +18,7 @@ from mdda.errors import (
     NonFiniteError,
     ShapeError,
 )
+from mdda.experiment import _params_checksum
 from mdda.nn import MlpConfig, adam, clone_mlp, forward, init_mlp, step
 from mdda.pipeline import (
     AdaptConfig,
@@ -43,7 +44,7 @@ from mdda.pipeline import (
 )
 from mdda.rng import stream
 
-from helpers import concat_datasets, gp_param_grad_worst_error, identity_net, linear_critic
+from helpers import ReferenceAdam, concat_datasets, gp_param_grad_worst_error, identity_net, linear_critic
 
 EXTRACTOR = MlpConfig((2, 4, 3), final_activation="tanh")
 CLASSIFIER = MlpConfig((3, 2))
@@ -407,6 +408,52 @@ def test_adapt_is_deterministic():
     for pa, pb in zip(a.target_encoder.params, b.target_encoder.params):
         assert np.array_equal(pa.value, pb.value)
     assert a.wd_estimate == b.wd_estimate
+
+
+def _reference_step():
+    """``nn.step`` as the allocating reference Adam writing each parameter
+    through ``Tensor.assign``, one reference per optimizer."""
+    opts = []
+
+    def run(opt, params, grads):
+        ref = next((r for o, r in opts if o is opt), None)
+        if ref is None:
+            ref = ReferenceAdam(opt.learning_rate, opt.beta1, opt.beta2, opt.eps)
+            opts.append((opt, ref))
+        ref.learning_rate = opt.learning_rate
+        for p, value in zip(params, ref.step([p.value for p in params], [grads[p.id].value for p in params])):
+            p.assign(value)
+
+    return run
+
+
+def _trained():
+    src, bundle = _toy_bundle(steps=10)
+    adapted = adapt_target(bundle, src, _toy_data(4, n=20, label="t").x, FAST_ADAPT, stream(4, "adapt"))
+    return bundle, adapted
+
+
+def test_trained_parameters_are_views_of_their_optimizers_buffer():
+    bundle, adapted = _trained()
+    for params in ([*bundle.extractor.params, *bundle.classifier.params],
+                   adapted.target_encoder.params, adapted.critic.params):
+        buffer = params[0].value.base
+        assert buffer.ndim == 1 and buffer.size == sum(p.value.size for p in params)
+        offset = 0
+        for p in params:
+            assert p.value.base is buffer and p.tape.nodes[p.id].value is p.value
+            assert p.value.ctypes.data == buffer[offset:].ctypes.data
+            offset += p.value.size
+
+
+def test_in_place_training_gives_the_reference_parameters_and_checksum(monkeypatch):
+    bundle, adapted = _trained()
+    monkeypatch.setattr(mdda.pipeline, "step", _reference_step())
+    ref_bundle, ref_adapted = _trained()
+    for net in ("extractor", "classifier", "target_encoder", "critic"):
+        for p, q in zip(getattr(adapted, net).params, getattr(ref_adapted, net).params):
+            assert p.value.tobytes() == q.value.tobytes()
+    assert _params_checksum([bundle, adapted]) == _params_checksum([ref_bundle, ref_adapted])
 
 
 def test_estimate_wd_sign_on_identity_bundle():
