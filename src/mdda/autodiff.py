@@ -13,10 +13,10 @@ differentiated again.  That is what makes the critic's gradient penalty
 first-order backward runs the same IEEE operations, in the same order, on
 plain arrays, under the same finiteness contract: it builds a schedule of
 the nodes that need a gradient, then sweeps it.  A training loop records
-its first step and captures it as a :class:`StepPlan`, which keeps that
-schedule and each node's forward, and replays every later step on arrays
-at its new inputs, with the same operations and checks and without
-recording.
+its first step and captures it as a :class:`StepPlan`, which records the
+step's backward onto the tape as well and replays every later step as one
+list of array forwards at its new inputs, with the same operations and
+checks and without recording.
 
 Conventions kept deliberately narrow:
 
@@ -30,6 +30,7 @@ Conventions kept deliberately narrow:
 """
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -45,7 +46,8 @@ def _as_array(value) -> np.ndarray:
 
 
 def _require_finite(value: np.ndarray, op: str) -> None:
-    if not np.isfinite(value).all():
+    # a finite sum of squares shows every entry finite; else the exact test decides
+    if not math.isfinite(np.vdot(value, value)) and not np.isfinite(value).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -606,11 +608,11 @@ def _schedule(nodes: list[Node], out_id: int, wrt_ids: list[int]) -> list[tuple]
     return schedule[::-1]
 
 
-def _sweep(ops, ctx, out_id: int, schedule: list[tuple], wrt_ids: list[int]) -> Grads:
+def _sweep(ops, tape: Tape, out_id: int, schedule: list[tuple], wrt_ids: list[int]) -> Grads:
     """Run the VJP rules of ``schedule`` in the op set ``ops`` over the nodes
-    of ``ctx`` (a tape, or a step plan), from a unit adjoint at ``out_id``."""
+    of ``tape``, from a unit adjoint at ``out_id``."""
     grads: Grads = {}
-    adjoint = {out_id: ops.const(np.ones_like(ctx.nodes[out_id].value))}
+    adjoint = {out_id: ops.const(np.ones_like(tape.nodes[out_id].value))}
     for nid, node, vjp, needed, is_wrt in schedule:
         g = adjoint.pop(nid, None)
         if g is None:
@@ -619,13 +621,13 @@ def _sweep(ops, ctx, out_id: int, schedule: list[tuple], wrt_ids: list[int]) -> 
             grads[nid] = g if isinstance(g, Tensor) else Tensor(None, None, g)
         if vjp is None:
             continue
-        for idx, gi in vjp(ops, ctx, nid, node, g, needed):
+        for idx, gi in vjp(ops, tape, nid, node, g, needed):
             iid = node.inputs[idx]
             prev = adjoint.get(iid)
             adjoint[iid] = gi if prev is None else ops.add(prev, gi)
     for nid in wrt_ids:
         if nid not in grads:
-            grads[nid] = Tensor.of(np.zeros_like(ctx.nodes[nid].value))
+            grads[nid] = Tensor.of(np.zeros_like(tape.nodes[nid].value))
     return grads
 
 
@@ -636,25 +638,40 @@ class StepPlan:
     The first ``n_inputs`` nodes past ``mark`` must be the step's input
     leaves (batch rows, penalty points).  Later leaves are constants; the
     leaves below the mark (parameters) are read as they stand at each
-    replay.  The plan keeps its own list of the nodes, so the tape may be
-    reset to record another step.  :meth:`run` runs the same IEEE
-    operations, in the same order and under the same checks, as recording
-    the step afresh and calling ``backward(loss, wrt)``.
+    replay.  The plan records the step's first-order backward onto the tape
+    and keeps the nodes past the inputs that are not leaves, gradients
+    included, as one forward program of its own, so the tape may be reset.
+    :meth:`run` runs the same IEEE operations, in the same order and under
+    the same checks, as recording the step afresh and calling
+    ``backward(loss, wrt)``.  Values other than the loss and the gradients
+    are dropped at capture, and at each replay after their last reader.
     """
 
     def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int):
-        self.wrt_ids = _wrt_ids(loss, wrt)
+        wrt_ids, tape = _wrt_ids(loss, wrt), loss.tape
         self.out = loss.id
-        self.nodes = loss.tape.nodes[: loss.id + 1]
-        self.inputs = self.nodes[mark : mark + n_inputs]
+        self.inputs = tape.nodes[mark : mark + n_inputs]
         if len(self.inputs) != n_inputs or any(node.op != "leaf" for node in self.inputs):
             raise ValueError(f"the first {n_inputs} nodes past mark {mark} are not all leaves")
-        step = self.nodes[mark + n_inputs :]
-        self.forwards = [(node, getattr(_ARRAY_OPS, node.op), [self.nodes[i] for i in node.inputs])
-                         for node in step if node.op != "leaf"]
-        # a recorded backward through one of these shares its label array
-        self.softmax = [node for node in step if node.op == "softmax_xent"]
-        self.schedule = _schedule(self.nodes, self.out, self.wrt_ids)
+        end, schedule = len(tape.nodes), _schedule(tape.nodes, loss.id, wrt_ids)
+        with np.errstate(all="ignore"):
+            grads = _sweep(_TAPE_OPS, tape, loss.id, schedule, wrt_ids)
+        nodes = self.nodes = tape.nodes[:]
+        # a gradient that comes back detached is a constant
+        self.grads = {nid: nodes[g.id] if g.tape is tape else Node("leaf", (), g.value) for nid, g in grads.items()}
+        # the step's nodes up to the loss, then its recorded backward
+        step = [node for node in nodes[mark + n_inputs : loss.id + 1] + nodes[end:] if node.op != "leaf"]
+        # with the logits' shape; a recorded backward shares the label array
+        self.softmax = [(node, nodes[node.inputs[0]].value.shape) for node in step if node.op == "softmax_xent"]
+        # each node's last reader, or itself if nothing reads it
+        last = {n: node for node in step for n in (node, *(nodes[i] for i in node.inputs))}
+        keep, dead = {nodes[self.out], *self.grads.values()}, {node: [] for node in step}
+        for node in step:
+            if node not in keep:
+                dead[last[node]].append(node)
+                node.value = None  # so that a first replay holds one set of values
+        self.program = [(node, getattr(_ARRAY_OPS, node.op), [nodes[i] for i in node.inputs], dead[node])
+                        for node in step]
 
     def run(self, inputs: Sequence, labels: Sequence = ()) -> Grads:
         """The step's first-order gradients at new input values and new
@@ -667,13 +684,15 @@ class StepPlan:
             if arr.shape != node.value.shape:
                 raise ShapeError(f"step input shape {arr.shape} != captured shape {node.value.shape}")
             _require_finite(arr, "leaf")
-        ys = [_labels(y, *self.nodes[node.inputs[0]].value.shape) for node, y in zip(self.softmax, labels)]
+        ys = [_labels(y, *shape) for (_, shape), y in zip(self.softmax, labels)]
         for node, arr in zip(self.inputs, values):
             node.value = arr
-        for node, y in zip(self.softmax, ys):
+        for (node, _), y in zip(self.softmax, ys):
             node.aux[...] = y
         with np.errstate(all="ignore"):
-            for node, fn, ins in self.forwards:
+            for node, fn, ins, dead in self.program:
                 args = [n.value for n in ins]
                 node.value = fn(*args) if node.aux is None else fn(*args, node.aux)
-            return _sweep(_ARRAY_OPS, self, self.out, self.schedule, self.wrt_ids)
+                for n in dead:
+                    n.value = None
+        return {nid: Tensor(None, None, node.value) for nid, node in self.grads.items()}

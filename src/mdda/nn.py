@@ -140,10 +140,10 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    # set by the first step: the flat values, five flat rows (gradient, the
-    # two moments, two scratch) and each parameter's value and gradient views
+    # set by the first step: the flat values, seven flat rows (gradient, moments,
+    # next moments, two scratch) and each parameter's value and gradient views
     _values: np.ndarray | None = field(default=None, repr=False)
-    _rows: np.ndarray | None = field(default=None, repr=False)
+    _rows: list | None = field(default=None, repr=False)
     _views: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -160,14 +160,14 @@ def _bind(opt: OptimizerState, params: Sequence[Tensor]) -> None:
     if any(p.tape is None or p.tape.nodes[p.id].op != "leaf" for p in params):
         raise ValueError("an optimizer only updates tape leaves")
     n = sum(p.value.size for p in params)
-    opt._values, opt._rows, opt._views = np.empty(n), np.zeros((5, n)), []
+    opt._values, opt._rows, opt._views = np.empty(n), list(np.zeros((7, n))), []
     start = 0
     for p in params:
         stop = start + p.value.size
         view = opt._values[start:stop].reshape(p.shape)
         view[...] = p.value
         p.value = p.tape.nodes[p.id].value = view
-        opt._views.append((view, opt._rows[0, start:stop].reshape(p.shape)))
+        opt._views.append((view, opt._rows[0][start:stop].reshape(p.shape)))
         start = stop
 
 
@@ -176,7 +176,7 @@ def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads) -> None:
     gradient entry of its own shape; a missing one is a caller bug, not a
     zero.  The update runs once over the flat buffer, element-wise, so each
     value gets the bits a per-parameter update would give it.  A non-finite
-    result raises before any parameter is written."""
+    result raises before any parameter, moment or step count is written."""
     if opt._views is None:
         _bind(opt, params)
     if len(params) != len(opt._views):
@@ -190,21 +190,22 @@ def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads) -> None:
         if g.shape != view.shape:
             raise ShapeError(f"gradient shape {g.shape} != shape {view.shape} of parameter node {p.id}")
         grad_view[...] = g
-    opt.step_count += 1
-    t, b1, b2 = opt.step_count, opt.beta1, opt.beta2
-    g, m, v, a, b = opt._rows
+    t, b1, b2 = opt.step_count + 1, opt.beta1, opt.beta2
+    g, m_old, v_old, m, v, a, b = opt._rows
     # the IEEE operations and order of the allocating update
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
     # values - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
     with np.errstate(all="ignore"):
-        np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=a), out=m)
+        np.add(np.multiply(m_old, b1, out=m), np.multiply(g, 1.0 - b1, out=a), out=m)
         np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
-        np.add(np.multiply(v, b2, out=v), a, out=v)
+        np.add(np.multiply(v_old, b2, out=v), a, out=v)
         np.multiply(np.divide(m, 1.0 - b1**t, out=a), opt.learning_rate, out=a)
         np.add(np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b), opt.eps, out=b)
         np.subtract(opt._values, np.divide(a, b, out=a), out=a)
     _require_finite(a, "assign")
+    opt._rows[1:5] = m, v, m_old, v_old
     opt._values[...] = a
+    opt.step_count = t
 
 
 # ---------------------------------------------------------------------------

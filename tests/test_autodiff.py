@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import helpers
 from mdda import autodiff
@@ -317,6 +318,30 @@ def test_each_checked_op_raises_on_a_non_finite_result(op, twin):
                 getattr(autodiff._ARRAY_OPS, op)(*arrays, *args)
         else:
             primitive(*(Tensor(None, None, a) for a in arrays))
+
+
+# finite entries (some of whose squares overflow), 1e200 (whose square
+# overflows) and the non-finite values
+_ENTRIES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([1e200, -1e200, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(array=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                        elements=_ENTRIES),
+       view=st.sampled_from(["contiguous", "transposed", "strided"]))
+def test_the_finiteness_check_raises_exactly_on_a_non_finite_entry(array, view):
+    if view == "transposed":
+        array = array.T
+    elif view == "strided" and array.ndim:
+        array = array[..., ::2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite(array).all():
+            autodiff._require_finite(array, "op")
+        else:
+            with pytest.raises(NonFiniteError, match="^op produced a non-finite value$"):
+                autodiff._require_finite(array, "op")
 
 
 # ---------------------------------------------------------------------------

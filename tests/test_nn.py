@@ -280,6 +280,33 @@ def test_a_non_finite_update_raises_before_writing_any_parameter():
     assert a.value[0] == 1.0 and b.value[0] == 1.0
 
 
+def test_a_raising_step_leaves_the_optimizer_as_it_was():
+    # the first step raises while binding the list, the fifth after three
+    # finite ones; after each, the moments, the values and the step count
+    # are the reference's over the finite steps alone
+    tape = Tape()
+    params = [tape.leaf(np.array([1.0, -2.0])), tape.leaf(np.array([[0.5]]))]
+    arrays = [p.value.copy() for p in params]
+    opt, ref = adam(0.1, 0.5, 0.9), ReferenceAdam(0.1, 0.5, 0.9)
+    rng = np.random.default_rng(5)
+    for bad in (True, False, False, False, True, False, False):
+        grads = [rng.normal(size=(2,)), rng.normal(size=(1, 1))]
+        if bad:
+            grads[1][0, 0] = np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match="^assign produced a non-finite value$"):
+                    step(opt, params, {p.id: Tensor(None, None, g) for p, g in zip(params, grads)})
+        else:
+            step(opt, params, {p.id: Tensor.of(g) for p, g in zip(params, grads)})
+            arrays = ref.step(arrays, grads)
+        moments = (ref.m, ref.v) if ref.m is not None else (np.zeros(3), np.zeros(3))
+        assert [row.tobytes() for row in opt._rows[1:3]] == [m.tobytes() for m in moments]
+        assert opt.step_count == ref.step_count
+        for p, want in zip(params, arrays):
+            assert p.value.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_in_place_adam_is_byte_equal_to_the_allocating_reference(data):

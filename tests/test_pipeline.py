@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mdda.pipeline
-from mdda.autodiff import Tape, Tensor, backward, softmax_cross_entropy
+from mdda.autodiff import StepPlan, Tape, Tensor, backward, softmax_cross_entropy
 from mdda.datagen import Dataset, DomainSpec, sample_domain
 from mdda.errors import (
     ConfigError,
@@ -259,6 +259,58 @@ def test_adaptation_divergence_at_a_replayed_step(monkeypatch):
         lambda: adapt_target(bundle, huge, tgt, cfg, stream(9, "adapt")), monkeypatch)
     assert replayed.step == recorded.step == k > 0
     assert str(replayed) == str(recorded)
+
+
+def test_finetune_divergence_in_the_backward_of_a_replayed_step(monkeypatch):
+    # logits [h, -h] of a row h = 1e308 labelled 0: the forward is finite
+    # (the row's cross-entropy is 0), but the recorded softmax backward
+    # subtracts the row maxima, and -h - h overflows
+    n, train = 12, TrainConfig(20, 4, 1e-3)
+    rng = stream(8, "fine")
+    row, k = _first_new_row([rng.integers(train.batch_size, below=n) for _ in range(train.steps)])
+    x = stream(9, "x").normals(n).reshape(n, 1)
+    x[row] = 1e308
+    y = np.arange(n) % 2
+    y[row] = 0
+    classifier = init_mlp(MlpConfig((1, 2)), stream(0, "clf"))
+    classifier.params[0].assign(np.array([[1.0], [-1.0]]))
+    bundle = SourceBundle(name="id", extractor=identity_net(1), classifier=classifier,
+                          target_encoder=identity_net(1), critic=identity_net(1), wd_estimate=0.0)
+    sel = DistillSelection(tau=np.zeros(n), selected_indices=np.arange(n), fraction=1.0)
+    replayed, recorded = _divergence(
+        lambda: distill_finetune(bundle, Dataset(x, y, "huge"), sel, train, stream(8, "fine")), monkeypatch)
+    assert replayed.step == recorded.step == k > 0
+    assert str(replayed) == str(recorded)
+    assert "sub produced a non-finite value" in str(replayed)
+
+
+@pytest.mark.parametrize("kind", ["critic", "supervised"])
+def test_a_replay_keeps_only_the_loss_the_gradients_and_constant_leaves(kind):
+    tape = Tape()
+    net = init_mlp(MlpConfig((2, 6, 6, 1 if kind == "critic" else 3), activation="leaky_relu"),
+                   stream(15, kind), tape)
+    mark = tape.mark()
+    s, t = (stream(16, kind, str(i)).uniforms(8, -1.5, 1.5).reshape(4, 2) for i in range(2))
+    if kind == "critic":
+        sf, tf = tape.leaf(s), tape.leaf(t)
+        loss = 10.0 * gradient_penalty(net, s, t, stream(17, "eps")) - critic_loss(net, sf, tf)
+        inputs, labels = [t, s, np.vstack([s, s, t])], []
+    else:
+        loss = softmax_cross_entropy(forward(net, tape.leaf(s)), [0, 1, 2, 1])
+        inputs, labels = [t], [[2, 2, 0, 1]]
+    plan = StepPlan(loss, net.params, mark, len(inputs))
+    past_inputs = plan.nodes[mark + len(inputs) :]
+    captured = [node for node in past_inputs if node.op != "leaf" and node.value is not None]
+    grads = plan.run(inputs, labels)
+    assert plan.nodes[loss.id].value.shape == ()
+    kept = {id(plan.nodes[loss.id].value), *(id(g.value) for g in grads.values())}
+    assert all(node.value is not None for node in past_inputs if node.op == "leaf")
+    alive = [node for node in past_inputs if node.op != "leaf" and node.value is not None]
+    assert {id(node.value) for node in alive} <= kept and alive == captured
+    # the recorded backward made the gradients nodes of the plan, apart from
+    # a constant one: the last bias does not move the penalty
+    detached = [p for p in net.params if not any(node.value is grads[p.id].value for node in alive)]
+    assert detached == ([net.params[-1]] if kind == "critic" else [])
 
 
 def test_pretrain_width_mismatches():
