@@ -2,21 +2,20 @@
 
 Every operation is recorded as a node on a :class:`Tape`.  Each op is one
 entry of a table: its forward on arrays, its vector-Jacobian rule and
-whether its result is checked for finiteness.  Both op sets the rules are
-written in come from that table: the recording primitives and their twins
-on plain arrays.  An op without a rule (a step mask, row maxima, one-hot
-labels) stops gradients: no gradient toward it is computed.  With
-``backward(..., record=True)`` the rules run on the recording primitives,
-so the produced gradients live on the tape as ordinary nodes and can be
-differentiated again.  That is what makes the critic's gradient penalty
-(a loss containing an input gradient) trainable with a single engine.  A
-first-order backward runs the same IEEE operations, in the same order, on
-plain arrays, under the same finiteness contract: it builds a schedule of
-the nodes that need a gradient, then sweeps it.  A training loop records
-its first step and captures it as a :class:`StepPlan`, which records the
-step's backward onto the tape as well and replays every later step as one
-list of array forwards at its new inputs, with the same operations and
-checks and without recording.
+whether its result is checked for finiteness.  The rules are written in the
+recording primitives (the :class:`Tensor` methods, :func:`matmul`), so
+:func:`backward` records the backward arithmetic as ordinary nodes: it
+builds a schedule of the nodes that need a gradient, then sweeps it.  With
+``record=True`` the gradients stay on the tape and can be differentiated
+again.  That is what makes the critic's gradient penalty (a loss containing
+an input gradient) trainable with a single engine.  A first-order backward
+runs the same sweep, cuts the tape back and returns detached gradients.  An
+op without a rule (a step mask, row maxima, one-hot labels) stops
+gradients: no gradient toward it is computed.  A training loop records its
+first step and captures it as a :class:`StepPlan`, which records the step's
+backward onto the tape as well and replays every later step as one list of
+array forwards at its new inputs, with the same operations and checks and
+without recording.
 
 Conventions kept deliberately narrow:
 
@@ -268,7 +267,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _apply("linear", (x, w, b))
 
 
-# no caller in the package; perfbench/opbench.py times it
+# the mask of the relu rule; perfbench/opbench.py times it
 def _step_mask(x: Tensor, slope: float) -> Tensor:
     return _apply("step_mask", (x,), slope)
 
@@ -328,150 +327,139 @@ def _softmax_xent(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vector-Jacobian rules, each written once over an op set: the recording
-# primitives, for a differentiable backward, or their twins on plain arrays
+# vector-Jacobian rules, written in the recording primitives, so a backward
+# records its arithmetic as ordinary nodes
 
 
-def _reduce_to(ops, g, shape: tuple[int, ...]):
+def _reduce_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     if g.shape == shape:
         return g
-    return ops.reshape(ops.sum(g), shape)
+    return g.sum().reshape(shape)
 
 
 def _shape_of(tape: Tape, nid: int) -> tuple[int, ...]:
     return tape.nodes[nid].value.shape
 
 
-def _vjp_add(ops, tape, nid, node, g, needed):
+def _vjp_add(tape, nid, node, g, needed):
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(ops, g, _shape_of(tape, node.inputs[0]))))
+        out.append((0, _reduce_to(g, _shape_of(tape, node.inputs[0]))))
     if needed[1]:
-        out.append((1, _reduce_to(ops, g, _shape_of(tape, node.inputs[1]))))
+        out.append((1, _reduce_to(g, _shape_of(tape, node.inputs[1]))))
     return out
 
 
-def _vjp_sub(ops, tape, nid, node, g, needed):
+def _vjp_sub(tape, nid, node, g, needed):
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(ops, g, _shape_of(tape, node.inputs[0]))))
+        out.append((0, _reduce_to(g, _shape_of(tape, node.inputs[0]))))
     if needed[1]:
-        out.append((1, _reduce_to(ops, ops.neg(g), _shape_of(tape, node.inputs[1]))))
+        out.append((1, _reduce_to(-g, _shape_of(tape, node.inputs[1]))))
     return out
 
 
-def _vjp_mul(ops, tape, nid, node, g, needed):
-    a = ops.value(tape, node.inputs[0])
-    b = ops.value(tape, node.inputs[1])
+def _vjp_mul(tape, nid, node, g, needed):
+    a, b = tape.handle(node.inputs[0]), tape.handle(node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(ops, ops.mul(g, b), a.shape)))
+        out.append((0, _reduce_to(g * b, a.shape)))
     if needed[1]:
-        out.append((1, _reduce_to(ops, ops.mul(g, a), b.shape)))
+        out.append((1, _reduce_to(g * a, b.shape)))
     return out
 
 
-def _vjp_div(ops, tape, nid, node, g, needed):
-    b = ops.value(tape, node.inputs[1])
+def _vjp_div(tape, nid, node, g, needed):
+    b = tape.handle(node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, _reduce_to(ops, ops.div(g, b), _shape_of(tape, node.inputs[0]))))
+        out.append((0, _reduce_to(g / b, _shape_of(tape, node.inputs[0]))))
     if needed[1]:
-        q = ops.value(tape, nid)
-        out.append((1, _reduce_to(ops, ops.neg(ops.mul(g, ops.div(q, b))), b.shape)))
+        out.append((1, _reduce_to(-(g * (tape.handle(nid) / b)), b.shape)))
     return out
 
 
-def _vjp_neg(ops, tape, nid, node, g, needed):
-    return [(0, ops.neg(g))]
+def _vjp_neg(tape, nid, node, g, needed):
+    return [(0, -g)]
 
 
-def _vjp_matmul(ops, tape, nid, node, g, needed):
-    a = ops.value(tape, node.inputs[0])
-    b = ops.value(tape, node.inputs[1])
+def _vjp_matmul(tape, nid, node, g, needed):
+    a, b = tape.handle(node.inputs[0]), tape.handle(node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, ops.matmul(g, ops.transpose(b))))
+        out.append((0, matmul(g, b.T)))
     if needed[1]:
-        out.append((1, ops.matmul(ops.transpose(a), g)))
+        out.append((1, matmul(a.T, g)))
     return out
 
 
-def _vjp_linear(ops, tape, nid, node, g, needed):
+def _vjp_linear(tape, nid, node, g, needed):
     # The same products, in the same order of operands, as the VJPs of the
     # transpose -> matmul -> add chain that ``linear`` stands for; the bias
     # gradient is a ones-row product, not ``g.sum()``, whose pairwise
     # summation rounds differently.
-    w = ops.value(tape, node.inputs[1])
+    w = tape.handle(node.inputs[1])
     out = []
     if needed[0]:
-        out.append((0, ops.matmul(g, w)))
+        out.append((0, matmul(g, w)))
     if needed[1]:
-        x = ops.value(tape, node.inputs[0])
-        out.append((1, ops.transpose(ops.matmul(ops.transpose(x), g))))
+        out.append((1, matmul(tape.handle(node.inputs[0]).T, g).T))
     if needed[2]:
-        ones = ops.const(np.ones((1, g.shape[0])))
-        out.append((2, ops.reshape(ops.matmul(ones, g), w.shape[:1])))
+        out.append((2, matmul(Tensor.of(np.ones((1, g.shape[0]))), g).reshape(w.shape[:1])))
     return out
 
 
-def _vjp_transpose(ops, tape, nid, node, g, needed):
-    return [(0, ops.transpose(g))]
+def _vjp_transpose(tape, nid, node, g, needed):
+    return [(0, g.T)]
 
 
-def _vjp_reshape(ops, tape, nid, node, g, needed):
-    return [(0, ops.reshape(g, _shape_of(tape, node.inputs[0])))]
+def _vjp_reshape(tape, nid, node, g, needed):
+    return [(0, g.reshape(_shape_of(tape, node.inputs[0])))]
 
 
-def _vjp_relu(ops, tape, nid, node, g, needed):
+def _vjp_relu(tape, nid, node, g, needed):
     # leaky_relu records its slope; relu records none, and its slope is 0
-    x = ops.value(tape, node.inputs[0])
-    return [(0, ops.mul(g, ops.step_mask(x, node.aux or 0.0)))]
+    return [(0, g * _step_mask(tape.handle(node.inputs[0]), node.aux or 0.0))]
 
 
-def _vjp_tanh(ops, tape, nid, node, g, needed):
-    y = ops.value(tape, nid)
-    return [(0, ops.mul(g, ops.sub(ops.const(1.0), ops.square(y))))]
+def _vjp_tanh(tape, nid, node, g, needed):
+    return [(0, g * (Tensor.of(1.0) - tape.handle(nid).square()))]
 
 
-def _vjp_exp(ops, tape, nid, node, g, needed):
-    y = ops.value(tape, nid)
-    return [(0, ops.mul(g, y))]
+def _vjp_exp(tape, nid, node, g, needed):
+    return [(0, g * tape.handle(nid))]
 
 
-def _vjp_square(ops, tape, nid, node, g, needed):
-    x = ops.value(tape, node.inputs[0])
-    return [(0, ops.mul(g, ops.mul(x, ops.const(2.0))))]
+def _vjp_square(tape, nid, node, g, needed):
+    return [(0, g * (tape.handle(node.inputs[0]) * 2.0))]
 
 
-def _vjp_sqrt(ops, tape, nid, node, g, needed):
-    y = ops.value(tape, nid)
-    return [(0, ops.div(ops.mul(g, ops.const(0.5)), y))]
+def _vjp_sqrt(tape, nid, node, g, needed):
+    return [(0, g * 0.5 / tape.handle(nid))]
 
 
-def _vjp_sum(ops, tape, nid, node, g, needed):
-    return [(0, ops.mul(ops.const(np.ones(_shape_of(tape, node.inputs[0]))), g))]
+def _vjp_sum(tape, nid, node, g, needed):
+    return [(0, Tensor.of(np.ones(_shape_of(tape, node.inputs[0]))) * g)]
 
 
-def _vjp_mean(ops, tape, nid, node, g, needed):
+def _vjp_mean(tape, nid, node, g, needed):
     x = tape.nodes[node.inputs[0]].value
-    return [(0, ops.mul(ops.const(np.full(x.shape, 1.0 / x.size)), g))]
+    return [(0, Tensor.of(np.full(x.shape, 1.0 / x.size)) * g)]
 
 
-def _vjp_softmax_xent(ops, tape, nid, node, g, needed):
-    z = ops.value(tape, node.inputs[0])
+def _vjp_softmax_xent(tape, nid, node, g, needed):
+    z = tape.handle(node.inputs[0])
     n_batch, n_classes = z.shape
     # Shift by the row maxima, which carry no gradient (softmax is shift
     # invariant so the derivative is exact, and max rounds nothing, so they
     # equal the forward's), then rebuild the softmax with primitives so this
     # rule is differentiable again.  The maxima and the one-hot labels are
     # ops of z, not constants, so a replayed step recomputes them.
-    e = ops.exp(ops.sub(z, ops.row_max(z)))
-    rowsum = ops.matmul(e, ops.const(np.ones((n_classes, 1))))
-    tiled = ops.matmul(rowsum, ops.const(np.ones((1, n_classes))))
-    probs = ops.div(e, tiled)
-    diff = ops.sub(probs, ops.one_hot(z, node.aux))
-    return [(0, ops.mul(diff, ops.mul(g, ops.const(1.0 / n_batch))))]
+    e = (z - _apply("row_max", (z,))).exp()
+    rowsum = matmul(e, Tensor.of(np.ones((n_classes, 1))))
+    tiled = matmul(rowsum, Tensor.of(np.ones((1, n_classes))))
+    diff = e / tiled - _apply("one_hot", (z,), node.aux)
+    return [(0, diff * (g * (1.0 / n_batch)))]
 
 
 # ---------------------------------------------------------------------------
@@ -519,26 +507,14 @@ _OPS: dict[str, _Op] = {
 }
 
 
-def _recording(op: str):
-    """``op``'s recording primitive: its tensor operands, then its one
-    non-tensor argument, if any, which becomes the node's ``aux``."""
-    def run(*args):
-        if isinstance(args[-1], Tensor):
-            return _apply(op, args)
-        return _apply(op, args[:-1], args[-1])
-
-    return run
-
-
-# The two op sets the rules are written in, both generated from the table.
-# The recording primitives; ``matmul`` and ``linear`` are looked up per
-# call, so a wrapper of either sees the call:
-_TAPE_OPS = SimpleNamespace(**{op: _recording(op) for op in _OPS} | dict(
-    value=Tape.handle,
-    const=Tensor.of,
-    matmul=lambda a, b: matmul(a, b),
+# The layer ops of ``nn._layers`` as recording primitives; ``linear`` is
+# looked up per call, so a wrapper of it sees the call.
+_TAPE_OPS = SimpleNamespace(
     linear=lambda x, w, b: linear(x, w, b),
-))
+    relu=Tensor.relu,
+    leaky_relu=Tensor.leaky_relu,
+    tanh=Tensor.tanh,
+)
 
 
 def _checked(op: str, fn):
@@ -550,13 +526,10 @@ def _checked(op: str, fn):
     return run
 
 
-# ... and each op's forward on plain arrays with its own check, run inside
-# one ``np.errstate`` by ``backward`` and by frozen network evaluation;
-# constants are built from finite values.
+# Each op's forward on plain arrays with its own check, run inside one
+# ``np.errstate`` by a step plan's replay and by frozen network evaluation.
 _ARRAY_OPS = SimpleNamespace(
-    value=lambda tape, nid: tape.nodes[nid].value,
-    const=_as_array,
-    **{op: _checked(op, spec.fn) if spec.checked else spec.fn for op, spec in _OPS.items()},
+    **{op: _checked(op, spec.fn) if spec.checked else spec.fn for op, spec in _OPS.items()}
 )
 
 
@@ -565,15 +538,19 @@ def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Gra
 
     Returns a mapping from each requested parameter's node id to its
     gradient tensor.  Parameters unreachable from the output get zero
-    gradients.  With ``record=True`` the backward arithmetic is appended
-    to the tape, so the returned gradients are differentiable.  Without
-    it the sweep runs on plain arrays, records nothing and returns
-    detached tensors.
+    gradients.  The backward arithmetic is recorded on the tape.  With
+    ``record=True`` it stays there, so the returned gradients are
+    differentiable.  Without it the tape is cut back to the length it had,
+    also when the sweep raises, and the gradients come back detached.
     """
-    wrt_ids = _wrt_ids(output, wrt)
-    schedule = _schedule(output.tape.nodes, output.id, wrt_ids)
-    with np.errstate(all="ignore"):
-        return _sweep(_TAPE_OPS if record else _ARRAY_OPS, output.tape, output.id, schedule, wrt_ids)
+    wrt_ids, tape = _wrt_ids(output, wrt), output.tape
+    end = len(tape.nodes)
+    try:
+        grads = _sweep(tape, output.id, wrt_ids)
+    finally:
+        if not record:
+            del tape.nodes[end:]
+    return grads if record else {nid: Tensor(None, None, g.value) for nid, g in grads.items()}
 
 
 def _wrt_ids(output: Tensor, wrt: Sequence[Tensor]) -> list[int]:
@@ -608,23 +585,24 @@ def _schedule(nodes: list[Node], out_id: int, wrt_ids: list[int]) -> list[tuple]
     return schedule[::-1]
 
 
-def _sweep(ops, tape: Tape, out_id: int, schedule: list[tuple], wrt_ids: list[int]) -> Grads:
-    """Run the VJP rules of ``schedule`` in the op set ``ops`` over the nodes
-    of ``tape``, from a unit adjoint at ``out_id``."""
+def _sweep(tape: Tape, out_id: int, wrt_ids: list[int]) -> Grads:
+    """Record the VJP rules of the schedule from ``out_id`` toward
+    ``wrt_ids`` on ``tape``, from a unit adjoint at ``out_id``."""
     grads: Grads = {}
-    adjoint = {out_id: ops.const(np.ones_like(tape.nodes[out_id].value))}
-    for nid, node, vjp, needed, is_wrt in schedule:
-        g = adjoint.pop(nid, None)
-        if g is None:
-            continue
-        if is_wrt:
-            grads[nid] = g if isinstance(g, Tensor) else Tensor(None, None, g)
-        if vjp is None:
-            continue
-        for idx, gi in vjp(ops, tape, nid, node, g, needed):
-            iid = node.inputs[idx]
-            prev = adjoint.get(iid)
-            adjoint[iid] = gi if prev is None else ops.add(prev, gi)
+    adjoint = {out_id: Tensor.of(np.ones_like(tape.nodes[out_id].value))}
+    with np.errstate(all="ignore"):
+        for nid, node, vjp, needed, is_wrt in _schedule(tape.nodes, out_id, wrt_ids):
+            g = adjoint.pop(nid, None)
+            if g is None:
+                continue
+            if is_wrt:
+                grads[nid] = g
+            if vjp is None:
+                continue
+            for idx, gi in vjp(tape, nid, node, g, needed):
+                iid = node.inputs[idx]
+                prev = adjoint.get(iid)
+                adjoint[iid] = gi if prev is None else prev + gi
     for nid in wrt_ids:
         if nid not in grads:
             grads[nid] = Tensor.of(np.zeros_like(tape.nodes[nid].value))
@@ -653,9 +631,8 @@ class StepPlan:
         self.inputs = tape.nodes[mark : mark + n_inputs]
         if len(self.inputs) != n_inputs or any(node.op != "leaf" for node in self.inputs):
             raise ValueError(f"the first {n_inputs} nodes past mark {mark} are not all leaves")
-        end, schedule = len(tape.nodes), _schedule(tape.nodes, loss.id, wrt_ids)
-        with np.errstate(all="ignore"):
-            grads = _sweep(_TAPE_OPS, tape, loss.id, schedule, wrt_ids)
+        end = len(tape.nodes)
+        grads = _sweep(tape, loss.id, wrt_ids)
         nodes = self.nodes = tape.nodes[:]
         # a gradient that comes back detached is a constant
         self.grads = {nid: nodes[g.id] if g.tape is tape else Node("leaf", (), g.value) for nid, g in grads.items()}

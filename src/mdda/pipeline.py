@@ -163,11 +163,12 @@ class DomainWeights:
         self.normalized = np.asarray(self.normalized, dtype=np.float64)
         if self.raw.size < 1 or self.raw.shape != self.normalized.shape:
             raise ConfigError("raw and normalized weights must be non-empty and congruent")
-        if np.any(self.raw <= 0.0) or np.any(self.raw > 1.0):
-            raise ConfigError("raw weights must lie in (0, 1]")
-        if abs(self.normalized.sum() - 1.0) > 1e-12:
+        # far sources' raw weights underflow to 0; the comparisons reject NaN
+        if not np.all((self.raw >= 0.0) & (self.raw <= 1.0)):
+            raise ConfigError("raw weights must lie in [0, 1]")
+        if not abs(self.normalized.sum() - 1.0) <= 1e-12:
             raise ConfigError("normalized weights must sum to 1")
-        if int(np.argmax(self.raw)) != int(np.argmax(self.normalized)):
+        if self.raw[np.argmax(self.normalized)] != self.raw.max():
             raise ConfigError("normalization must preserve the argmax")
 
 
@@ -464,8 +465,16 @@ def domain_weight(wd_estimates) -> DomainWeights:
         raise ConfigError("domain_weight needs at least one estimate")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("distance estimates must be finite")
-    raw = np.exp(-(arr * arr) / 2.0)
-    return DomainWeights(raw=raw, normalized=raw / raw.sum())
+    with np.errstate(over="ignore"):
+        raw = np.exp(-(arr * arr) / 2.0)
+        if raw.max() >= np.finfo(np.float64).tiny:
+            return DomainWeights(raw=raw, normalized=raw / raw.sum())
+        # No raw weight is a normal float: a log-space softmax of -L^2 / 2,
+        # less its maximum -m^2 / 2 and factored, so that no square overflows.
+        a = np.abs(arr)
+        m = a.min()
+        shifted = np.exp(-(a - m) * (a / 2.0 + m / 2.0))
+    return DomainWeights(raw=raw, normalized=shifted / shifted.sum())
 
 
 def uniform_weights(count: int) -> DomainWeights:

@@ -4,6 +4,7 @@ distilling, and distance-weighted prediction aggregation."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,8 +124,10 @@ def test_distill_selection_validation():
 
 
 def test_domain_weights_validation():
-    with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
         DomainWeights(raw=np.array([1.5, 0.5]), normalized=np.array([0.75, 0.25]))
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        DomainWeights(raw=np.array([np.nan, 0.5]), normalized=np.array([0.5, 0.5]))
     with pytest.raises(ConfigError, match="sum"):
         DomainWeights(raw=np.array([0.5, 0.4]), normalized=np.array([0.5, 0.4]))
     with pytest.raises(ConfigError, match="argmax"):
@@ -690,6 +693,30 @@ def test_domain_weight_properties():
     assert np.array_equal(domain_weight([-1.5]).raw, domain_weight([1.5]).raw)
     decaying = domain_weight([0.0, 0.5, 1.0, 2.0, 3.0]).raw
     assert np.all(np.diff(decaying) < 0.0)
+
+
+_FAR = math.exp(-(38.7**2 - 38.6**2) / 2.0)
+
+
+@pytest.mark.parametrize("wd, normalized", [
+    ([40.0, 1.0], [0.0, 1.0]),
+    ([40.0, 41.0], [1.0, 0.0]),
+    ([41.0, 40.0], [0.0, 1.0]),
+    ([1e200, -1e201], [1.0, 0.0]),
+    ([38.6, 38.7], [1.0 / (1.0 + _FAR), _FAR / (1.0 + _FAR)]),  # subnormal raw weights
+])
+def test_domain_weight_of_far_sources(wd, normalized):
+    # exp(-L^2 / 2) underflows for far sources; the normalized weights are
+    # still the softmax of -L^2 / 2, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = domain_weight(wd)
+    with np.errstate(over="ignore"):
+        assert weights.raw.tobytes() == np.exp(-(np.array(wd) * np.array(wd)) / 2.0).tobytes()
+    np.testing.assert_allclose(weights.normalized, normalized, rtol=1e-12, atol=1e-12)
+    assert abs(weights.normalized.sum() - 1.0) <= 1e-12
+    if wd == [40.0, 1.0]:
+        assert weights.normalized.tolist() == [0.0, 1.0]
 
 
 def test_domain_weight_errors():
