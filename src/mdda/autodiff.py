@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Every operation is recorded as a node on a :class:`Tape`.  Each op is one
-entry of a table: its forward on arrays, its vector-Jacobian rule and
-whether its result is checked for finiteness.  The rules are written in the
+entry of a table: its forward on arrays, its vector-Jacobian rule, whether
+its result is checked for finiteness and which operands always pass a
+non-finite entry on to its result.  The rules are written in the
 recording primitives (the :class:`Tensor` methods, :func:`matmul`), so
 :func:`backward` records the backward arithmetic as ordinary nodes: it
 builds a schedule of the nodes that need a gradient, then sweeps it.  With
@@ -14,8 +15,9 @@ op without a rule (a step mask, row maxima, one-hot labels) stops
 gradients: no gradient toward it is computed.  A training loop records its
 first step and captures it as a :class:`StepPlan`, which records the step's
 backward onto the tape as well and replays every later step as one list of
-array forwards at its new inputs, with the same operations and checks and
-without recording.
+array forwards at its new inputs, with the same operations and without
+recording.  A replay checks only where a non-finite value could hide, and
+raises the same error at the same op as recording the step would.
 
 Conventions kept deliberately narrow:
 
@@ -24,8 +26,8 @@ Conventions kept deliberately narrow:
 - broadcasting is limited to equal shapes or a one-element operand
   against anything; batch reductions are explicit ``sum`` / ``mean``.
 - tensors produced by ops are immutable; only leaves may be rewritten
-  between computations: by :meth:`Tensor.assign`, or in place by an
-  optimizer, which rebinds its parameters to views of one flat buffer.
+  between computations, in place by an optimizer, which rebinds its
+  parameters to views of one flat buffer.
 """
 from __future__ import annotations
 
@@ -91,20 +93,6 @@ class Tensor:
             raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.value.reshape(()))
 
-    def assign(self, value) -> None:
-        """Overwrite a leaf's value in place.
-
-        Only valid for leaves, and only between computations: nodes that
-        consumed the old value must be discarded (``Tape.reset``) first.
-        """
-        if self.tape is None or self.tape.nodes[self.id].op != "leaf":
-            raise ValueError("assign is only valid for tape leaves")
-        arr = _as_array(value)
-        if arr.shape != self.value.shape:
-            raise ShapeError(f"assign shape {arr.shape} != leaf shape {self.value.shape}")
-        _require_finite(arr, "assign")
-        self.value[...] = arr
-
     # ---- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -158,7 +146,7 @@ class Tensor:
 
     def reshape(self, shape) -> "Tensor":
         shape = tuple(int(s) for s in shape)
-        if int(np.prod(shape, dtype=np.int64)) != self.value.size:
+        if any(s < 0 for s in shape) or int(np.prod(shape, dtype=np.int64)) != self.value.size:
             raise ShapeError(f"cannot reshape {self.shape} to {shape}")
         return _apply("reshape", (self,), shape)
 
@@ -471,36 +459,43 @@ class _Op(NamedTuple):
     argument last; ``vjp`` is the rule, ``None`` where the derivative is
     zero almost everywhere, so the op stops gradients; ``checked`` says
     whether the result goes through ``_require_finite``, which ops that
-    only move checked values skip."""
+    only move checked values skip; ``passes`` holds the operand positions
+    through which a NaN or infinite entry always reaches a non-empty result,
+    so that a step plan may leave the check of such an operand to the op."""
 
     fn: Callable
     vjp: Callable | None
     checked: bool = True
+    passes: tuple[int, ...] = ()
 
 
 _OPS: dict[str, _Op] = {
-    "add": _Op(_broadcasting("add", np.add), _vjp_add),
-    "sub": _Op(_broadcasting("sub", np.subtract), _vjp_sub),
-    "mul": _Op(_broadcasting("mul", np.multiply), _vjp_mul),
-    "div": _Op(_broadcasting("div", np.divide), _vjp_div),
-    "neg": _Op(np.negative, _vjp_neg),
-    "matmul": _Op(np.matmul, _vjp_matmul),
+    "add": _Op(_broadcasting("add", np.add), _vjp_add, passes=(0, 1)),
+    "sub": _Op(_broadcasting("sub", np.subtract), _vjp_sub, passes=(0, 1)),
+    "mul": _Op(_broadcasting("mul", np.multiply), _vjp_mul, passes=(0, 1)),
+    # x / inf is 0, so only the numerator passes
+    "div": _Op(_broadcasting("div", np.divide), _vjp_div, passes=(0,)),
+    "neg": _Op(np.negative, _vjp_neg, passes=(0,)),
+    "matmul": _Op(np.matmul, _vjp_matmul, passes=(0, 1)),
     # the product takes a contiguous copy of w.T, as matmul(x, w.T) does
-    "linear": _Op(lambda x, w, b: x @ w.T.copy() + b, _vjp_linear),
-    "transpose": _Op(lambda v: v.T.copy(), _vjp_transpose, checked=False),
-    "reshape": _Op(lambda v, shape: v.reshape(shape).copy(), _vjp_reshape, checked=False),
+    "linear": _Op(lambda x, w, b: x @ w.T.copy() + b, _vjp_linear, passes=(0, 1, 2)),
+    "transpose": _Op(lambda v: v.T.copy(), _vjp_transpose, checked=False, passes=(0,)),
+    "reshape": _Op(lambda v, shape: v.reshape(shape).copy(), _vjp_reshape, checked=False, passes=(0,)),
+    # relu(-inf) is 0
     "relu": _Op(lambda v: np.maximum(v, 0.0), _vjp_relu),
-    "leaky_relu": _Op(lambda v, slope: np.where(v > 0.0, v, slope * v), _vjp_relu),
+    # for a slope in (0, 1) the same bits as np.where(v > 0, v, slope * v),
+    # without its branch
+    "leaky_relu": _Op(lambda v, slope: np.maximum(v, slope * v), _vjp_relu, passes=(0,)),
     "tanh": _Op(np.tanh, _vjp_tanh),
     "exp": _Op(np.exp, _vjp_exp),
-    "square": _Op(np.square, _vjp_square),
-    "sqrt": _Op(_sqrt, _vjp_sqrt),
-    "sum": _Op(lambda v: np.asarray(v.sum()), _vjp_sum),
-    "mean": _Op(lambda v: np.asarray(v.mean()), _vjp_mean),
+    "square": _Op(np.square, _vjp_square, passes=(0,)),
+    "sqrt": _Op(_sqrt, _vjp_sqrt, passes=(0,)),
+    "sum": _Op(lambda v: np.asarray(v.sum()), _vjp_sum, passes=(0,)),
+    "mean": _Op(lambda v: np.asarray(v.mean()), _vjp_mean, passes=(0,)),
     "softmax_xent": _Op(_softmax_xent, _vjp_softmax_xent),
     # ops with a zero derivative, whose results are finite for any input:
     # 1 where x > 0, `slope` elsewhere (the kink at 0 takes the negative side)
-    "step_mask": _Op(lambda v, slope: np.where(v > 0.0, 1.0, slope), None, checked=False),
+    "step_mask": _Op(lambda v, slope: np.maximum(v > 0.0, slope), None, checked=False),
     # each row's maximum, repeated across the row, and one-hot labels
     "row_max": _Op(lambda v: np.repeat(v.max(axis=1, keepdims=True), v.shape[1], axis=1), None, checked=False),
     "one_hot": _Op(lambda v, y: np.eye(v.shape[1])[y], None, checked=False),
@@ -619,10 +614,19 @@ class StepPlan:
     replay.  The plan records the step's first-order backward onto the tape
     and keeps the nodes past the inputs that are not leaves, gradients
     included, as one forward program of its own, so the tape may be reset.
-    :meth:`run` runs the same IEEE operations, in the same order and under
-    the same checks, as recording the step afresh and calling
-    ``backward(loss, wrt)``.  Values other than the loss and the gradients
-    are dropped at capture, and at each replay after their last reader.
+    :meth:`run` runs the same IEEE operations, in the same order, as
+    recording the step afresh and calling ``backward(loss, wrt)``, and
+    raises the same error at the same op.  Values other than the loss and
+    the gradients are dropped at capture, and at each replay after their
+    last reader.
+
+    A replay checks a node only where a non-finite value could hide.  A
+    node's own check is left out when it has readers and each reads it at
+    a position that ``passes`` it, has entries, and is checked itself or
+    left out by the same rule; the loss and the gradients are checked after
+    the replay.  A non-finite value then always reaches a check.  If one
+    fails, the step is replayed with every check, which names the op that
+    recording it would have named.
     """
 
     def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int):
@@ -640,15 +644,38 @@ class StepPlan:
         step = [node for node in nodes[mark + n_inputs : loss.id + 1] + nodes[end:] if node.op != "leaf"]
         # with the logits' shape; a recorded backward shares the label array
         self.softmax = [(node, nodes[node.inputs[0]].value.shape) for node in step if node.op == "softmax_xent"]
+        keep = dict.fromkeys([nodes[self.out], *self.grads.values()])
+        self.sinks = [node for node in keep if node.op != "leaf"]
+        # each node's readers in the step, with the operand position read;
+        # a reader always follows what it reads
+        readers = {node: [] for node in step}
+        for node in step:
+            for pos, i in enumerate(node.inputs):
+                readers.get(nodes[i], []).append((node, pos))
+        # the nodes at which a non-finite value raises, and those of them
+        # that keep their own check
+        covered, own = set(self.sinks), set()
+        for node in reversed(step):
+            if node in covered:
+                continue
+            rs = readers[node]
+            if rs and all(pos in _OPS[r.op].passes and r.value.size and r in covered for r, pos in rs):
+                covered.add(node)
+            elif _OPS[node.op].checked:
+                covered.add(node)
+                own.add(node)
         # each node's last reader, or itself if nothing reads it
         last = {n: node for node in step for n in (node, *(nodes[i] for i in node.inputs))}
-        keep, dead = {nodes[self.out], *self.grads.values()}, {node: [] for node in step}
+        dead = {node: [] for node in step}
         for node in step:
             if node not in keep:
                 dead[last[node]].append(node)
                 node.value = None  # so that a first replay holds one set of values
+        # every check, as recording the step runs them, and the checks kept
         self.program = [(node, getattr(_ARRAY_OPS, node.op), [nodes[i] for i in node.inputs], dead[node])
                         for node in step]
+        self.lean = [(node, fn if node in own else _OPS[node.op].fn, ins, gone)
+                     for node, fn, ins, gone in self.program]
 
     def run(self, inputs: Sequence, labels: Sequence = ()) -> Grads:
         """The step's first-order gradients at new input values and new
@@ -666,10 +693,19 @@ class StepPlan:
             node.value = arr
         for (node, _), y in zip(self.softmax, ys):
             node.aux[...] = y
-        with np.errstate(all="ignore"):
-            for node, fn, ins, dead in self.program:
-                args = [n.value for n in ins]
-                node.value = fn(*args) if node.aux is None else fn(*args, node.aux)
-                for n in dead:
-                    n.value = None
+        try:
+            _run_program(self.lean)
+            for node in self.sinks:
+                _require_finite(node.value, node.op)
+        except NonFiniteError:
+            _run_program(self.program)
         return {nid: Tensor(None, None, node.value) for nid, node in self.grads.items()}
+
+
+def _run_program(program: list[tuple]) -> None:
+    with np.errstate(all="ignore"):
+        for node, fn, ins, dead in program:
+            args = [n.value for n in ins]
+            node.value = fn(*args) if node.aux is None else fn(*args, node.aux)
+            for n in dead:
+                n.value = None

@@ -5,12 +5,27 @@ import math
 
 import numpy as np
 
-from mdda.autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
+from mdda.autodiff import Tape, Tensor, _require_finite, backward, matmul, softmax_cross_entropy
 from mdda.datagen import Dataset, DomainSpec, rotation_matrix
-from mdda.errors import ConfigError
+from mdda.errors import ConfigError, ShapeError
 from mdda.nn import Mlp, MlpConfig, forward, init_mlp
 from mdda.pipeline import gradient_penalty
 from mdda.rng import _MASK, _splitmix64, stream
+
+
+def assign(t: Tensor, value) -> None:
+    """Overwrite a tape leaf's value in place.
+
+    Only valid for leaves, and only between computations: nodes that
+    consumed the old value must be discarded (``Tape.reset``) first.
+    """
+    if t.tape is None or t.tape.nodes[t.id].op != "leaf":
+        raise ValueError("assign is only valid for tape leaves")
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != t.value.shape:
+        raise ShapeError(f"assign shape {arr.shape} != leaf shape {t.value.shape}")
+    _require_finite(arr, "assign")
+    t.value[...] = arr
 
 
 def central_difference(value, arrays, step=1e-5):
@@ -115,7 +130,7 @@ def fd_sweep(n_nets: int, seed0: int = 0, step: float = 1e-5) -> float:
             t2 = Tape()
             net2 = init_mlp(cfg, stream(300 + i, "init"), t2)
             for p, arr in zip(net2.params, arrays):
-                p.assign(arr)
+                assign(p, arr)
             return _net_loss(net2, t2.leaf(x), labels, kind).item()
 
         fd = central_difference(value, arrays, step=step)
@@ -135,7 +150,7 @@ def gp_param_grad_worst_error() -> float:
         net = init_mlp(cfg, stream(13, "critic"))
         if arrays is not None:
             for p, arr in zip(net.params, arrays):
-                p.assign(arr)
+                assign(p, arr)
         return net
 
     critic = build()
@@ -157,16 +172,16 @@ def gp_param_grad_worst_error() -> float:
 def linear_critic(weights_row, bias: float = 0.0) -> Mlp:
     """A single-affine critic D(x) = w.x + b with chosen coefficients."""
     net = init_mlp(MlpConfig((len(weights_row), 1)), stream(0, "linear-critic"))
-    net.params[0].assign(np.array([weights_row], dtype=np.float64))
-    net.params[1].assign(np.array([bias], dtype=np.float64))
+    assign(net.params[0], np.array([weights_row], dtype=np.float64))
+    assign(net.params[1], np.array([bias], dtype=np.float64))
     return net
 
 
 def identity_net(width: int = 1) -> Mlp:
     """A single-affine net computing x itself."""
     net = init_mlp(MlpConfig((width, width)), stream(0, "identity"))
-    net.params[0].assign(np.eye(width))
-    net.params[1].assign(np.zeros(width))
+    assign(net.params[0], np.eye(width))
+    assign(net.params[1], np.zeros(width))
     return net
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import helpers
-from mdda import autodiff, nn
+from mdda import autodiff, nn, pipeline
 from mdda.autodiff import Tape, Tensor, backward, linear, matmul, softmax_cross_entropy
 from mdda.errors import NonFiniteError, ShapeError
 from mdda.nn import MlpConfig, forward, init_mlp
@@ -241,42 +241,223 @@ def test_overflow_only_in_the_backward_raises_in_both_modes():
             assert len(tape) == before + left
 
 
-def test_a_replayed_step_checks_every_checked_op(monkeypatch):
-    # one pretrain step of the `supervised` networks: extractor and classifier
+def _pretrain_step(activation):
+    """One pretrain step of the `supervised` networks, an extractor
+    (2, 32, 32, 8) with a final tanh and a 3-class classifier, recorded past
+    a mark: the loss, the parameters, the mark, the inputs and the labels."""
     tape = Tape()
-    extractor = init_mlp(MlpConfig((2, 32, 32, 8), activation="leaky_relu"), stream(31, "ext"), tape)
+    extractor = init_mlp(MlpConfig((2, 32, 32, 8), activation=activation, final_activation="tanh"),
+                         stream(31, "ext"), tape)
     classifier = init_mlp(MlpConfig((8, 3)), stream(31, "clf"), tape)
     mark = tape.mark()
     x = stream(32, "x").uniforms(2 * 64, -2.0, 2.0).reshape(64, 2)
     y = stream(33, "y").integers(64, below=3)
-    params = extractor.params + classifier.params
     loss = softmax_cross_entropy(forward(classifier, forward(extractor, tape.leaf(x))), y)
+    return loss, extractor.params + classifier.params, mark, [x], [y]
 
-    called, checked = {}, {}
+
+def _critic_step():
+    """One critic step of `quickstart`: a (8, 64, 64, 1) leaky critic, batches
+    of 64 features and the penalty on 192 points, as ``_pretrain_step``."""
+    tape = Tape()
+    critic = init_mlp(MlpConfig((8, 64, 64, 1), activation="leaky_relu", leaky_slope=0.2), stream(34, "critic"), tape)
+    mark = tape.mark()
+    s, t = (stream(35, side).uniforms(64 * 8, -2.0, 2.0).reshape(64, 8) for side in ("s", "t"))
+    sf, tf = tape.leaf(s), tape.leaf(t)
+    penalty = pipeline.gradient_penalty(critic, s, t, stream(36, "eps"))
+    loss = 10.0 * penalty - pipeline.critic_loss(critic, sf, tf)
+    return loss, critic.params, mark, [s, t, tape.nodes[mark + 2].value.copy()], []
+
+
+def _edge_step():
+    """A step at the edges of the rule that leaves checks out: a product
+    read only through a transpose that a relu masks, and a product read
+    only by products with no entries, as ``_pretrain_step``."""
+    tape = Tape()
+    w, empty = tape.leaf(stream(39, "w").uniforms(6, -1.0, 1.0).reshape(2, 3)), tape.leaf(np.zeros((2, 0)))
+    mark = tape.mark()
+    x = stream(39, "x").uniforms(6, -2.0, 2.0).reshape(3, 2)
+    xs = tape.leaf(x)
+    loss = matmul(xs, w).T.relu().sum() + matmul(xs * 2.0, empty).sum()
+    return loss, [w, empty], mark, [x], []
+
+
+def _plan(step):
+    loss, params, mark, inputs, labels = step
+    return autodiff.StepPlan(loss, params, mark, len(inputs)), inputs, labels
+
+
+@pytest.mark.parametrize("step, n_checks", [(lambda: _pretrain_step("relu"), 15), (_critic_step, 14)],
+                         ids=["pretrain", "critic"])
+def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n_checks):
+    produced, checked = [], []
     require_finite = autodiff._require_finite
 
     def counted_check(value, op):
-        checked[op] = checked.get(op, 0) + 1
+        if op != "leaf":  # the step's inputs
+            checked.append(value)
         return require_finite(value, op)
 
-    def counted(name, fn):
+    def counted(fn):
         def run(*args):
-            called[name] = called.get(name, 0) + 1
-            return fn(*args)
+            produced.append(fn(*args))
+            return produced[-1]
         return run
 
-    # a plan takes each node's array forward from ``_ARRAY_OPS`` at capture
+    # a plan takes its forwards at capture: the checked ones from
+    # ``_ARRAY_OPS``, the others from the op table
     for name, fn in vars(autodiff._ARRAY_OPS).items():
-        monkeypatch.setattr(autodiff._ARRAY_OPS, name, counted(name, fn))
-    plan = autodiff.StepPlan(loss, params, mark, 1)
-    assert not called
+        monkeypatch.setattr(autodiff._ARRAY_OPS, name, counted(fn))
+    for name, spec in autodiff._OPS.items():
+        monkeypatch.setitem(autodiff._OPS, name, spec._replace(fn=counted(spec.fn)))
+    plan, inputs, labels = _plan(step())
+    produced.clear()
     monkeypatch.setattr(autodiff, "_require_finite", counted_check)
-    plan.run([x], [y])
+    plan.run(inputs, labels)
 
-    assert checked.pop("leaf") == 1  # the step's input
-    unchecked = ("transpose", "reshape", "step_mask", "row_max", "one_hot")
-    assert all(called[op] > 0 for op in unchecked)
-    assert checked == {op: n for op, n in called.items() if op not in unchecked}
+    # each forward once, in program order
+    assert len(produced) == len(plan.lean)
+    kept = [node for node, fn, _, _ in plan.lean
+            if autodiff._OPS[node.op].checked and fn is getattr(autodiff._ARRAY_OPS, node.op)]
+    expected = [i for i, (node, *_) in enumerate(plan.lean) if node in kept or node in plan.sinks]
+    got = [i for v in checked for i, p in enumerate(produced) if p is v]
+    assert len(got) == len(checked) and sorted(got) == expected
+    # the loss and every gradient that is not a constant are checked
+    assert set(plan.sinks) == {node for node in (plan.nodes[plan.out], *plan.grads.values()) if node.op != "leaf"}
+    # against 31 and 75 checks when every checked op checked its result
+    assert len(checked) == n_checks
+
+
+def _with_fault(program, k, bad, entry):
+    """``program`` with the forward at ``k`` writing ``bad`` into one entry
+    of its result before the check that entry of the program runs."""
+    node, fn, ins, dead = program[k]
+    spec = autodiff._OPS[node.op]
+
+    def faulty(*args):
+        value = np.array(spec.fn(*args))
+        if value.size:
+            value.flat[entry % value.size] = bad
+        if spec.checked and fn is not spec.fn:
+            autodiff._require_finite(value, node.op)
+        return value
+
+    return program[:k] + [(node, faulty, ins, dead)] + program[k + 1:]
+
+
+def _outcome(plan, inputs, labels):
+    """The bytes of the loss and the gradients of a replay, or its error."""
+    try:
+        grads = plan.run(inputs, labels)
+    except NonFiniteError as exc:
+        return str(exc)
+    return plan.nodes[plan.out].value.tobytes(), [g.value.tobytes() for g in grads.values()]
+
+
+def _assert_faults_surface(plan, inputs, labels, entries):
+    """With a NaN or an infinity injected into one entry of each node in
+    turn, ``run`` raises the message of a replay with every check, or
+    returns its bytes."""
+    lean, full = plan.lean, plan.program
+    try:
+        for k, (node, *_) in enumerate(full):
+            for bad in (np.nan, np.inf, -np.inf):
+                entry = next(entries)
+                plan.lean = plan.program = _with_fault(full, k, bad, entry)
+                expected = _outcome(plan, inputs, labels)
+                plan.lean = _with_fault(lean, k, bad, entry)
+                assert _outcome(plan, inputs, labels) == expected, (k, node.op, bad)
+    finally:
+        plan.lean, plan.program = lean, full
+
+
+def _entries(seed):
+    rng = stream(seed, "entries")
+    while True:
+        yield from (int(i) for i in rng.integers(64, below=1 << 30))
+
+
+@pytest.mark.parametrize("step", [_critic_step, *(lambda a=a: _pretrain_step(a) for a in ("relu", "leaky_relu", "tanh")),
+                                  _edge_step],
+                         ids=["critic", "pretrain-relu", "pretrain-leaky_relu", "pretrain-tanh", "edges"])
+def test_a_fault_in_any_node_of_a_replay_raises_as_with_every_check(step):
+    plan, inputs, labels = _plan(step())
+    _assert_faults_surface(plan, inputs, labels, _entries(37))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 999))
+def test_a_fault_in_any_node_of_a_random_replay_raises_as_with_every_check(data, seed):
+    try:
+        tape, loss, wrt = _random_dag(data.draw, seed, second_order=True, strict=True)
+    except NonFiniteError:
+        assume(False)
+    n_inputs = next(i for i, node in enumerate(tape.nodes) if node.op != "leaf")
+    inputs = [tape.nodes[i].value.copy() for i in range(n_inputs)]
+    labels = [node.aux.copy() for node in tape.nodes if node.op == "softmax_xent"]
+    plan = autodiff.StepPlan(loss, wrt, 0, n_inputs)
+    _assert_faults_surface(plan, inputs, labels, _entries(seed))
+
+
+# any float64: signed zeros, subnormals, the largest magnitudes, infinities, NaN
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                                                     1.7e308, -1.7e308, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(v=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6), elements=_ANY_FLOAT),
+       slope=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_the_branch_free_relu_forms_equal_the_where_forms_bit_for_bit(v, slope):
+    with np.errstate(all="ignore"):
+        leaky, want = np.asarray(autodiff._OPS["leaky_relu"].fn(v, slope)), np.where(v > 0.0, v, slope * v)
+        for s in (slope, 0.0):  # the step mask of leaky_relu and of relu
+            mask = np.asarray(autodiff._OPS["step_mask"].fn(v, s))
+            assert mask.dtype == np.float64 and mask.tobytes() == np.where(v > 0.0, 1.0, s).tobytes()
+    nan = np.isnan(v)
+    assert leaky.dtype == np.float64 and leaky.shape == v.shape
+    assert np.isnan(leaky[nan]).all() and leaky[~nan].tobytes() == want[~nan].tobytes()
+
+
+# operand shapes per op that passes a non-finite entry, one-element operands
+# against larger ones among them, and the op's non-tensor argument
+_PASSING_CASES = {
+    "add": ([(2, 3), (2, 3)], [(2, 3), ()], [(1,), (2, 3)]),
+    "sub": ([(2, 3), (2, 3)], [(2, 3), (1, 1)], [(), (2, 3)]),
+    "mul": ([(2, 3), (2, 3)], [(2, 3), ()], [(1,), (2, 3)]),
+    "div": ([(2, 3), (2, 3)], [(2, 3), ()], [(1,), (2, 3)]),
+    "neg": ([(2, 3)],),
+    "matmul": ([(2, 3), (3, 4)], [(1, 3), (3, 1)], [(4, 1), (1, 5)]),
+    "linear": ([(2, 3), (4, 3), (4,)], [(1, 3), (1, 3), (1,)]),
+    "transpose": ([(2, 3)],),
+    "reshape": ([(2, 3)],),
+    "leaky_relu": ([(2, 3)],),
+    "square": ([(2, 3)],),
+    "sqrt": ([(2, 3)],),
+    "sum": ([(2, 3)], [()]),
+    "mean": ([(2, 3)], [()]),
+}
+_PASSING_ARGS = {"reshape": ((6,),), "leaky_relu": (0.2,)}
+
+
+@pytest.mark.parametrize("op", sorted(_PASSING_CASES))
+def test_a_non_finite_entry_at_a_passing_position_reaches_the_result(op):
+    assert set(_PASSING_CASES) == {name for name, spec in autodiff._OPS.items() if spec.passes}
+    spec, rng = autodiff._OPS[op], stream(38, op)
+    for shapes in _PASSING_CASES[op]:
+        for pos in spec.passes:
+            for bad in (np.nan, np.inf, -np.inf):
+                # half of the other entries 0, as masks and one-hot rows hold
+                low = 0.5 if op == "sqrt" else -2.0
+                operands = [rng.uniforms(math.prod(s), low, 2.0).reshape(s) for s in shapes]
+                for a in operands:
+                    a.reshape(-1)[::2] = 0.0
+                operands[pos].reshape(-1)[-1] = bad
+                with np.errstate(all="ignore"):
+                    try:
+                        value = spec.fn(*operands, *_PASSING_ARGS.get(op, ()))
+                    except NonFiniteError:  # sqrt of -inf
+                        continue
+                assert not np.isfinite(value).all(), (shapes, pos, bad)
 
 
 _NAN = [[np.nan]]
@@ -682,7 +863,7 @@ def test_second_order_parameter_gradients_match_finite_differences():
         net = init_mlp(cfg, stream(5, "critic"), tape)
         if arrays is not None:
             for p, arr in zip(net.params, arrays):
-                p.assign(arr)
+                helpers.assign(p, arr)
         xh = tape.leaf(x)
         total = forward(net, xh).sum()
         grad_x = backward(total, [xh], record=True)[xh.id]
@@ -801,14 +982,14 @@ def test_stale_tensor_after_reset_is_rejected():
 def test_assign_updates_leaves_only():
     tape = Tape()
     w = _leaf(tape, [[1.0, 2.0]])
-    w.assign(np.array([[3.0, 4.0]]))
+    helpers.assign(w, np.array([[3.0, 4.0]]))
     assert np.array_equal(w.value, [[3.0, 4.0]])
     assert (w + w).value[0, 1] == 8.0
     with pytest.raises(ShapeError):
-        w.assign(np.zeros((2, 2)))
+        helpers.assign(w, np.zeros((2, 2)))
     derived = w.square()
     with pytest.raises(ValueError):
-        derived.assign(np.array([[1.0, 1.0]]))
+        helpers.assign(derived, np.array([[1.0, 1.0]]))
 
 
 def test_mixing_tapes_is_rejected():
@@ -826,3 +1007,11 @@ def test_transpose_and_reshape_carry_gradients():
     np.testing.assert_array_equal(y.value, x.value.T.reshape(2, 3))
     grads = backward(y.square().sum(), [x])
     np.testing.assert_allclose(grads[x.id].value, 2.0 * x.value, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(-2, -3), (-1, -6), (2, -1), (-6,), (4,)])
+def test_reshape_to_a_negative_dimension_or_another_size_raises(shape):
+    # (-2, -3) and (-1, -6) multiply to the six entries, which numpy rejects
+    x = _leaf(Tape(), np.arange(6.0))
+    with pytest.raises(ShapeError, match="^cannot reshape"):
+        x.reshape(shape)

@@ -27,7 +27,7 @@ from mdda.nn import (
 )
 from mdda.rng import stream
 
-from helpers import ReferenceAdam
+from helpers import ReferenceAdam, assign
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,8 @@ def test_forward_zero_input_gives_zero_logits():
 
 def test_forward_diagonal_oracle():
     net = init_mlp(MlpConfig((2, 2)), stream(0, "diag"))
-    net.params[0].assign(np.array([[2.0, 0.0], [0.0, 3.0]]))
-    net.params[1].assign(np.zeros(2))
+    assign(net.params[0], np.array([[2.0, 0.0], [0.0, 3.0]]))
+    assign(net.params[1], np.zeros(2))
     np.testing.assert_array_equal(net.predict_values(np.array([[1.0, 1.0]])), [[2.0, 3.0]])
 
 
@@ -123,7 +123,7 @@ def test_forward_two_layer_relu_oracle():
     w2 = np.array([[1.5, -0.5]])
     b2 = np.array([0.25])
     for p, arr in zip(net.params, (w1, b1, w2, b2)):
-        p.assign(arr)
+        assign(p, arr)
     x = np.array([[0.3, 0.7], [-1.0, 0.4]])
     expected = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
     np.testing.assert_allclose(net.predict_values(x), expected, rtol=0.0, atol=1e-12)
@@ -152,7 +152,7 @@ def test_predict_values_is_bit_equal_to_forward(activation, final_activation):
     cfg = MlpConfig((3, 7, 5, 2), activation=activation, leaky_slope=0.3, final_activation=final_activation)
     net = init_mlp(cfg, stream(4, "bit-equal"))
     for b in net.params[1::2]:
-        b.assign(stream(5, "bias", str(b.id)).uniforms(b.value.size, -0.5, 0.5))
+        assign(b, stream(5, "bias", str(b.id)).uniforms(b.value.size, -0.5, 0.5))
     for batch in (1, 9):
         x = stream(6, "x", str(batch)).uniforms(3 * batch, -2.0, 2.0).reshape(batch, 3)
         before = net.tape.mark()
@@ -165,7 +165,7 @@ def test_predict_values_is_bit_equal_to_forward(activation, final_activation):
 def test_predict_values_rejects_an_overflowing_affine_map(widths):
     # tanh(inf) is 1: the check after each affine map must catch the overflow
     net = init_mlp(MlpConfig(widths, activation="tanh", final_activation="tanh"), stream(0, "big"))
-    net.params[0].assign(np.array([[1e300]]))
+    assign(net.params[0], np.array([[1e300]]))
     with warnings.catch_warnings(), pytest.raises(NonFiniteError):
         warnings.simplefilter("error")
         net.predict_values(np.array([[1e10]]))
@@ -183,7 +183,7 @@ def test_clone_matches_then_diverges_independently():
     assert dup.tape is not src.tape
     for ps, pd in zip(src.params, dup.params):
         assert np.array_equal(ps.value, pd.value)
-    dup.params[0].assign(dup.params[0].value + 1.0)
+    assign(dup.params[0], dup.params[0].value + 1.0)
     assert not np.array_equal(src.params[0].value, dup.params[0].value)
 
 

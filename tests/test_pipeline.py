@@ -45,7 +45,7 @@ from mdda.pipeline import (
 )
 from mdda.rng import stream
 
-from helpers import ReferenceAdam, concat_datasets, gp_param_grad_worst_error, identity_net, linear_critic
+from helpers import ReferenceAdam, assign, concat_datasets, gp_param_grad_worst_error, identity_net, linear_critic
 
 EXTRACTOR = MlpConfig((2, 4, 3), final_activation="tanh")
 CLASSIFIER = MlpConfig((3, 2))
@@ -71,11 +71,11 @@ def _constant_bundle(p0: float, name: str = "const") -> SourceBundle:
     classifier bias carries the log-probabilities."""
     extractor = init_mlp(MlpConfig((2, 3)), stream(0, "ext"))
     for p in extractor.params:
-        p.assign(np.zeros_like(p.value))
+        assign(p, np.zeros_like(p.value))
     encoder = clone_mlp(extractor)
     classifier = init_mlp(MlpConfig((3, 2)), stream(0, "clf"))
-    classifier.params[0].assign(np.zeros((2, 3)))
-    classifier.params[1].assign(np.log(np.array([p0, 1.0 - p0])))
+    assign(classifier.params[0], np.zeros((2, 3)))
+    assign(classifier.params[1], np.log(np.array([p0, 1.0 - p0])))
     critic = init_mlp(MlpConfig((3, 1)), stream(0, "critic"))
     return SourceBundle(name=name, extractor=extractor, classifier=classifier,
                         target_encoder=encoder, critic=critic, wd_estimate=0.5)
@@ -276,7 +276,7 @@ def test_finetune_divergence_in_the_backward_of_a_replayed_step(monkeypatch):
     y = np.arange(n) % 2
     y[row] = 0
     classifier = init_mlp(MlpConfig((1, 2)), stream(0, "clf"))
-    classifier.params[0].assign(np.array([[1.0], [-1.0]]))
+    assign(classifier.params[0], np.array([[1.0], [-1.0]]))
     bundle = SourceBundle(name="id", extractor=identity_net(1), classifier=classifier,
                           target_encoder=identity_net(1), critic=identity_net(1), wd_estimate=0.0)
     sel = DistillSelection(tau=np.zeros(n), selected_indices=np.arange(n), fraction=1.0)
@@ -467,7 +467,7 @@ def test_adapt_is_deterministic():
 
 def _reference_step():
     """``nn.step`` as the allocating reference Adam writing each parameter
-    through ``Tensor.assign``, one reference per optimizer."""
+    through ``helpers.assign``, one reference per optimizer."""
     opts = []
 
     def run(opt, params, grads):
@@ -477,7 +477,7 @@ def _reference_step():
             opts.append((opt, ref))
         ref.learning_rate = opt.learning_rate
         for p, value in zip(params, ref.step([p.value for p in params], [grads[p.id].value for p in params])):
-            p.assign(value)
+            assign(p, value)
 
     return run
 
