@@ -14,10 +14,11 @@ runs the same sweep, cuts the tape back and returns detached gradients.  An
 op without a rule (a step mask, row maxima, one-hot labels) stops
 gradients: no gradient toward it is computed.  A training loop records its
 first step and captures it as a :class:`StepPlan`, which records the step's
-backward onto the tape as well and replays every later step as one list of
-array forwards at its new inputs, with the same operations and without
-recording.  A replay checks only where a non-finite value could hide, and
-raises the same error at the same op as recording the step would.
+backward onto the tape as well and generates one straight-line Python
+function that replays every later step at its new inputs, with the same
+operations and without recording.  A replay checks only where a non-finite
+value could hide, and raises the same error at the same op as recording the
+step would.
 
 Conventions kept deliberately narrow:
 
@@ -31,6 +32,7 @@ Conventions kept deliberately narrow:
 """
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
@@ -522,7 +524,7 @@ def _checked(op: str, fn):
 
 
 # Each op's forward on plain arrays with its own check, run inside one
-# ``np.errstate`` by a step plan's replay and by frozen network evaluation.
+# ``np.errstate`` by frozen network evaluation.
 _ARRAY_OPS = SimpleNamespace(
     **{op: _checked(op, spec.fn) if spec.checked else spec.fn for op, spec in _OPS.items()}
 )
@@ -604,6 +606,41 @@ def _sweep(tape: Tape, out_id: int, wrt_ids: list[int]) -> Grads:
     return grads
 
 
+# Each op's forward at the captured shapes as one line that binds {v}, from
+# its operands' locals ({0}, {1}, ...), its op argument ({aux}) and its
+# operand's size ({size}), with the bits of the op table's forward.  A binary
+# op whose operands differ in shape takes the one-element operand as a float,
+# as ``_broadcasting`` does.  ``ndarray.sum`` and ``mean`` reduce as
+# ``np.add.reduce``, and ``mean`` then divides by the size.  A ufunc writes
+# into an operand of its result's shape that nothing reads later ({out}).
+# An op without a form calls its table forward.
+_FORMS = {
+    "add": "{v} = np.add({0}, {1}{out})",
+    "sub": "{v} = np.subtract({0}, {1}{out})",
+    "mul": "{v} = np.multiply({0}, {1}{out})",
+    "div": "{v} = np.divide({0}, {1}{out})",
+    "neg": "{v} = np.negative({0}{out})",
+    "matmul": "{v} = np.matmul({0}, {1})",
+    # {1} is the weight's contiguous transposed copy
+    "linear": "{v} = {0} @ {1}; {v} += {2}",
+    "transpose": "{v} = {0}.T.copy()",
+    "reshape": "{v} = {0}.reshape({aux}).copy()",
+    "relu": "{v} = np.maximum({0}, 0.0{out})",
+    "leaky_relu": "{v} = np.maximum({0}, {aux} * {0}{out})",
+    "tanh": "{v} = np.tanh({0}{out})",
+    "exp": "{v} = np.exp({0}{out})",
+    "square": "{v} = np.square({0}{out})",
+    "sqrt": "{v} = _sqrt({0})",
+    "sum": "{v} = np.add.reduce({0}, axis=None)",
+    "mean": "{v} = np.add.reduce({0}, axis=None) / {size}",
+    "step_mask": "{v} = np.maximum({0} > 0.0, {aux}{out})",
+}
+# A sink that no node reads may be a view of a value that nothing else
+# reads.  An operand keeps its copy: a product with a transposed view as
+# operand rounds differently on OpenBLAS.
+_VIEWS = {"transpose": "{v} = {0}.T", "reshape": "{v} = {0}.reshape({aux})"}
+
+
 class StepPlan:
     """A training step captured from the nodes its first run recorded past
     a tape mark, to be replayed on arrays at new inputs.
@@ -611,22 +648,24 @@ class StepPlan:
     The first ``n_inputs`` nodes past ``mark`` must be the step's input
     leaves (batch rows, penalty points).  Later leaves are constants; the
     leaves below the mark (parameters) are read as they stand at each
-    replay.  The plan records the step's first-order backward onto the tape
-    and keeps the nodes past the inputs that are not leaves, gradients
-    included, as one forward program of its own, so the tape may be reset.
+    replay, so an optimizer may rebind them.  The plan records the step's
+    first-order backward onto the tape and keeps the ids of the nodes past
+    the inputs that are not leaves, gradients included, as its ``program``,
+    so the tape may be reset.  It generates one straight-line function from
+    the program, with one line per node at the captured shapes.
     :meth:`run` runs the same IEEE operations, in the same order, as
     recording the step afresh and calling ``backward(loss, wrt)``, and
-    raises the same error at the same op.  Values other than the loss and
-    the gradients are dropped at capture, and at each replay after their
-    last reader.
+    raises the same error at the same op.  Only the loss and the gradients
+    (the sinks) are written back to their nodes; other values are dropped
+    at capture, and at each replay after their last reader.
 
     A replay checks a node only where a non-finite value could hide.  A
     node's own check is left out when it has readers and each reads it at
     a position that ``passes`` it, has entries, and is checked itself or
-    left out by the same rule; the loss and the gradients are checked after
-    the replay.  A non-finite value then always reaches a check.  If one
-    fails, the step is replayed with every check, which names the op that
-    recording it would have named.
+    left out by the same rule; the sinks are checked after the replay.  A
+    non-finite value then always reaches a check.  If one fails, the step is
+    replayed by a function generated with every check, which names the op
+    that recording it would have named.
     """
 
     def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int):
@@ -641,7 +680,9 @@ class StepPlan:
         # a gradient that comes back detached is a constant
         self.grads = {nid: nodes[g.id] if g.tape is tape else Node("leaf", (), g.value) for nid, g in grads.items()}
         # the step's nodes up to the loss, then its recorded backward
-        step = [node for node in nodes[mark + n_inputs : loss.id + 1] + nodes[end:] if node.op != "leaf"]
+        self.program = [i for i in (*range(mark + n_inputs, loss.id + 1), *range(end, len(nodes)))
+                        if nodes[i].op != "leaf"]
+        step = [nodes[i] for i in self.program]
         # with the logits' shape; a recorded backward shares the label array
         self.softmax = [(node, nodes[node.inputs[0]].value.shape) for node in step if node.op == "softmax_xent"]
         keep = dict.fromkeys([nodes[self.out], *self.grads.values()])
@@ -654,7 +695,7 @@ class StepPlan:
                 readers.get(nodes[i], []).append((node, pos))
         # the nodes at which a non-finite value raises, and those of them
         # that keep their own check
-        covered, own = set(self.sinks), set()
+        covered, self.own = set(self.sinks), set()
         for node in reversed(step):
             if node in covered:
                 continue
@@ -663,19 +704,104 @@ class StepPlan:
                 covered.add(node)
             elif _OPS[node.op].checked:
                 covered.add(node)
-                own.add(node)
-        # each node's last reader, or itself if nothing reads it
-        last = {n: node for node in step for n in (node, *(nodes[i] for i in node.inputs))}
-        dead = {node: [] for node in step}
+                self.own.add(node)
+        # the shapes the replay is generated for, which ``run`` holds fixed
+        self.shapes = {i: nodes[i].value.shape for k in self.program for i in (k, *nodes[k].inputs)}
         for node in step:
             if node not in keep:
-                dead[last[node]].append(node)
                 node.value = None  # so that a first replay holds one set of values
-        # every check, as recording the step runs them, and the checks kept
-        self.program = [(node, getattr(_ARRAY_OPS, node.op), [nodes[i] for i in node.inputs], dead[node])
-                        for node in step]
-        self.lean = [(node, fn if node in own else _OPS[node.op].fn, ins, gone)
-                     for node, fn, ins, gone in self.program]
+        self.generate()
+
+    def generate(self) -> None:
+        """Generate the replay from ``program``, with the checks kept at
+        capture and the sinks checked after the step, and drop the fallback,
+        which is generated again when it is first needed."""
+        self.lean = self._replay(self.own, set(self.sinks))
+        self.__dict__.pop("full", None)
+
+    @functools.cached_property
+    def full(self) -> Callable[[], None]:
+        """The replay with every check, as recording the step runs them,
+        generated when a check first fails."""
+        return self._replay({self.nodes[k] for k in self.program if _OPS[self.nodes[k].op].checked}, set())
+
+    def _replay(self, checks: set, late: set) -> Callable[[], None]:
+        """One straight-line function that runs ``program`` on the values
+        its leaves hold when it is called.  Node ``k``'s value is the local
+        ``v{k}``, checked after its forward if the node is in ``checks`` and
+        deleted after its last reader; the nodes in ``late`` are checked at
+        the end, and the sinks are written back.  Only node ids and integer
+        sizes enter the source: nodes, op arguments and table forwards are
+        bound as closure cells."""
+        nodes, program, shapes = self.nodes, self.program, self.shapes
+        computed, sinks = set(program), set(self.sinks)
+        last = {i: pos for pos, k in enumerate(program) for i in nodes[k].inputs}
+        # a weight read by several products is transposed once per call,
+        # into t{w}, which lives until its last product
+        products = [(pos, nodes[k].inputs[1]) for pos, k in enumerate(program) if nodes[k].op == "linear"]
+        first = {w: pos for pos, w in reversed(products)}
+        final = {w: pos for pos, w in products}
+        leaves = sorted({i for k in program for i in nodes[k].inputs} - computed)
+        cells = {f"n{i}": nodes[i] for i in leaves}
+        lines = [f"l{i} = n{i}.value" for i in leaves]
+        views = set()
+        for pos, k in enumerate(program):
+            node = nodes[k]
+            args = [f"v{i}" if i in computed else f"l{i}" for i in node.inputs]
+            dead = [f"v{i}" for i in dict.fromkeys(node.inputs)
+                    if i in computed and last[i] == pos and nodes[i] not in sinks]
+            if node.op in ("add", "sub", "mul", "div") and shapes[node.inputs[0]] != shapes[node.inputs[1]]:
+                j = 1 if math.prod(shapes[node.inputs[1]]) == 1 else 0
+                args[j] = f"float({args[j]}.reshape(()))"
+            if node.op == "linear":
+                w = node.inputs[1]
+                if first[w] == final[w]:
+                    args[1] = f"{args[1]}.T.copy()"
+                else:
+                    if first[w] == pos:
+                        lines.append(f"t{w} = {args[1]}.T.copy()")
+                    args[1] = f"t{w}"
+                    if final[w] == pos:
+                        dead.append(f"t{w}")
+            if node.aux is not None:
+                cells[f"a{k}"] = node.aux
+            # a view of a value that nothing reads later, which no ufunc
+            # then writes into
+            form = _VIEWS.get(node.op) if node in sinks and k not in last and args[0] in dead else None
+            if form is not None and node.op == "transpose":
+                views.add(k)
+            form = form or _FORMS.get(node.op)
+            if form is None:
+                cells[f"f{k}"] = _OPS[node.op].fn
+                form = f"{{v}} = f{k}({', '.join(args + [f'a{k}'] * (node.aux is not None))})"
+            # a computed value that is not zero-dimensional is an array of its own
+            out = [name for name, i in zip(args, node.inputs)
+                   if name in dead and shapes[i] == shapes[k] != ()]
+            lines.append(form.format(*args, v=f"v{k}", aux=f"a{k}", size=math.prod(shapes[node.inputs[0]]),
+                                     out=f", out={out[0]}" if out else ""))
+            if node in checks:
+                cells[f"n{k}"] = node
+                lines.append(f"_require_finite(v{k}, n{k}.op)")
+            if k not in last and node not in sinks:
+                dead.append(f"v{k}")
+            if dead:
+                lines.append("del " + ", ".join(dead))
+        for k in program:
+            if nodes[k] in late:
+                cells[f"n{k}"] = nodes[k]
+                # a transposed view is checked in its base's layout, which
+                # np.vdot reads without a copy
+                lines.append(f"_require_finite(v{k}{'.T' * (k in views)}, n{k}.op)")
+        for k in program:
+            if nodes[k] in sinks:
+                cells[f"n{k}"] = nodes[k]
+                # a zero-dimensional forward may give a NumPy scalar
+                lines.append(f"n{k}.value = " + (f"np.asarray(v{k})" if shapes[k] == () else f"v{k}"))
+        body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
+        scope: dict = {}
+        exec(compile(f"def make({', '.join(cells)}):\n    def replay():\n{body}    return replay\n",
+                     "<step plan>", "exec"), globals(), scope)
+        return scope["make"](**cells)
 
     def run(self, inputs: Sequence, labels: Sequence = ()) -> Grads:
         """The step's first-order gradients at new input values and new
@@ -693,19 +819,9 @@ class StepPlan:
             node.value = arr
         for (node, _), y in zip(self.softmax, ys):
             node.aux[...] = y
-        try:
-            _run_program(self.lean)
-            for node in self.sinks:
-                _require_finite(node.value, node.op)
-        except NonFiniteError:
-            _run_program(self.program)
+        with np.errstate(all="ignore"):
+            try:
+                self.lean()
+            except NonFiniteError:
+                self.full()
         return {nid: Tensor(None, None, node.value) for nid, node in self.grads.items()}
-
-
-def _run_program(program: list[tuple]) -> None:
-    with np.errstate(all="ignore"):
-        for node, fn, ins, dead in program:
-            args = [n.value for n in ins]
-            node.value = fn(*args) if node.aux is None else fn(*args, node.aux)
-            for n in dead:
-                n.value = None

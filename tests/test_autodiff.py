@@ -4,6 +4,7 @@ contract for shapes, finiteness, and tape lifetime."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -241,14 +242,21 @@ def test_overflow_only_in_the_backward_raises_in_both_modes():
             assert len(tape) == before + left
 
 
-def _pretrain_step(activation):
+def _with_values(params, values):
+    for p, v in zip(params, values):
+        p.value[...] = v
+
+
+def _pretrain_step(activation, values=()):
     """One pretrain step of the `supervised` networks, an extractor
     (2, 32, 32, 8) with a final tanh and a 3-class classifier, recorded past
-    a mark: the loss, the parameters, the mark, the inputs and the labels."""
+    a mark, at the parameter ``values`` if given: the loss, the parameters,
+    the mark, the inputs and the labels."""
     tape = Tape()
     extractor = init_mlp(MlpConfig((2, 32, 32, 8), activation=activation, final_activation="tanh"),
                          stream(31, "ext"), tape)
     classifier = init_mlp(MlpConfig((8, 3)), stream(31, "clf"), tape)
+    _with_values(extractor.params + classifier.params, values)
     mark = tape.mark()
     x = stream(32, "x").uniforms(2 * 64, -2.0, 2.0).reshape(64, 2)
     y = stream(33, "y").integers(64, below=3)
@@ -256,11 +264,12 @@ def _pretrain_step(activation):
     return loss, extractor.params + classifier.params, mark, [x], [y]
 
 
-def _critic_step():
+def _critic_step(values=()):
     """One critic step of `quickstart`: a (8, 64, 64, 1) leaky critic, batches
     of 64 features and the penalty on 192 points, as ``_pretrain_step``."""
     tape = Tape()
     critic = init_mlp(MlpConfig((8, 64, 64, 1), activation="leaky_relu", leaky_slope=0.2), stream(34, "critic"), tape)
+    _with_values(critic.params, values)
     mark = tape.mark()
     s, t = (stream(35, side).uniforms(64 * 8, -2.0, 2.0).reshape(64, 8) for side in ("s", "t"))
     sf, tf = tape.leaf(s), tape.leaf(t)
@@ -287,62 +296,92 @@ def _plan(step):
     return autodiff.StepPlan(loss, params, mark, len(inputs)), inputs, labels
 
 
-@pytest.mark.parametrize("step, n_checks", [(lambda: _pretrain_step("relu"), 15), (_critic_step, 14)],
+@pytest.mark.parametrize("step", [_critic_step, lambda values=(): _pretrain_step("leaky_relu", values)],
+                         ids=["critic", "pretrain"])
+def test_a_replay_reads_the_parameters_an_optimizer_rebinds_after_capture(step):
+    loss, params, mark, inputs, labels = step()
+    plan = autodiff.StepPlan(loss, params, mark, len(inputs))
+    before = [p.value for p in params]
+    # the first update rebinds each parameter node to a view of one fresh
+    # buffer, which then holds the new values
+    nn.step(nn.adam(0.01), params, plan.run(inputs, labels))
+    after = [plan.nodes[p.id].value for p in params]
+    assert all(a is not b for a, b in zip(after, before))
+    assert any(not np.array_equal(a, b) for a, b in zip(after, before))
+
+    grads = plan.run(inputs, labels)
+    fresh_loss, fresh_params, *_ = step([a.copy() for a in after])
+    want = backward(fresh_loss, fresh_params)
+    assert plan.nodes[plan.out].value.tobytes() == fresh_loss.value.tobytes()
+    for p, q in zip(params, fresh_params):
+        assert grads[p.id].value.tobytes() == want[q.id].value.tobytes()
+
+
+def _program_values(frame, position):
+    """The program's values among a replay's locals, by program position."""
+    return {position[name]: v for name, v in frame.f_locals.items() if name in position}
+
+
+@pytest.mark.parametrize("step, n_checks, n_every", [(lambda: _pretrain_step("relu"), 15, 31), (_critic_step, 14, 75)],
                          ids=["pretrain", "critic"])
-def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n_checks):
-    produced, checked = [], []
+def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n_checks, n_every):
+    plan, inputs, labels = _plan(step())
+    # node k's value is the local v{k} of the generated replay
+    position = {f"v{k}": pos for pos, k in enumerate(plan.program)}
+    bound, checked = [], []
     require_finite = autodiff._require_finite
 
     def counted_check(value, op):
         if op != "leaf":  # the step's inputs
-            checked.append(value)
+            # a transposed sink view is checked as its base's transpose, and
+            # a value that a ufunc wrote into an operand is the latest bound
+            held = [pos for pos, v in _program_values(sys._getframe(1), position).items()
+                    if v is value or v.base is not None and v.base is value.base]
+            checked.append(max(held))
         return require_finite(value, op)
 
-    def counted(fn):
-        def run(*args):
-            produced.append(fn(*args))
-            return produced[-1]
-        return run
+    def replayed(replay):
+        """Run ``replay`` with a trace that notes each program value as it
+        is bound: a forward run twice would bind its local twice."""
+        seen = {}
 
-    # a plan takes its forwards at capture: the checked ones from
-    # ``_ARRAY_OPS``, the others from the op table
-    for name, fn in vars(autodiff._ARRAY_OPS).items():
-        monkeypatch.setattr(autodiff._ARRAY_OPS, name, counted(fn))
-    for name, spec in autodiff._OPS.items():
-        monkeypatch.setitem(autodiff._OPS, name, spec._replace(fn=counted(spec.fn)))
-    plan, inputs, labels = _plan(step())
-    produced.clear()
+        def on_line(frame, event, arg):
+            for pos, v in _program_values(frame, position).items():
+                if seen.get(pos) is not v:
+                    seen[pos] = v  # held, so that no later value reuses its id
+                    bound.append(pos)
+            return on_line
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: on_line if frame.f_code is replay.__code__ else None)
+        try:
+            with np.errstate(all="ignore"):
+                replay()
+        finally:
+            sys.settrace(previous)
+
+    # the generated replays look the check up at each call
     monkeypatch.setattr(autodiff, "_require_finite", counted_check)
-    plan.run(inputs, labels)
+    plan.run(inputs, labels)  # sets the inputs and labels
+    checked.clear()
+    replayed(plan.lean)
 
     # each forward once, in program order
-    assert len(produced) == len(plan.lean)
-    kept = [node for node, fn, _, _ in plan.lean
-            if autodiff._OPS[node.op].checked and fn is getattr(autodiff._ARRAY_OPS, node.op)]
-    expected = [i for i, (node, *_) in enumerate(plan.lean) if node in kept or node in plan.sinks]
-    got = [i for v in checked for i, p in enumerate(produced) if p is v]
-    assert len(got) == len(checked) and sorted(got) == expected
+    assert bound == list(range(len(plan.program)))
+    step_nodes = [plan.nodes[k] for k in plan.program]
+    expected = [pos for pos, node in enumerate(step_nodes) if node in plan.own or node in plan.sinks]
+    assert len(set(checked)) == len(checked) and sorted(checked) == expected
     # the loss and every gradient that is not a constant are checked
     assert set(plan.sinks) == {node for node in (plan.nodes[plan.out], *plan.grads.values()) if node.op != "leaf"}
-    # against 31 and 75 checks when every checked op checked its result
     assert len(checked) == n_checks
-
-
-def _with_fault(program, k, bad, entry):
-    """``program`` with the forward at ``k`` writing ``bad`` into one entry
-    of its result before the check that entry of the program runs."""
-    node, fn, ins, dead = program[k]
-    spec = autodiff._OPS[node.op]
-
-    def faulty(*args):
-        value = np.array(spec.fn(*args))
-        if value.size:
-            value.flat[entry % value.size] = bad
-        if spec.checked and fn is not spec.fn:
-            autodiff._require_finite(value, node.op)
-        return value
-
-    return program[:k] + [(node, faulty, ins, dead)] + program[k + 1:]
+    # the fallback checks every checked op after its forward, in program
+    # order: 31 and 75 checks
+    bound.clear()
+    checked.clear()
+    replayed(plan.full)
+    assert bound == list(range(len(plan.program)))
+    assert checked == [pos for pos, node in enumerate(step_nodes) if autodiff._OPS[node.op].checked]
+    assert len(checked) == n_every
 
 
 def _outcome(plan, inputs, labels):
@@ -355,20 +394,43 @@ def _outcome(plan, inputs, labels):
 
 
 def _assert_faults_surface(plan, inputs, labels, entries):
-    """With a NaN or an infinity injected into one entry of each node in
-    turn, ``run`` raises the message of a replay with every check, or
-    returns its bytes."""
-    lean, full = plan.lean, plan.program
+    """With a NaN or an infinity written into one entry of each node's value
+    in turn, right after its forward, ``run`` raises the message of a replay
+    with every check, or returns its bytes.  The fault reaches both
+    generated replays: the plan regenerates them with the node's op swapped
+    for one whose table forward writes the fault."""
+    raised = 0
     try:
-        for k, (node, *_) in enumerate(full):
+        for k in plan.program:
+            node = plan.nodes[k]
+            op, spec, fault = node.op, autodiff._OPS[node.op], {}
+
+            def faulty(*args, spec=spec, fault=fault):
+                value = np.array(spec.fn(*args))
+                if value.size:
+                    value.flat[fault["entry"] % value.size] = fault["bad"]
+                return value
+
+            autodiff._OPS["fault"] = spec._replace(fn=faulty)
+            node.op = "fault"
+            try:
+                plan.generate()
+                lean, full = plan.lean, plan.full
+            finally:
+                node.op = op
             for bad in (np.nan, np.inf, -np.inf):
-                entry = next(entries)
-                plan.lean = plan.program = _with_fault(full, k, bad, entry)
+                fault.update(bad=bad, entry=next(entries))
+                plan.lean = full
                 expected = _outcome(plan, inputs, labels)
-                plan.lean = _with_fault(lean, k, bad, entry)
-                assert _outcome(plan, inputs, labels) == expected, (k, node.op, bad)
+                plan.lean = lean
+                got = _outcome(plan, inputs, labels)
+                assert got == expected, (k, op, bad)
+                raised += isinstance(got, str)
     finally:
-        plan.lean, plan.program = lean, full
+        autodiff._OPS.pop("fault", None)
+        plan.generate()
+    # the faults reached the generated code
+    assert raised
 
 
 def _entries(seed):
@@ -416,6 +478,23 @@ def test_the_branch_free_relu_forms_equal_the_where_forms_bit_for_bit(v, slope):
     nan = np.isnan(v)
     assert leaky.dtype == np.float64 and leaky.shape == v.shape
     assert np.isnan(leaky[nan]).all() and leaky[~nan].tobytes() == want[~nan].tobytes()
+
+
+# magnitudes from 1e-300 to 1e300 of either sign, and zeros
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(v=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6), elements=_MAGNITUDES))
+def test_the_replayed_sum_and_mean_equal_the_ndarray_reductions_bit_for_bit(v):
+    # a replay reduces with np.add.reduce over every axis and divides by the size
+    for op in ("sum", "mean"):
+        tape = Tape()
+        x = tape.leaf(np.ones(v.shape))
+        plan = autodiff.StepPlan(getattr(x, op)(), [x], 0, 1)
+        plan.run([v])
+        want = np.asarray(getattr(v, op)())
+        assert plan.nodes[plan.out].value.tobytes() == want.tobytes()
 
 
 # operand shapes per op that passes a non-finite entry, one-element operands
