@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Every operation is recorded as a node on a :class:`Tape`.  Each op is one
-entry of a table: its forward on arrays, its vector-Jacobian rule, whether
-its result is checked for finiteness and which operands always pass a
-non-finite entry on to its result.  The rules are written in the
-recording primitives (the :class:`Tensor` methods, :func:`matmul`), so
+entry of a table: its forward as one line of Python, its vector-Jacobian
+rule, whether its result is checked for finiteness and which operands
+always pass a non-finite entry on to its result.  The op's forward on
+arrays, which recording and frozen networks run, is generated from that line
+at import, and so are the replays of captured steps.  The rules are written
+in the recording primitives (the :class:`Tensor` methods, :func:`matmul`), so
 :func:`backward` records the backward arithmetic as ordinary nodes: it
 builds a schedule of the nodes that need a gradient, then sweeps it.  With
 ``record=True`` the gradients stay on the tape and can be differentiated
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import string
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -282,7 +285,11 @@ def _labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forwards on float64 arrays
+# helpers of the op forms, and their broadcast rule
+
+
+# the binary ops, which take a one-element operand against anything
+_BROADCASTING = frozenset(("add", "sub", "mul", "div"))
 
 
 def _broadcasting(op: str, fn):
@@ -290,17 +297,15 @@ def _broadcasting(op: str, fn):
     taken as a scalar: the broadcast rule of every binary op."""
     def run(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
         if av.shape == bv.shape:
-            value = fn(av, bv)
-        elif bv.size == 1:
-            value = fn(av, float(bv.reshape(())))
-        elif av.size == 1:
-            value = fn(float(av.reshape(())), bv)
-        else:
-            raise ShapeError(
-                f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
-                "nor one-element-broadcastable"
-            )
-        return np.asarray(value)
+            return fn(av, bv)
+        if bv.size == 1:
+            return fn(av, float(bv.reshape(())))
+        if av.size == 1:
+            return fn(float(av.reshape(())), bv)
+        raise ShapeError(
+            f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
+            "nor one-element-broadcastable"
+        )
     return run
 
 
@@ -313,7 +318,7 @@ def _sqrt(v: np.ndarray) -> np.ndarray:
 def _softmax_xent(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return np.asarray((lse[:, 0] - shifted[np.arange(z.shape[0]), y]).mean())
+    return (lse[:, 0] - shifted[np.arange(z.shape[0]), y]).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -457,51 +462,76 @@ def _vjp_softmax_xent(tape, nid, node, g, needed):
 
 
 class _Op(NamedTuple):
-    """``fn`` is the forward on float64 arrays, with the op's non-tensor
-    argument last; ``vjp`` is the rule, ``None`` where the derivative is
-    zero almost everywhere, so the op stops gradients; ``checked`` says
-    whether the result goes through ``_require_finite``, which ops that
-    only move checked values skip; ``passes`` holds the operand positions
-    through which a NaN or infinite entry always reaches a non-empty result,
-    so that a step plan may leave the check of such an operand to the op."""
+    """``form`` is the op's forward as one line that binds ``{v}`` from its
+    operands ({0}, {1}, ...) and its non-tensor argument ({aux}); a ufunc
+    may write into an operand of its result's shape that nothing reads later
+    ({out}).  A step plan's replay runs the form at the captured shapes, and
+    ``fn``, generated from it at import, is the forward on float64 arrays
+    with the op's argument last.  ``vjp`` is the rule, ``None`` where the
+    derivative is zero almost everywhere, so the op stops gradients;
+    ``checked`` says whether the result goes through ``_require_finite``,
+    which ops that only move checked values skip; ``passes`` holds the
+    operand positions through which a NaN or infinite entry always reaches a
+    non-empty result, so that a step plan may leave the check of such an
+    operand to the op."""
 
-    fn: Callable
+    form: str
     vjp: Callable | None
     checked: bool = True
     passes: tuple[int, ...] = ()
+    fn: Callable | None = None
 
 
+def _forward(op: str, form: str, check: bool = False) -> Callable:
+    """``op``'s forward on arrays from its form, with operands ``x0, x1, ...``
+    and the op argument ``aux`` last, checking its result if ``check``:
+    ``linear`` reads its weight as the contiguous transposed copy, a binary
+    op takes a one-element operand as a float, and a zero-dimensional result
+    comes back as an array."""
+    fields = {name for _, name, _, _ in string.Formatter().parse(form) if name}
+    params = [f"x{i}" for i in range(sum(name.isdigit() for name in fields))]
+    args = [params[0], "x1.T.copy()", *params[2:]] if op == "linear" else params
+    check_line = f"    _require_finite(v, {op!r})\n" if check else ""
+    source = (f"def {op}({', '.join(params + ['aux'] * ('aux' in fields))}):\n"
+              f"    {form.format(*args, v='v', aux='aux', out='')}\n{check_line}    return np.asarray(v)\n")
+    scope: dict = {}
+    exec(compile(source, f"<{op} forward>", "exec"), globals(), scope)
+    return _broadcasting(op, scope[op]) if op in _BROADCASTING else scope[op]
+
+
+# ``sum`` and ``mean`` reduce as ``ndarray.sum`` and ``mean`` do
 _OPS: dict[str, _Op] = {
-    "add": _Op(_broadcasting("add", np.add), _vjp_add, passes=(0, 1)),
-    "sub": _Op(_broadcasting("sub", np.subtract), _vjp_sub, passes=(0, 1)),
-    "mul": _Op(_broadcasting("mul", np.multiply), _vjp_mul, passes=(0, 1)),
+    "add": _Op("{v} = np.add({0}, {1}{out})", _vjp_add, passes=(0, 1)),
+    "sub": _Op("{v} = np.subtract({0}, {1}{out})", _vjp_sub, passes=(0, 1)),
+    "mul": _Op("{v} = np.multiply({0}, {1}{out})", _vjp_mul, passes=(0, 1)),
     # x / inf is 0, so only the numerator passes
-    "div": _Op(_broadcasting("div", np.divide), _vjp_div, passes=(0,)),
-    "neg": _Op(np.negative, _vjp_neg, passes=(0,)),
-    "matmul": _Op(np.matmul, _vjp_matmul, passes=(0, 1)),
-    # the product takes a contiguous copy of w.T, as matmul(x, w.T) does
-    "linear": _Op(lambda x, w, b: x @ w.T.copy() + b, _vjp_linear, passes=(0, 1, 2)),
-    "transpose": _Op(lambda v: v.T.copy(), _vjp_transpose, checked=False, passes=(0,)),
-    "reshape": _Op(lambda v, shape: v.reshape(shape).copy(), _vjp_reshape, checked=False, passes=(0,)),
+    "div": _Op("{v} = np.divide({0}, {1}{out})", _vjp_div, passes=(0,)),
+    "neg": _Op("{v} = np.negative({0}{out})", _vjp_neg, passes=(0,)),
+    "matmul": _Op("{v} = np.matmul({0}, {1})", _vjp_matmul, passes=(0, 1)),
+    # {1} is the weight's contiguous transposed copy, as matmul(x, w.T) takes
+    "linear": _Op("{v} = {0} @ {1} + {2}", _vjp_linear, passes=(0, 1, 2)),
+    "transpose": _Op("{v} = {0}.T.copy()", _vjp_transpose, checked=False, passes=(0,)),
+    "reshape": _Op("{v} = {0}.reshape({aux}).copy()", _vjp_reshape, checked=False, passes=(0,)),
     # relu(-inf) is 0
-    "relu": _Op(lambda v: np.maximum(v, 0.0), _vjp_relu),
+    "relu": _Op("{v} = np.maximum({0}, 0.0{out})", _vjp_relu),
     # for a slope in (0, 1) the same bits as np.where(v > 0, v, slope * v),
     # without its branch
-    "leaky_relu": _Op(lambda v, slope: np.maximum(v, slope * v), _vjp_relu, passes=(0,)),
-    "tanh": _Op(np.tanh, _vjp_tanh),
-    "exp": _Op(np.exp, _vjp_exp),
-    "square": _Op(np.square, _vjp_square, passes=(0,)),
-    "sqrt": _Op(_sqrt, _vjp_sqrt, passes=(0,)),
-    "sum": _Op(lambda v: np.asarray(v.sum()), _vjp_sum, passes=(0,)),
-    "mean": _Op(lambda v: np.asarray(v.mean()), _vjp_mean, passes=(0,)),
-    "softmax_xent": _Op(_softmax_xent, _vjp_softmax_xent),
+    "leaky_relu": _Op("{v} = np.maximum({0}, {aux} * {0}{out})", _vjp_relu, passes=(0,)),
+    "tanh": _Op("{v} = np.tanh({0}{out})", _vjp_tanh),
+    "exp": _Op("{v} = np.exp({0}{out})", _vjp_exp),
+    "square": _Op("{v} = np.square({0}{out})", _vjp_square, passes=(0,)),
+    "sqrt": _Op("{v} = _sqrt({0})", _vjp_sqrt, passes=(0,)),
+    "sum": _Op("{v} = np.add.reduce({0}, axis=None)", _vjp_sum, passes=(0,)),
+    "mean": _Op("{v} = np.add.reduce({0}, axis=None) / {0}.size", _vjp_mean, passes=(0,)),
+    "softmax_xent": _Op("{v} = _softmax_xent({0}, {aux})", _vjp_softmax_xent),
     # ops with a zero derivative, whose results are finite for any input:
     # 1 where x > 0, `slope` elsewhere (the kink at 0 takes the negative side)
-    "step_mask": _Op(lambda v, slope: np.maximum(v > 0.0, slope), None, checked=False),
+    "step_mask": _Op("{v} = np.maximum({0} > 0.0, {aux}{out})", None, checked=False),
     # each row's maximum, repeated across the row, and one-hot labels
-    "row_max": _Op(lambda v: np.repeat(v.max(axis=1, keepdims=True), v.shape[1], axis=1), None, checked=False),
-    "one_hot": _Op(lambda v, y: np.eye(v.shape[1])[y], None, checked=False),
+    "row_max": _Op("{v} = np.repeat({0}.max(axis=1, keepdims=True), {0}.shape[1], axis=1)", None, checked=False),
+    "one_hot": _Op("{v} = np.eye({0}.shape[1])[{aux}]", None, checked=False),
 }
+_OPS = {op: spec._replace(fn=_forward(op, spec.form)) for op, spec in _OPS.items()}
 
 
 # The layer ops of ``nn._layers`` as recording primitives; ``linear`` is
@@ -514,20 +544,9 @@ _TAPE_OPS = SimpleNamespace(
 )
 
 
-def _checked(op: str, fn):
-    def run(*args):
-        value = fn(*args)
-        _require_finite(value, op)
-        return value
-
-    return run
-
-
-# Each op's forward on plain arrays with its own check, run inside one
-# ``np.errstate`` by frozen network evaluation.
-_ARRAY_OPS = SimpleNamespace(
-    **{op: _checked(op, spec.fn) if spec.checked else spec.fn for op, spec in _OPS.items()}
-)
+# The same layer ops on plain arrays, each checking its result, run inside
+# one ``np.errstate`` by frozen network evaluation.
+_ARRAY_OPS = SimpleNamespace(**{op: _forward(op, _OPS[op].form, check=True) for op in vars(_TAPE_OPS)})
 
 
 def backward(output: Tensor, wrt: Sequence[Tensor], record: bool = False) -> Grads:
@@ -606,35 +625,6 @@ def _sweep(tape: Tape, out_id: int, wrt_ids: list[int]) -> Grads:
     return grads
 
 
-# Each op's forward at the captured shapes as one line that binds {v}, from
-# its operands' locals ({0}, {1}, ...), its op argument ({aux}) and its
-# operand's size ({size}), with the bits of the op table's forward.  A binary
-# op whose operands differ in shape takes the one-element operand as a float,
-# as ``_broadcasting`` does.  ``ndarray.sum`` and ``mean`` reduce as
-# ``np.add.reduce``, and ``mean`` then divides by the size.  A ufunc writes
-# into an operand of its result's shape that nothing reads later ({out}).
-# An op without a form calls its table forward.
-_FORMS = {
-    "add": "{v} = np.add({0}, {1}{out})",
-    "sub": "{v} = np.subtract({0}, {1}{out})",
-    "mul": "{v} = np.multiply({0}, {1}{out})",
-    "div": "{v} = np.divide({0}, {1}{out})",
-    "neg": "{v} = np.negative({0}{out})",
-    "matmul": "{v} = np.matmul({0}, {1})",
-    # {1} is the weight's contiguous transposed copy
-    "linear": "{v} = {0} @ {1}; {v} += {2}",
-    "transpose": "{v} = {0}.T.copy()",
-    "reshape": "{v} = {0}.reshape({aux}).copy()",
-    "relu": "{v} = np.maximum({0}, 0.0{out})",
-    "leaky_relu": "{v} = np.maximum({0}, {aux} * {0}{out})",
-    "tanh": "{v} = np.tanh({0}{out})",
-    "exp": "{v} = np.exp({0}{out})",
-    "square": "{v} = np.square({0}{out})",
-    "sqrt": "{v} = _sqrt({0})",
-    "sum": "{v} = np.add.reduce({0}, axis=None)",
-    "mean": "{v} = np.add.reduce({0}, axis=None) / {size}",
-    "step_mask": "{v} = np.maximum({0} > 0.0, {aux}{out})",
-}
 # A sink that no node reads may be a view of a value that nothing else
 # reads.  An operand keeps its copy: a product with a transposed view as
 # operand rounds differently on OpenBLAS.
@@ -730,9 +720,8 @@ class StepPlan:
         its leaves hold when it is called.  Node ``k``'s value is the local
         ``v{k}``, checked after its forward if the node is in ``checks`` and
         deleted after its last reader; the nodes in ``late`` are checked at
-        the end, and the sinks are written back.  Only node ids and integer
-        sizes enter the source: nodes, op arguments and table forwards are
-        bound as closure cells."""
+        the end, and the sinks are written back.  Only node ids enter the
+        source: nodes and op arguments are bound as closure cells."""
         nodes, program, shapes = self.nodes, self.program, self.shapes
         computed, sinks = set(program), set(self.sinks)
         last = {i: pos for pos, k in enumerate(program) for i in nodes[k].inputs}
@@ -750,7 +739,7 @@ class StepPlan:
             args = [f"v{i}" if i in computed else f"l{i}" for i in node.inputs]
             dead = [f"v{i}" for i in dict.fromkeys(node.inputs)
                     if i in computed and last[i] == pos and nodes[i] not in sinks]
-            if node.op in ("add", "sub", "mul", "div") and shapes[node.inputs[0]] != shapes[node.inputs[1]]:
+            if node.op in _BROADCASTING and shapes[node.inputs[0]] != shapes[node.inputs[1]]:
                 j = 1 if math.prod(shapes[node.inputs[1]]) == 1 else 0
                 args[j] = f"float({args[j]}.reshape(()))"
             if node.op == "linear":
@@ -770,15 +759,11 @@ class StepPlan:
             form = _VIEWS.get(node.op) if node in sinks and k not in last and args[0] in dead else None
             if form is not None and node.op == "transpose":
                 views.add(k)
-            form = form or _FORMS.get(node.op)
-            if form is None:
-                cells[f"f{k}"] = _OPS[node.op].fn
-                form = f"{{v}} = f{k}({', '.join(args + [f'a{k}'] * (node.aux is not None))})"
+            form = form or _OPS[node.op].form
             # a computed value that is not zero-dimensional is an array of its own
             out = [name for name, i in zip(args, node.inputs)
                    if name in dead and shapes[i] == shapes[k] != ()]
-            lines.append(form.format(*args, v=f"v{k}", aux=f"a{k}", size=math.prod(shapes[node.inputs[0]]),
-                                     out=f", out={out[0]}" if out else ""))
+            lines.append(form.format(*args, v=f"v{k}", aux=f"a{k}", out=f", out={out[0]}" if out else ""))
             if node in checks:
                 cells[f"n{k}"] = node
                 lines.append(f"_require_finite(v{k}, n{k}.op)")

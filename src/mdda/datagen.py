@@ -47,9 +47,9 @@ class DomainSpec:
             raise ConfigError("class means must be pairwise distinct")
         if len(trans) != self.d:
             raise ConfigError("translation must have dimension d")
-        if self.cov_scale <= 0.0:
+        if not self.cov_scale > 0.0:
             raise ConfigError("cov_scale must be positive")
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise ConfigError("scale must be positive")
         if not 0.0 <= self.label_noise < 0.5:
             raise ConfigError("label_noise must lie in [0, 0.5)")
@@ -139,7 +139,7 @@ def make_shift_family(base: DomainSpec, shifts: list[ShiftDelta]) -> list[Domain
     out = []
     base_t = np.asarray(base.translation)
     for i, delta in enumerate(shifts):
-        if delta.scale <= 0.0:
+        if not delta.scale > 0.0:
             raise ConfigError("shift scale must be positive")
         dt = np.asarray(tuple(float(v) for v in delta.translation) or (0.0,) * base.d)
         if dt.shape != (base.d,):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 
 
@@ -80,8 +81,9 @@ def json_int(value) -> int:
 
 
 def json_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataFormatError(f"expected a number, got {value!r}")
+    # json.load reads NaN and Infinity, which no field takes
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DataFormatError(f"expected a finite number, got {value!r}")
     return float(value)
 
 

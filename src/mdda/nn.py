@@ -147,7 +147,7 @@ class OptimizerState:
     _views: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigError("learning_rate must be positive")
 
 

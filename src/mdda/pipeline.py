@@ -55,7 +55,7 @@ class TrainConfig:
             raise ConfigError("steps must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigError("learning_rate must be positive")
 
 
@@ -81,7 +81,7 @@ class AdaptConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "critic_hidden", tuple(int(w) for w in self.critic_hidden))
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ConfigError("alpha must be positive")
         if self.n_critic < 1:
             raise ConfigError("n_critic must be at least 1")
@@ -89,7 +89,7 @@ class AdaptConfig:
             raise ConfigError("steps must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        if self.lr_critic <= 0.0 or self.lr_encoder <= 0.0:
+        if not (self.lr_critic > 0.0 and self.lr_encoder > 0.0):
             raise ConfigError("learning rates must be positive")
         if not 0.0 < self.critic_slope < 1.0:
             raise ConfigError("critic_slope must lie in (0, 1)")
@@ -414,6 +414,8 @@ def distill_select(tau: np.ndarray, rule: str = "closest", fraction: float = 0.5
         raise ConfigError("distilling needs at least two samples")
     if rule not in ("closest", "farthest"):
         raise ConfigError(f"unknown distill rule {rule!r}")
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError("fraction must lie in (0, 1]")
     k = math.ceil(tau.size * fraction)
     order = np.argsort(tau if rule == "closest" else -tau, kind="stable")
     return DistillSelection(

@@ -53,6 +53,11 @@ HEADS = MlpConfig((8, 3))
 PRETRAIN = TrainConfig(steps=800, batch_size=64, learning_rate=2e-3)
 
 
+def _margins(values) -> str:
+    """Per-seed margins of a criterion, in seed order."""
+    return "[" + " ".join(f"{v:+.4f}" for v in values) + "]"
+
+
 # ---------------------------------------------------------------------------
 # criterion 1 — reverse-mode gradients match finite differences
 
@@ -101,6 +106,7 @@ def test_criterion_3_distance_tracks_shift(criterion):
     matched_bad = 0
     worst_matched = 0.0
     monotone = 0
+    steps = []  # per seed, the smallest step between consecutive estimates
     for seed in range(10):
         src = sample_domain(base, 1000, stream(seed, "data", "src"))
         bundle = pretrain_source(src, FEATURES, HEADS, PRETRAIN, stream(seed, "pre"))
@@ -115,11 +121,13 @@ def test_criterion_3_distance_tracks_shift(criterion):
             adapted = adapt_target(bundle, src, tgt_r.x, adapt_cfg,
                                    stream(seed, "adapt", f"rot-{r}"))
             estimates.append(adapted.wd_estimate)
+        steps.append(min(b - a for a, b in zip(estimates, estimates[1:])))
         if all(a < b for a, b in zip(estimates, estimates[1:])):
             monotone += 1
     elapsed = time.monotonic() - start
     criterion(3, f"matched |wd| max {worst_matched:.4f} (<=0.05 on all seeds), "
-                 f"strictly increasing on {monotone}/10 seeds, {elapsed:.0f}s")
+                 f"strictly increasing on {monotone}/10 seeds, {elapsed:.0f}s; "
+                 f"smallest step per seed {_margins(steps)}")
     assert matched_bad == 0
     assert monotone >= 9
     assert elapsed < 600.0
@@ -164,8 +172,10 @@ def test_criterion_4_weighting_beats_uniform(criterion):
         len(set(res.artifact_checksums.values())) == 1 for res in report.per_seed
     )
     elapsed = time.monotonic() - start
+    differences = [res.accuracies["mdda"] - res.accuracies["uniform"] for res in report.per_seed]
     criterion(4, f"weighted {mean_weighted:.4f} vs uniform {mean_uniform:.4f}, "
-                 f"{wins}/10 paired wins, shared stage-1/2 artifacts, {elapsed:.0f}s")
+                 f"{wins}/10 paired wins, shared stage-1/2 artifacts, {elapsed:.0f}s; "
+                 f"weighted - uniform per seed {_margins(differences)}")
     assert wins >= 7
     assert mean_weighted >= mean_uniform
     assert shared
@@ -188,6 +198,7 @@ def test_criterion_5_distilling_helps_on_corrupted_source(criterion):
     adapt_cfg = AdaptConfig(steps=150, batch_size=128, lr_critic=1e-3, lr_encoder=1e-5,
                             critic_hidden=(16, 16))
     satisfied = 0
+    gains = []  # per seed, distilled minus undistilled accuracy
     for seed in range(10):
         src = concat_datasets(
             [sample_domain(clean, 500, stream(seed, "data", "clean")),
@@ -204,10 +215,13 @@ def test_criterion_5_distilling_helps_on_corrupted_source(criterion):
             labels = np.argmax(single_source_probs(b, tgt_eval.x), axis=1)
             return float(np.mean(labels == tgt_eval.y))
 
-        if acc(tuned) >= acc(adapted):
+        distilled, undistilled = acc(tuned), acc(adapted)
+        gains.append(distilled - undistilled)
+        if distilled >= undistilled:
             satisfied += 1
     elapsed = time.monotonic() - start
-    criterion(5, f"distilled >= undistilled on {satisfied}/10 paired seeds, {elapsed:.0f}s")
+    criterion(5, f"distilled >= undistilled on {satisfied}/10 paired seeds, {elapsed:.0f}s; "
+                 f"distilled - undistilled per seed {_margins(gains)}")
     assert satisfied >= 8
     assert elapsed < 600.0
 

@@ -3,6 +3,7 @@ gradients against finite differences, double backprop, and the error
 contract for shapes, finiteness, and tape lifetime."""
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import warnings
@@ -398,7 +399,7 @@ def _assert_faults_surface(plan, inputs, labels, entries):
     in turn, right after its forward, ``run`` raises the message of a replay
     with every check, or returns its bytes.  The fault reaches both
     generated replays: the plan regenerates them with the node's op swapped
-    for one whose table forward writes the fault."""
+    for one whose form calls the op's table forward and writes the fault."""
     raised = 0
     try:
         for k in plan.program:
@@ -411,7 +412,10 @@ def _assert_faults_surface(plan, inputs, labels, entries):
                     value.flat[fault["entry"] % value.size] = fault["bad"]
                 return value
 
-            autodiff._OPS["fault"] = spec._replace(fn=faulty)
+            # a replay looks its forms' names up in the module
+            autodiff._faulty = faulty
+            operands = [f"{{{i}}}" for i in range(len(node.inputs))] + ["{aux}"] * (node.aux is not None)
+            autodiff._OPS["fault"] = spec._replace(form=f"{{v}} = _faulty({', '.join(operands)})")
             node.op = "fault"
             try:
                 plan.generate()
@@ -428,6 +432,7 @@ def _assert_faults_surface(plan, inputs, labels, entries):
                 raised += isinstance(got, str)
     finally:
         autodiff._OPS.pop("fault", None)
+        vars(autodiff).pop("_faulty", None)
         plan.generate()
     # the faults reached the generated code
     assert raised
@@ -574,20 +579,36 @@ def test_only_ops_that_cannot_fail_skip_the_finiteness_check():
     assert set(_NON_FINITE_CASES) == set(autodiff._OPS) - unchecked
 
 
+def _array_twins(op, primitive, arrays, args):
+    """The op's form run on ``arrays`` outside ``_apply``: by both replays of
+    a step that holds the op with constant operands, captured at finite
+    stand-ins and then given these values, and for a layer op as a frozen
+    network runs it."""
+    tape = Tape()
+    leaves = [tape.leaf(np.ones_like(a)) for a in arrays]
+    plan = autodiff.StepPlan(primitive(*leaves), [], 0, 0)
+    for leaf, a in zip(leaves, arrays):
+        plan.nodes[leaf.id].value = a
+    layer_op = getattr(autodiff._ARRAY_OPS, op, None)
+    return [plan.lean, plan.full] + [lambda: layer_op(*arrays, *args)] * (layer_op is not None)
+
+
 @pytest.mark.parametrize("twin", [False, True], ids=["primitive", "array_twin"])
 @pytest.mark.parametrize("op", sorted(_NON_FINITE_CASES))
 def test_each_checked_op_raises_on_a_non_finite_result(op, twin):
     operands, primitive, args = _NON_FINITE_CASES[op]
     arrays = [np.asarray(v, dtype=np.float64) for v in operands]
-    # with warnings as errors, a forward that warns outside ``np.errstate``
-    # fails here instead of reaching the check
-    with warnings.catch_warnings(), pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value$"):
-        warnings.simplefilter("error")
-        if twin:
-            with np.errstate(all="ignore"):  # as a replay runs the twins
-                getattr(autodiff._ARRAY_OPS, op)(*arrays, *args)
-        else:
-            primitive(*(Tensor(None, None, a) for a in arrays))
+    if twin:
+        runs = _array_twins(op, primitive, arrays, args)
+    else:
+        runs = [lambda: primitive(*(Tensor(None, None, a) for a in arrays))]
+    for run in runs:
+        # with warnings as errors, a forward that warns outside
+        # ``np.errstate`` fails here instead of reaching the check
+        with warnings.catch_warnings(), pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value$"):
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore") if twin else contextlib.nullcontext():  # as the twins run
+                run()
 
 
 # finite entries (some of whose squares overflow), 1e200 (whose square
@@ -850,9 +871,8 @@ def test_a_replay_recomputes_the_row_maxima_and_labels_of_a_recorded_softmax_bac
         plan.run([np.full((4, 2), np.nan)], [y])
 
 
-def test_the_array_ops_hold_every_op_and_the_tape_ops_the_layer_ops():
-    assert set(vars(autodiff._ARRAY_OPS)) == set(autodiff._OPS)
-    assert set(vars(autodiff._TAPE_OPS)) == {"linear", *nn._ACTIVATIONS}
+def test_the_array_ops_and_the_tape_ops_hold_the_layer_ops():
+    assert set(vars(autodiff._ARRAY_OPS)) == set(vars(autodiff._TAPE_OPS)) == {"linear", *nn._ACTIVATIONS}
 
 
 @pytest.mark.parametrize("inner", ["relu", "leaky_relu", "softmax"])

@@ -237,11 +237,14 @@ def _set_section_field(section, key, value):
         ("adapt", _edit_bundle_meta(lambda meta: meta.update(name=5)), "name"),
         ("run", _set_config_field("n_sorce", 80), "n_sorce"),
         ("run", _set_section_field("adapt", "n_critc", 1), "n_critc"),
+        # json.load reads NaN and Infinity
+        ("run", _set_section_field("adapt", "alpha", float("nan")), "alpha"),
+        ("run", _set_section_field("pretrain", "learning_rate", float("inf")), "learning_rate"),
     ],
     ids=["repeats-null", "n_source-null", "sources-int", "method-int", "meta-without-name",
          "distill-string", "lr_decay-string", "repeats-float", "master_seed-float", "n_source-bool",
          "domain-name-int", "ablations-string", "activation-int", "meta-name-int",
-         "unknown-top-level-key", "unknown-nested-key"],
+         "unknown-top-level-key", "unknown-nested-key", "alpha-nan", "learning_rate-infinity"],
 )
 def test_malformed_json_fields_exit_one(sub, corrupt, field, config_file, tmp_path, capsys):
     out = str(tmp_path / "out")

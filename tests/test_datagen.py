@@ -54,6 +54,10 @@ def test_spec_validation():
                    cov_scale=0.1, rotation=0.3)
     with pytest.raises(ConfigError, match="cov_scale"):
         _spec(cov_scale=0.0)
+    with pytest.raises(ConfigError, match="cov_scale"):
+        _spec(cov_scale=math.nan)
+    with pytest.raises(ConfigError, match="^scale"):
+        _spec(scale=math.nan)
     with pytest.raises(ConfigError, match="translation"):
         _spec(translation=(1.0,))
     with pytest.raises(ConfigError, match="means"):
@@ -159,6 +163,8 @@ def test_shift_family_order_and_empty_list():
     assert [s.name for s in family] == ["a", "b"]
     with pytest.raises(ConfigError):
         make_shift_family(base, [])
+    with pytest.raises(ConfigError, match="shift scale"):
+        make_shift_family(base, [ShiftDelta(scale=math.nan, name="nan")])
 
 
 def test_shift_composition_acts_on_centroids():

@@ -47,6 +47,8 @@ def test_config_validation():
         MlpConfig((2, 3), activation="leaky_relu", leaky_slope=1.5)
     with pytest.raises(ConfigError):
         MlpConfig((2, 3), final_activation="relu")
+    with pytest.raises(ConfigError, match="learning_rate"):
+        adam(math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,15 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
+    with pytest.raises(ConfigError, match="learning_rate"):
+        TrainConfig(learning_rate=math.nan)
 
 
 def test_adapt_config_validation():
     with pytest.raises(ConfigError, match="alpha"):
         AdaptConfig(alpha=0.0)
+    with pytest.raises(ConfigError, match="alpha"):
+        AdaptConfig(alpha=math.nan)
     with pytest.raises(ConfigError, match="n_critic"):
         AdaptConfig(n_critic=0)
     with pytest.raises(ConfigError, match="steps"):
@@ -112,6 +116,8 @@ def test_adapt_config_validation():
         AdaptConfig(critic_slope=1.5)
     with pytest.raises(ConfigError, match="learning rates"):
         AdaptConfig(lr_encoder=0.0)
+    with pytest.raises(ConfigError, match="learning rates"):
+        AdaptConfig(lr_critic=math.nan)
 
 
 def test_distill_selection_validation():
@@ -589,6 +595,8 @@ def test_distill_select_validation():
         distill_select(np.array([1.0]))
     with pytest.raises(ConfigError, match="rule"):
         distill_select(np.ones(4), rule="median")
+    with pytest.raises(ConfigError, match="fraction"):
+        distill_select(np.ones(4), fraction=math.nan)
 
 
 def test_distill_select_rules_partition_distinct_distances():
