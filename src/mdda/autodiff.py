@@ -631,6 +631,11 @@ def _sweep(tape: Tape, out_id: int, wrt_ids: list[int]) -> Grads:
 _VIEWS = {"transpose": "{v} = {0}.T", "reshape": "{v} = {0}.reshape({aux})"}
 
 
+# the steps of each source domain's networks have the same program, so
+# their replays share one compiled source
+_compiled = functools.lru_cache(maxsize=32)(functools.partial(compile, filename="<step plan>", mode="exec"))
+
+
 class StepPlan:
     """A training step captured from the nodes its first run recorded past
     a tape mark, to be replayed on arrays at new inputs.
@@ -641,21 +646,24 @@ class StepPlan:
     replay, so an optimizer may rebind them.  The plan records the step's
     first-order backward onto the tape and keeps the ids of the nodes past
     the inputs that are not leaves, gradients included, as its ``program``,
-    so the tape may be reset.  It generates one straight-line function from
-    the program, with one line per node at the captured shapes.
-    :meth:`run` runs the same IEEE operations, in the same order, as
-    recording the step afresh and calling ``backward(loss, wrt)``, and
-    raises the same error at the same op.  Only the loss and the gradients
-    (the sinks) are written back to their nodes; other values are dropped
-    at capture, and at each replay after their last reader.
+    so the tape may be reset.  At its first replay it generates one
+    straight-line function from the program, with one line per node at the
+    captured shapes.  :meth:`run` runs the same IEEE operations, in the same
+    order, as recording the step afresh and calling ``backward(loss, wrt)``,
+    and raises the same error at the same op.  Only the loss and the
+    gradients (the sinks) are written back to their nodes; other values are
+    dropped at capture, and at each replay after their last reader.  A plan
+    bound to an optimizer's gradient row (:meth:`bind`) writes the gradients
+    into that row instead.
 
     A replay checks a node only where a non-finite value could hide.  A
     node's own check is left out when it has readers and each reads it at
     a position that ``passes`` it, has entries, and is checked itself or
-    left out by the same rule; the sinks are checked after the replay.  A
-    non-finite value then always reaches a check.  If one fails, the step is
-    replayed by a function generated with every check, which names the op
-    that recording it would have named.
+    left out by the same rule; the sinks are checked after the replay, the
+    gradients of a bound plan by one check over the row.  A non-finite
+    value then always reaches a check.  If one fails, the step is replayed
+    by a function generated with every check, which names the op that
+    recording it would have named.
     """
 
     def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int):
@@ -700,14 +708,35 @@ class StepPlan:
         for node in step:
             if node not in keep:
                 node.value = None  # so that a first replay holds one set of values
+        # set by ``bind``: the gradient row, and each computed gradient's views
+        self.row, self.into = None, {}
+
+    def bind(self, grads: Sequence[tuple[Node, np.ndarray]], row: np.ndarray) -> None:
+        """Have every replay write each gradient node of ``grads`` into the
+        view of ``row`` (an optimizer's flat gradient row) paired with it;
+        :meth:`run` then checks the row and returns ``None``.  A constant
+        gradient is written once, here."""
+        into = {}
+        for node, view in grads:
+            if node.op == "leaf":
+                view[...] = node.value
+            else:
+                into.setdefault(node, []).append(view)
+        self.row, self.into = row, into
         self.generate()
 
     def generate(self) -> None:
-        """Generate the replay from ``program``, with the checks kept at
-        capture and the sinks checked after the step, and drop the fallback,
-        which is generated again when it is first needed."""
-        self.lean = self._replay(self.own, set(self.sinks))
+        """Drop both generated replays, so that the next replay generates
+        them again from ``program``."""
+        self.__dict__.pop("lean", None)
         self.__dict__.pop("full", None)
+
+    @functools.cached_property
+    def lean(self) -> Callable[[], None]:
+        """The replay with the checks kept at capture and the sinks checked
+        after the step, except a bound plan's gradients, which ``run`` checks
+        in the row."""
+        return self._replay(self.own, set(self.sinks).difference(self.into) | {self.nodes[self.out]})
 
     @functools.cached_property
     def full(self) -> Callable[[], None]:
@@ -720,8 +749,10 @@ class StepPlan:
         its leaves hold when it is called.  Node ``k``'s value is the local
         ``v{k}``, checked after its forward if the node is in ``checks`` and
         deleted after its last reader; the nodes in ``late`` are checked at
-        the end, and the sinks are written back.  Only node ids enter the
-        source: nodes and op arguments are bound as closure cells."""
+        the end, and the sinks are written back, or into their views of a
+        bound plan's row.  Only node ids and positions enter the source: the
+        leaves, the checked nodes, the written-back sinks, the gradient views
+        and the op arguments are bound as one tuple each."""
         nodes, program, shapes = self.nodes, self.program, self.shapes
         computed, sinks = set(program), set(self.sinks)
         last = {i: pos for pos, k in enumerate(program) for i in nodes[k].inputs}
@@ -731,8 +762,13 @@ class StepPlan:
         first = {w: pos for pos, w in reversed(products)}
         final = {w: pos for pos, w in products}
         leaves = sorted({i for k in program for i in nodes[k].inputs} - computed)
-        cells = {f"n{i}": nodes[i] for i in leaves}
-        lines = [f"l{i} = n{i}.value" for i in leaves]
+        bound = {"L": [nodes[i] for i in leaves], "C": [], "S": [], "G": [], "A": []}
+
+        def ref(name: str, obj) -> str:
+            bound[name].append(obj)
+            return f"{name}[{len(bound[name]) - 1}]"
+
+        lines = [f"l{i} = L[{j}].value" for j, i in enumerate(leaves)]
         views = set()
         for pos, k in enumerate(program):
             node = nodes[k]
@@ -752,8 +788,7 @@ class StepPlan:
                     args[1] = f"t{w}"
                     if final[w] == pos:
                         dead.append(f"t{w}")
-            if node.aux is not None:
-                cells[f"a{k}"] = node.aux
+            aux = ref("A", node.aux) if node.aux is not None else None
             # a view of a value that nothing reads later, which no ufunc
             # then writes into
             form = _VIEWS.get(node.op) if node in sinks and k not in last and args[0] in dead else None
@@ -763,38 +798,39 @@ class StepPlan:
             # a computed value that is not zero-dimensional is an array of its own
             out = [name for name, i in zip(args, node.inputs)
                    if name in dead and shapes[i] == shapes[k] != ()]
-            lines.append(form.format(*args, v=f"v{k}", aux=f"a{k}", out=f", out={out[0]}" if out else ""))
+            lines.append(form.format(*args, v=f"v{k}", aux=aux, out=f", out={out[0]}" if out else ""))
             if node in checks:
-                cells[f"n{k}"] = node
-                lines.append(f"_require_finite(v{k}, n{k}.op)")
+                lines.append(f"_require_finite(v{k}, {ref('C', node)}.op)")
             if k not in last and node not in sinks:
                 dead.append(f"v{k}")
             if dead:
                 lines.append("del " + ", ".join(dead))
         for k in program:
             if nodes[k] in late:
-                cells[f"n{k}"] = nodes[k]
                 # a transposed view is checked in its base's layout, which
                 # np.vdot reads without a copy
-                lines.append(f"_require_finite(v{k}{'.T' * (k in views)}, n{k}.op)")
+                lines.append(f"_require_finite(v{k}{'.T' * (k in views)}, {ref('C', nodes[k])}.op)")
         for k in program:
             if nodes[k] in sinks:
-                cells[f"n{k}"] = nodes[k]
-                # a zero-dimensional forward may give a NumPy scalar
-                lines.append(f"n{k}.value = " + (f"np.asarray(v{k})" if shapes[k] == () else f"v{k}"))
+                lines.extend(f"{ref('G', view)}[...] = v{k}" for view in self.into.get(nodes[k], ()))
+                if nodes[k] not in self.into or k == self.out:
+                    # a zero-dimensional forward may give a NumPy scalar
+                    value = f"np.asarray(v{k})" if shapes[k] == () else f"v{k}"
+                    lines.append(f"{ref('S', nodes[k])}.value = {value}")
         body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
         scope: dict = {}
-        exec(compile(f"def make({', '.join(cells)}):\n    def replay():\n{body}    return replay\n",
-                     "<step plan>", "exec"), globals(), scope)
-        return scope["make"](**cells)
+        exec(_compiled(f"def make(L, C, S, G, A):\n    def replay():\n{body}    return replay\n"), globals(), scope)
+        return scope["make"](*(tuple(objs) for objs in bound.values()))
 
-    def run(self, inputs: Sequence, labels: Sequence = ()) -> Grads:
+    def run(self, inputs: Sequence, labels: Sequence = ()) -> Grads | None:
         """The step's first-order gradients at new input values and new
-        labels, one vector per ``softmax_cross_entropy`` in recording order.
-        The loss value is ``nodes[out].value``."""
+        labels, one vector per ``softmax_cross_entropy`` in recording order,
+        or ``None`` once the plan is bound: its row then holds them.  The
+        loss value is ``nodes[out].value``.  A replay reads its inputs and
+        writes into none of them, so they are not copied."""
         if len(inputs) != len(self.inputs) or len(labels) != len(self.softmax):
             raise ValueError(f"the step takes {len(self.inputs)} inputs and {len(self.softmax)} label vectors")
-        values = [_as_array(v).copy() for v in inputs]
+        values = [np.asarray(v, dtype=np.float64, order="C") for v in inputs]
         for node, arr in zip(self.inputs, values):
             if arr.shape != node.value.shape:
                 raise ShapeError(f"step input shape {arr.shape} != captured shape {node.value.shape}")
@@ -807,6 +843,9 @@ class StepPlan:
         with np.errstate(all="ignore"):
             try:
                 self.lean()
+                if self.row is not None:
+                    _require_finite(self.row, "gradient")
             except NonFiniteError:
                 self.full()
-        return {nid: Tensor(None, None, node.value) for nid, node in self.grads.items()}
+        if self.row is None:
+            return {nid: Tensor(None, None, node.value) for nid, node in self.grads.items()}

@@ -33,7 +33,8 @@ from .nn import (
     save_params,
     step,
 )
-from .rng import Xoshiro256
+from .nn import _gradient_views
+from .rng import _FILL_CAP, Xoshiro256
 
 _EPS_NORM = 1e-12
 
@@ -207,29 +208,58 @@ def pretrain_source(
 def _train_supervised(nets: tuple[Mlp, ...], x: np.ndarray, y: np.ndarray,
                       train: TrainConfig, rng: Xoshiro256, what: str) -> None:
     """Adam on the cross-entropy of the chained ``nets`` (one tape) over
-    minibatches of rows of ``x``; a non-finite value is a divergence.  The
-    first step is recorded and captured, and the others replay it."""
+    minibatches of rows of ``x``; a non-finite value is a divergence."""
     tape = nets[0].tape
-    params = [p for net in nets for p in net.params]
-    opt = adam(train.learning_rate)
-    mark = tape.mark()
-    plan = None
-    for i in range(train.steps):
-        idx = rng.integers(train.batch_size, below=x.shape[0])
+    steps = _Steps([p for net in nets for p in net.params], adam(train.learning_rate), 1)
+
+    def record(rows: np.ndarray, labels: np.ndarray) -> Tensor:
+        h = tape.leaf(rows)
+        for net in nets:
+            h = forward(net, h)
+        return softmax_cross_entropy(h, labels)
+
+    for i, idx in enumerate(_minibatches(rng, train.steps, train.batch_size, x.shape[0])):
+        rows, labels = x[idx], y[idx]
         try:
-            if plan is None:
-                tape.reset(mark)
-                h = tape.leaf(x[idx])
-                for net in nets:
-                    h = forward(net, h)
-                loss = softmax_cross_entropy(h, y[idx])
-                grads, plan = backward(loss, params), StepPlan(loss, params, mark, 1)
-            else:
-                grads = plan.run([x[idx]], [y[idx]])
-            step(opt, params, grads)
+            steps(lambda: record(rows, labels), lambda: [rows], [labels])
         except NonFiniteError as exc:
             raise DivergenceError(f"{what} diverged: {exc}", step=i) from exc
-    tape.reset(mark)
+    tape.reset(steps.mark)
+
+
+def _minibatches(rng: Xoshiro256, steps: int, batch_size: int, n: int):
+    """Row indices below ``n`` for ``steps`` minibatches, drawn by blocks of
+    whole steps of at most ``_FILL_CAP`` draws (or one step): the rows, and
+    the stream position after the last step, of one ``rng.integers`` call
+    per step."""
+    per_block = max(1, _FILL_CAP // batch_size)
+    for start in range(0, steps, per_block):
+        block = min(per_block, steps - start)
+        yield from rng.integers(block * batch_size, below=n).reshape(block, batch_size)
+
+
+class _Steps:
+    """The record-or-replay step of one Adam loop over ``params``: the first
+    step is recorded past a tape mark and captured as a plan of ``n_inputs``
+    inputs, bound to the gradient row that the optimizer's first update
+    makes; every later step replays it, so ``step`` copies no gradient."""
+
+    def __init__(self, params: list[Tensor], opt, n_inputs: int):
+        self.params, self.opt, self.n_inputs, self.plan = params, opt, n_inputs, None
+        self.mark = params[0].tape.mark()
+
+    def __call__(self, record, inputs, labels=()) -> None:
+        """``record()`` records the loss, its input leaves first and in
+        order; ``inputs()`` gives the arrays a replay takes in their place."""
+        if self.plan is None:
+            self.params[0].tape.reset(self.mark)
+            loss = record()
+            grads, self.plan = backward(loss, self.params), StepPlan(loss, self.params, self.mark, self.n_inputs)
+            step(self.opt, self.params, grads)
+            if self.plan is not None and self.opt._rows is not None:
+                self.plan.bind(_gradient_views(self.opt, self.params, self.plan.grads), self.opt._rows[0])
+        else:
+            step(self.opt, self.params, self.plan.run(inputs(), labels))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +318,13 @@ def _penalty_points(s: np.ndarray, t: np.ndarray, rng: Xoshiro256, include_endpo
     return np.concatenate([points, s, t], axis=0) if include_endpoints else points
 
 
+def _critic_objective(critic: Mlp, s: np.ndarray, t: np.ndarray, rng: Xoshiro256, cfg: AdaptConfig) -> Tensor:
+    """The critic's loss, with its input leaves first: batches, penalty points."""
+    sf, tf = critic.tape.leaf(s), critic.tape.leaf(t)
+    penalty = gradient_penalty(critic, s, t, rng, cfg.include_endpoints)
+    return cfg.alpha * penalty - critic_loss(critic, sf, tf)
+
+
 def adapt_target(
     bundle: SourceBundle,
     src: Dataset,
@@ -317,45 +354,28 @@ def adapt_target(
         leaky_slope=cfg.critic_slope,
     )
     critic = init_mlp(critic_cfg, rng, tape)
-    opt_critic = adam(cfg.lr_critic, beta1=0.5, beta2=0.9)
-    opt_encoder = adam(cfg.lr_encoder, beta1=0.5, beta2=0.9)
-    mark = tape.mark()
-    # each kind of step is recorded and captured once, and then replayed
-    critic_plan = encoder_plan = None
+    critic_steps = _Steps(critic.params, adam(cfg.lr_critic, beta1=0.5, beta2=0.9), 3)
+    encoder_steps = _Steps(target_encoder.params, adam(cfg.lr_encoder, beta1=0.5, beta2=0.9), 1)
     for i in range(cfg.steps):
         if cfg.lr_decay:
             # anneal both players to zero so the endpoint is settled,
             # not a random phase of the adversarial oscillation
             factor = 1.0 - i / cfg.steps
-            opt_critic.learning_rate = cfg.lr_critic * factor
-            opt_encoder.learning_rate = cfg.lr_encoder * factor
+            critic_steps.opt.learning_rate = cfg.lr_critic * factor
+            encoder_steps.opt.learning_rate = cfg.lr_encoder * factor
         try:
             for _ in range(cfg.n_critic):
                 si = rng.integers(cfg.batch_size, below=src.n)
                 ti = rng.integers(cfg.batch_size, below=tgt.shape[0])
                 s = src_feats[si]
                 t = target_encoder.predict_values(tgt[ti])
-                if critic_plan is None:
-                    tape.reset(mark)
-                    sf, tf = tape.leaf(s), tape.leaf(t)
-                    penalty = gradient_penalty(critic, s, t, rng, cfg.include_endpoints)
-                    loss = cfg.alpha * penalty - critic_loss(critic, sf, tf)
-                    grads, critic_plan = backward(loss, critic.params), StepPlan(loss, critic.params, mark, 3)
-                else:
-                    grads = critic_plan.run([s, t, _penalty_points(s, t, rng, cfg.include_endpoints)])
-                step(opt_critic, critic.params, grads)
-            ti = rng.integers(cfg.batch_size, below=tgt.shape[0])
-            if encoder_plan is None:
-                tape.reset(mark)
-                loss = encoder_loss(critic, forward(target_encoder, tape.leaf(tgt[ti])))
-                grads = backward(loss, target_encoder.params)
-                encoder_plan = StepPlan(loss, target_encoder.params, mark, 1)
-            else:
-                grads = encoder_plan.run([tgt[ti]])
-            step(opt_encoder, target_encoder.params, grads)
+                critic_steps(lambda: _critic_objective(critic, s, t, rng, cfg),
+                             lambda: [s, t, _penalty_points(s, t, rng, cfg.include_endpoints)])
+            rows = tgt[rng.integers(cfg.batch_size, below=tgt.shape[0])]
+            encoder_steps(lambda: encoder_loss(critic, forward(target_encoder, tape.leaf(rows))), lambda: [rows])
         except NonFiniteError as exc:
             raise DivergenceError(f"adaptation diverged: {exc}", step=i) from exc
-    tape.reset(mark)
+    tape.reset(critic_steps.mark)
 
     for p, before in zip(bundle.extractor.params, frozen_before):
         if not np.array_equal(p.value, before):

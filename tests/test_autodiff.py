@@ -386,54 +386,70 @@ def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n
 
 
 def _outcome(plan, inputs, labels):
-    """The bytes of the loss and the gradients of a replay, or its error."""
+    """The bytes of the loss and the gradients of a replay, or its error;
+    a bound plan's gradients are its row."""
     try:
         grads = plan.run(inputs, labels)
     except NonFiniteError as exc:
         return str(exc)
-    return plan.nodes[plan.out].value.tobytes(), [g.value.tobytes() for g in grads.values()]
+    values = [plan.row] if grads is None else [g.value for g in grads.values()]
+    return plan.nodes[plan.out].value.tobytes(), [v.tobytes() for v in values]
+
+
+def _faulty_replays(plan, k, fault):
+    """The lean and the full replay of ``plan`` generated with node ``k``'s
+    op swapped for one whose form calls the op's table forward and writes
+    ``fault["bad"]`` into entry ``fault["entry"]`` of its value.  The caller
+    drops ``_OPS["fault"]`` and ``_faulty`` and regenerates the plan."""
+    node = plan.nodes[k]
+    op, spec = node.op, autodiff._OPS[node.op]
+
+    def faulty(*args):
+        value = np.array(spec.fn(*args))
+        if value.size:
+            value.flat[fault["entry"] % value.size] = fault["bad"]
+        return value
+
+    # a replay looks its forms' names up in the module
+    autodiff._faulty = faulty
+    operands = [f"{{{i}}}" for i in range(len(node.inputs))] + ["{aux}"] * (node.aux is not None)
+    autodiff._OPS["fault"] = spec._replace(form=f"{{v}} = _faulty({', '.join(operands)})")
+    node.op = "fault"
+    try:
+        plan.generate()
+        return plan.lean, plan.full
+    finally:
+        node.op = op
+
+
+@contextlib.contextmanager
+def _restored(plan):
+    try:
+        yield
+    finally:
+        autodiff._OPS.pop("fault", None)
+        vars(autodiff).pop("_faulty", None)
+        plan.generate()
 
 
 def _assert_faults_surface(plan, inputs, labels, entries):
     """With a NaN or an infinity written into one entry of each node's value
     in turn, right after its forward, ``run`` raises the message of a replay
     with every check, or returns its bytes.  The fault reaches both
-    generated replays: the plan regenerates them with the node's op swapped
-    for one whose form calls the op's table forward and writes the fault."""
+    generated replays (``_faulty_replays``)."""
     raised = 0
-    try:
+    with _restored(plan):
         for k in plan.program:
-            node = plan.nodes[k]
-            op, spec, fault = node.op, autodiff._OPS[node.op], {}
-
-            def faulty(*args, spec=spec, fault=fault):
-                value = np.array(spec.fn(*args))
-                if value.size:
-                    value.flat[fault["entry"] % value.size] = fault["bad"]
-                return value
-
-            # a replay looks its forms' names up in the module
-            autodiff._faulty = faulty
-            operands = [f"{{{i}}}" for i in range(len(node.inputs))] + ["{aux}"] * (node.aux is not None)
-            autodiff._OPS["fault"] = spec._replace(form=f"{{v}} = _faulty({', '.join(operands)})")
-            node.op = "fault"
-            try:
-                plan.generate()
-                lean, full = plan.lean, plan.full
-            finally:
-                node.op = op
+            fault = {}
+            lean, full = _faulty_replays(plan, k, fault)
             for bad in (np.nan, np.inf, -np.inf):
                 fault.update(bad=bad, entry=next(entries))
                 plan.lean = full
                 expected = _outcome(plan, inputs, labels)
                 plan.lean = lean
                 got = _outcome(plan, inputs, labels)
-                assert got == expected, (k, op, bad)
+                assert got == expected, (k, plan.nodes[k].op, bad)
                 raised += isinstance(got, str)
-    finally:
-        autodiff._OPS.pop("fault", None)
-        vars(autodiff).pop("_faulty", None)
-        plan.generate()
     # the faults reached the generated code
     assert raised
 
@@ -464,6 +480,89 @@ def test_a_fault_in_any_node_of_a_random_replay_raises_as_with_every_check(data,
     labels = [node.aux.copy() for node in tape.nodes if node.op == "softmax_xent"]
     plan = autodiff.StepPlan(loss, wrt, 0, n_inputs)
     _assert_faults_surface(plan, inputs, labels, _entries(seed))
+
+
+def _finetune_step(values=()):
+    """One fine-tune step of `supervised`: its 3-class classifier on 64 rows
+    of 8 features, as ``_pretrain_step``."""
+    tape = Tape()
+    classifier = init_mlp(MlpConfig((8, 3)), stream(40, "clf"), tape)
+    _with_values(classifier.params, values)
+    mark = tape.mark()
+    x = stream(41, "x").uniforms(64 * 8, -1.0, 1.0).reshape(64, 8)
+    y = stream(42, "y").integers(64, below=3)
+    loss = softmax_cross_entropy(forward(classifier, tape.leaf(x)), y)
+    return loss, classifier.params, mark, [x], [y]
+
+
+def _bound(step):
+    """The plan of ``step`` bound, as a training loop binds it, to the Adam
+    state that its first replay updated: the plan, the optimizer, the
+    parameters, the inputs and the labels."""
+    loss, params, mark, inputs, labels = step()
+    plan = autodiff.StepPlan(loss, params, mark, len(inputs))
+    opt = nn.adam(0.01)
+    nn.step(opt, params, plan.run(inputs, labels))
+    opt._rows[0][...] = np.nan  # so that the row holds only what the plan writes
+    plan.bind(nn._gradient_views(opt, params, plan.grads), opt._rows[0])
+    return plan, opt, params, inputs, labels
+
+
+_PRETRAIN = lambda values=(): _pretrain_step("leaky_relu", values)  # noqa: E731
+
+
+@pytest.mark.parametrize("step", [_PRETRAIN, _critic_step, _finetune_step], ids=["pretrain", "critic", "finetune"])
+def test_a_bound_replay_writes_a_freshly_recorded_steps_gradients_into_the_row(step):
+    plan, opt, params, inputs, labels = _bound(step)
+    for _ in range(2):
+        assert plan.run(inputs, labels) is None
+        fresh_loss, fresh_params, *_ = step([p.value.copy() for p in params])
+        want = backward(fresh_loss, fresh_params)
+        assert plan.nodes[plan.out].value.tobytes() == fresh_loss.value.tobytes()
+        assert opt._rows[0].tobytes() == b"".join(want[q.id].value.tobytes() for q in fresh_params)
+        nn.step(opt, params, None)
+    # the critic's last bias does not move the penalty: its gradient is a
+    # constant, which the replay never writes
+    constants = [p for p in params if plan.grads[p.id].op == "leaf"]
+    assert constants == (params[-1:] if step is _critic_step else [])
+    assert sum(map(len, plan.into.values())) == len(params) - len(constants)
+
+
+@pytest.mark.parametrize("step", [_PRETRAIN, _critic_step], ids=["pretrain", "critic"])
+def test_a_fault_in_any_node_of_a_bound_replay_raises_as_with_every_check(step):
+    plan, _, _, inputs, labels = _bound(step)
+    _assert_faults_surface(plan, inputs, labels, _entries(38))
+
+
+def _step_error(plan, opt, params, inputs, labels) -> str:
+    """The message of a bound replay and its Adam update, which must raise."""
+    with pytest.raises(NonFiniteError) as raised:
+        nn.step(opt, params, plan.run(inputs, labels))
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("step", [_PRETRAIN, _critic_step], ids=["pretrain", "critic"])
+def test_a_bound_step_that_raises_leaves_the_optimizer_as_it_was(step):
+    """With a NaN or an infinity written into any node of a bound replay,
+    the step raises the message of a replay with every check, or, where
+    that replay passes the fault on, of the update, as recording the step
+    would; the optimizer's values, moments and step count stay as they
+    were."""
+    plan, opt, params, inputs, labels = _bound(step)
+    state = opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(), opt.step_count
+    entries = _entries(39)
+    with _restored(plan):
+        for k in plan.program:
+            fault = {}
+            lean, full = _faulty_replays(plan, k, fault)
+            for bad in (np.nan, np.inf, -np.inf):
+                fault.update(bad=bad, entry=next(entries))
+                plan.lean = full
+                expected = _step_error(plan, opt, params, inputs, labels)
+                plan.lean = lean
+                assert _step_error(plan, opt, params, inputs, labels) == expected, (k, plan.nodes[k].op, bad)
+                assert (opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(),
+                        opt.step_count) == state
 
 
 # any float64: signed zeros, subnormals, the largest magnitudes, infinities, NaN

@@ -258,6 +258,24 @@ def test_optimizer_state_rejects_another_list_of_the_same_size():
     assert opt.step_count == 1
 
 
+def test_a_step_from_the_gradient_row_is_the_step_from_the_same_gradients():
+    tape = Tape()
+    a, b = tape.leaf(np.array([[1.0, -2.0]])), tape.leaf(np.array([[1.0, -2.0]]))
+    opt_a, opt_b = adam(0.1), adam(0.1)
+    with pytest.raises(ValueError, match="no gradient row"):
+        step(opt_b, [b], None)
+    grads = {a.id: Tensor.of([[0.5, -3.0]]), b.id: Tensor.of([[0.5, -3.0]])}
+    step(opt_a, [a], grads)
+    step(opt_b, [b], grads)
+    # a plan bound to the optimizer writes the row, and the step reads it
+    opt_b._rows[0][...] = [0.25, 4.0]
+    step(opt_a, [a], {a.id: Tensor.of([[0.25, 4.0]])})
+    step(opt_b, [b], None)
+    assert a.value.tobytes() == b.value.tobytes() and opt_b.step_count == 2
+    with pytest.raises(ShapeError, match="does not match the parameter list"):
+        step(opt_b, [a], None)
+
+
 def test_gradients_of_swapped_shapes_raise_naming_the_node():
     tape = Tape()
     w = tape.leaf(np.ones((2, 3)))

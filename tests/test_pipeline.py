@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdda.pipeline
 from mdda.autodiff import StepPlan, Tape, Tensor, backward, softmax_cross_entropy
@@ -43,7 +45,7 @@ from mdda.pipeline import (
     single_source_probs,
     uniform_weights,
 )
-from mdda.rng import stream
+from mdda.rng import _FILL_CAP, stream
 
 from helpers import ReferenceAdam, assign, concat_datasets, gp_param_grad_worst_error, identity_net, linear_critic
 
@@ -320,6 +322,24 @@ def test_a_replay_keeps_only_the_loss_the_gradients_and_constant_leaves(kind):
     # a constant one: the last bias does not move the penalty
     detached = [p for p in net.params if not any(node.value is grads[p.id].value for node in alive)]
     assert detached == ([net.params[-1]] if kind == "critic" else [])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 999))
+def test_minibatches_drawn_by_the_block_are_the_per_step_draws(data, seed):
+    batch = data.draw(st.one_of(st.integers(1, 80), st.integers(1, _FILL_CAP + 600)), label="batch")
+    steps = data.draw(st.integers(0, min(600, 300_000 // batch)), label="steps")
+    # row counts from a few to 2**63, where up to a third of the raw outputs are rejected
+    n = data.draw(st.one_of(st.integers(1, 100), st.integers(1, 1 << 63)), label="n")
+    blocked, per_step = stream(seed, "rows"), stream(seed, "rows")
+    rows = list(mdda.pipeline._minibatches(blocked, steps, batch, n))
+    assert len(rows) == steps
+    for idx in rows:
+        assert np.array_equal(idx, per_step.integers(batch, below=n))
+    # fill sizes differ, so the buffers split the stream elsewhere: the
+    # unconsumed outputs followed by the generator's next ones are the same
+    ahead = max(g._buf.size - g._pos for g in (blocked, per_step)) + 2 * _FILL_CAP
+    assert np.array_equal(blocked._draw(ahead), per_step._draw(ahead))
 
 
 def test_pretrain_width_mismatches():
