@@ -16,16 +16,18 @@ Each generator draws raw outputs ahead into a buffer.  A stream has one
 consumer, so drawing ahead changes no value it receives; it lets the
 array draws convert whole blocks with numpy.  Small fills run the serial
 step on Python ints, which is the definition of the sequence.  Large
-fills run lanes of consecutive steps as uint64 array operations: the
-state transition is linear over GF(2), so the state a lane's worth of
-steps ahead is an XOR of precomputed rows selected by the state's bits
-(Blackman & Vigna, "Scrambled linear pseudorandom number generators",
-ACM TOMS 2021).
+fills run lanes of consecutive steps as in-place uint64 array operations
+and scramble the whole block at once.  The state transition is linear
+over GF(2) (Blackman & Vigna, "Scrambled linear pseudorandom number
+generators", ACM TOMS 2021), so a jump of any number of steps is an XOR
+of table rows selected by the state's nibbles: lanes [m, 2m) start where
+lanes [0, m) start, jumped by m lanes, one table per doubling.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -38,8 +40,14 @@ _FNV_PRIME = 0x100000001B3
 # _LANE_STEPS steps each.  Fill sizes double per stream up to _FILL_CAP
 # draws, or to the request if it is larger.
 _SERIAL_MAX = 1024
-_LANE_STEPS = 128
+_LANE_STEPS = 64
 _FILL_CAP = 16384
+# A jump gathers at most this many lanes at once, which bounds its
+# temporary to 64 KB.  Column 16 * p of a jump table starts nibble p's
+# columns, and row v of _NIBBLE_BITS holds the bits of v.
+_JUMP_LANES = 32
+_NIBBLE_COLS = np.arange(0, 1024, 16)
+_NIBBLE_BITS = np.arange(16, dtype=np.uint64)[:, None] >> np.arange(4, dtype=np.uint64) & np.uint64(1)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -57,31 +65,53 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _run_lanes(states: np.ndarray, out: np.ndarray | None, steps: int) -> np.ndarray:
-    """Advance each row of ``states`` (lanes x 4 words, uint64) by ``steps``
-    steps and return the new states; row k of ``out`` (steps x lanes), if
-    given, receives the outputs of step k."""
-    s0, s1, s2, s3 = (states[:, w].copy() for w in range(4))
+def _steps(s: np.ndarray, out: np.ndarray | None, steps: int) -> None:
+    """Advance each column of ``s`` (4 words x lanes, uint64) by ``steps``
+    steps in place; row k of ``out`` (steps x lanes), if given, receives
+    each lane's ``s1`` before step k, the scrambler's input."""
+    s0, s1, s2, s3 = s
+    t = np.empty_like(s1)
+    # shift counts as whole arrays, which numpy shifts by fastest
+    by17, by45, by19 = (np.full_like(s1, n) for n in (17, 45, 19))
     for k in range(steps):
         if out is not None:
-            r = s1 * 5
-            out[k] = ((r << 7) | (r >> 57)) * 9
-        t = s1 << 17
+            out[k] = s1
+        np.left_shift(s1, by17, out=t)
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = (s3 << 45) | (s3 >> 19)
-    return np.stack((s0, s1, s2, s3), axis=1)
+        np.left_shift(s3, by45, out=t)
+        s3 >>= by19
+        s3 |= t
+
+
+def _jump(states: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the columns of ``states`` (4 words x lanes,
+    little-endian uint64) jumped by ``table``: per lane, the XOR of the 64
+    table columns that its nibbles select."""
+    b = states.view(np.uint8).reshape(4, -1, 8).transpose(1, 0, 2)
+    cols = np.stack((b & 15, b >> 4), axis=3).reshape(len(b), 64) + _NIBBLE_COLS
+    for lo in range(0, len(cols), _JUMP_LANES):
+        hi = lo + _JUMP_LANES
+        np.bitwise_xor.reduce(table.take(cols[lo:hi], axis=1), axis=2, out=out[:, lo:hi])
 
 
 @functools.cache
-def _jump_table() -> np.ndarray:
-    """Row i is the state _LANE_STEPS steps after the state whose only set
-    bit is bit i (bit i % 64 of word i // 64)."""
-    basis = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little").view("<u8")
-    table = _run_lanes(basis, None, _LANE_STEPS)
+def _jump_table(r: int) -> np.ndarray:
+    """The jump by ``_LANE_STEPS << r`` steps: column ``16 * p + v`` is the
+    state that many steps after the state whose only set bits are the bits
+    of ``v`` at nibble p, bits 4p to 4p + 3 (bit i being bit i % 64 of word
+    i // 64).  Each table squares the one before it."""
+    if r == 0:
+        rows = np.kron(np.eye(4, dtype="<u8"), np.uint64(1) << np.arange(64, dtype="<u8"))
+        _steps(rows, None, _LANE_STEPS)
+    else:
+        prev = _jump_table(r - 1)
+        rows = np.empty((4, 256), dtype="<u8")
+        _jump(prev.reshape(4, 64, 16)[:, :, [1, 2, 4, 8]].reshape(4, 256), prev, rows)
+    table = np.bitwise_xor.reduce(rows.reshape(4, 64, 1, 4) * _NIBBLE_BITS, axis=3).reshape(4, 1024)
     table.flags.writeable = False
     return table
 
@@ -115,8 +145,9 @@ class Xoshiro256:
     # ---- the raw output buffer ------------------------------------------
 
     def _draw(self, n: int) -> np.ndarray:
-        """Consume the next ``n`` raw outputs, as a uint64 array."""
-        pos, end = self._pos, self._pos + n
+        """Consume the next ``n`` raw outputs, as a uint64 array.  A count
+        that is not an integer raises before the buffer moves."""
+        pos, end = self._pos, self._pos + operator.index(n)
         if end > self._buf.size:
             self._refill(end - self._buf.size)
             pos, end = 0, n
@@ -128,7 +159,8 @@ class Xoshiro256:
         size = max(short, min(2 * self._fill, _FILL_CAP))
         self._fill = size
         fresh = self._serial(size) if size < _SERIAL_MAX else self._lanes(-(-size // _LANE_STEPS))
-        self._buf = np.concatenate((self._buf[self._pos:], fresh))
+        rest = self._buf[self._pos:]
+        self._buf = np.concatenate((rest, fresh)) if rest.size else fresh
         self._pos = 0
 
     def _serial(self, n: int) -> np.ndarray:
@@ -151,15 +183,21 @@ class Xoshiro256:
     def _lanes(self, lanes: int) -> np.ndarray:
         """The next ``lanes * _LANE_STEPS`` outputs: lane j runs the steps
         from ``j * _LANE_STEPS`` on, all lanes at once."""
-        table = _jump_table()
-        starts = np.empty((lanes, 4), dtype="<u8")
-        starts[0] = (self.s0, self.s1, self.s2, self.s3)
-        for j in range(1, lanes):
-            bits = np.unpackbits(starts[j - 1].view(np.uint8), bitorder="little")
-            starts[j] = np.bitwise_xor.reduce(table.compress(bits, axis=0), axis=0)
+        s = np.empty((4, lanes), dtype="<u8")
+        s[:, 0] = (self.s0, self.s1, self.s2, self.s3)
+        # lanes [m, 2m) start m lanes' steps after lanes [0, m)
+        m, r = 1, 0
+        while m < lanes:
+            k = min(m, lanes - m)
+            _jump(s[:, :k], _jump_table(r), s[:, m:m + k])
+            m, r = m + k, r + 1
         out = np.empty((_LANE_STEPS, lanes), dtype=np.uint64)
-        end = _run_lanes(starts, out, _LANE_STEPS)[-1]
-        self.s0, self.s1, self.s2, self.s3 = (int(w) for w in end)
+        _steps(s, out, _LANE_STEPS)
+        self.s0, self.s1, self.s2, self.s3 = (int(w) for w in s[:, -1])
+        # the scrambler rotl(s1 * 5, 7) * 9, once over the block
+        out *= 5
+        np.bitwise_or(out << 7, out >> 57, out=out)
+        out *= 9
         return out.T.ravel()
 
     # ---- draws ----------------------------------------------------------
@@ -194,22 +232,22 @@ class Xoshiro256:
         return out
 
     def integers(self, count: int, below: int) -> np.ndarray:
-        """``count`` uniform integers in [0, below): the first ``count``
-        raw outputs below the largest multiple of ``below`` under 2**64,
-        each taken modulo ``below``."""
+        """``count`` uniform integers in [0, below), for ``below`` up to
+        2**63: the first ``count`` raw outputs below the largest multiple of
+        ``below`` under 2**64, each taken modulo ``below``."""
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         if below <= 0:
             raise ValueError(f"integers requires below >= 1, got {below}")
+        if below > 1 << 63:
+            raise ValueError(f"integers requires below <= 2**63, got {below}")
         top = np.uint64(((1 << 64) // below) * below - 1)
-        parts, need = [], count
+        x = self._draw(count)
         # never draws past the count-th accepted output
-        while need:
-            x = self._draw(need)
+        while x.max() > top:
             x = x[x <= top]
-            parts.append(x)
-            need -= x.size
-        return (np.concatenate(parts) % np.uint64(below)).astype(np.int64)
+            x = np.concatenate((x, self._draw(count - x.size)))
+        return (x % np.uint64(below)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         perm = np.arange(n, dtype=np.int64)

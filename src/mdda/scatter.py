@@ -5,8 +5,6 @@ plot can show how several shifted domains interleave in the plane.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -102,10 +100,12 @@ def export_scatter(domains: dict[str, tuple[np.ndarray, np.ndarray]], path) -> N
 
     ly = top + 14
     for di, name in enumerate(points):
+        # xml.sax.saxutils.escape, whose import pulls urllib, http and ssl in
+        name = name.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
         marker = _MARKERS[di % len(_MARKERS)]
         parts.append(_marker_svg(marker, right - 120, ly - 4, "#555"))
         parts.append(
-            f'<text x="{right - 110}" y="{ly}" font-size="12" fill="#333">{escape(name)}</text>'
+            f'<text x="{right - 110}" y="{ly}" font-size="12" fill="#333">{name}</text>'
         )
         ly += 18
     for c in classes:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ReferenceXoshiro256
-from mdda.rng import _FILL_CAP, Xoshiro256, stream
+from mdda.rng import _FILL_CAP, _LANE_STEPS, Xoshiro256, _jump_table, stream
 
 
 def test_first_outputs_of_seed_zero():
@@ -50,6 +50,48 @@ def test_count_zero_draws_nothing_whatever_the_bound():
         gen.integers(3, below=0)
 
 
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda gen: gen.integers(8, below=2**64 - 1), ValueError, id="below-2**64-1"),
+    pytest.param(lambda gen: gen.integers(8, below=2**64), ValueError, id="below-2**64"),
+    pytest.param(lambda gen: gen.integers(2.5, below=3), TypeError, id="integers-count-2.5"),
+    pytest.param(lambda gen: gen.uniforms(2.5), TypeError, id="uniforms-count-2.5"),
+])
+def test_a_draw_it_cannot_honour_raises_before_the_stream_moves(call, error):
+    gen, ref = Xoshiro256(3), ReferenceXoshiro256(3)
+    assert gen.next_u64() == ref.next_u64()
+    with pytest.raises(error):
+        call(gen)
+    assert gen.next_u64() == ref.next_u64()
+    assert gen.integers(4, below=2**63).tolist() == ref.integers(4, below=2**63).tolist()
+
+
+# Fill sizes that the workloads make (1,024 and 16,384 draws, and a request
+# of 20,000, above the cap, which reaches a ninth doubling round), and one
+# whose lane count is not a power of two.  The bound of `integers` rejects
+# about a third of the raw draws, so a second fill follows the first.
+_DRAWS = {
+    "integers": lambda gen, n: gen.integers(n, below=2**64 // 3 + 1),
+    "uniforms": lambda gen, n: gen.uniforms(n),
+    "next_u64": lambda gen, n: [gen.next_u64() for _ in range(n)],
+}
+
+
+@pytest.mark.parametrize("method", sorted(_DRAWS))
+@pytest.mark.parametrize("size", [1024, 5000, _FILL_CAP, 20000])
+def test_fills_of_the_workload_sizes_match_the_reference(size, method):
+    draw = _DRAWS[method]
+    gen, ref = Xoshiro256(size), ReferenceXoshiro256(size)
+    assert _as_bytes(draw(gen, size)) == _as_bytes(draw(ref, size))
+    ahead = gen._buf[gen._pos:].tolist()
+    assert ahead == [ref.next_u64() for _ in ahead]
+    assert (gen.s0, gen.s1, gen.s2, gen.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
+    # each doubling round's table is built once, on first use
+    built = _jump_table.cache_info()
+    assert built.misses == built.currsize >= (-(-size // _LANE_STEPS) - 1).bit_length()
+    draw(Xoshiro256(size + 1), size)
+    assert _jump_table.cache_info().misses == built.misses
+
+
 @pytest.mark.parametrize("count", [2 * _FILL_CAP, 2 * _FILL_CAP + 1])
 def test_normals_longer_than_a_fill_match_the_reference(count):
     # normals converts one fill's worth at a time
@@ -64,7 +106,7 @@ _COUNTS = st.one_of(st.integers(0, 40), st.integers(1000, 3000))
 _BOUND = st.floats(allow_nan=False, allow_infinity=False)
 _CALLS = st.one_of(
     st.tuples(st.just("next_u64")),
-    st.tuples(st.just("integers"), _COUNTS, st.sampled_from([1, 2, 3, 2**40, 2**63 + 1])),
+    st.tuples(st.just("integers"), _COUNTS, st.sampled_from([1, 2, 3, 2**40, 2**64 // 3 + 1])),
     st.tuples(st.just("uniforms"), _COUNTS, _BOUND, _BOUND),
     st.tuples(st.just("normals"), _COUNTS),
     st.tuples(st.just("permutation"), st.integers(0, 40)),

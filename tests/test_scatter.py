@@ -2,11 +2,16 @@
 structural XML contract."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
+import mdda
 from mdda.errors import ConfigError, ShapeError
 from mdda.rng import stream
 from mdda.scatter import export_scatter
@@ -57,3 +62,23 @@ def test_scatter_input_validation(tmp_path):
     with pytest.raises(ConfigError, match="counts"):
         export_scatter({"bad": (np.zeros((3, 2)), np.zeros(2, dtype=np.int64))},
                        tmp_path / "x.svg")
+
+
+def test_domain_names_are_escaped_as_xml_text(tmp_path):
+    name = "a&b <c> &amp;"
+    path = tmp_path / "names.svg"
+    export_scatter({name: (np.array([[0.0, 1.0]]), np.array([0]))}, path)
+    assert f">{escape(name)}</text>" in path.read_text()
+    assert name in [t.text for t in ET.fromstring(path.read_text()).findall(".//{*}text")]
+
+
+def test_importing_the_package_loads_no_xml_or_web_module():
+    # numpy itself imports urllib.parse, so urllib is judged by urllib.request
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mdda.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, mdda; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    web = {"xml", "http", "email", "ssl", "urllib.request"}
+    assert [name for name in loaded if name in web or name.split(".")[0] in web] == []
