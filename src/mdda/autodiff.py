@@ -270,13 +270,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     logits = _lift(logits)
     if logits.value.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy needs [batch x classes] logits, got {logits.shape}")
-    return _apply("softmax_xent", (logits,), _labels(labels, *logits.shape))
+    # a fresh copy: a step plan rewrites it in place
+    return _apply("softmax_xent", (logits,), _labels(np.array(labels, dtype=np.int64), *logits.shape))
 
 
 def _labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
-    """``labels`` as a fresh int64 vector of ``n_batch`` classes below
-    ``n_classes``: a step plan rewrites it in place."""
-    y = np.array(labels, dtype=np.int64)
+    """``labels`` as an int64 vector of ``n_batch`` classes below
+    ``n_classes``, not copied if it is one already."""
+    y = np.asarray(labels, dtype=np.int64)
     if y.shape != (n_batch,):
         raise ShapeError(f"labels shape {y.shape} does not match batch size {n_batch}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
@@ -650,23 +651,25 @@ class StepPlan:
     straight-line function from the program, with one line per node at the
     captured shapes.  :meth:`run` runs the same IEEE operations, in the same
     order, as recording the step afresh and calling ``backward(loss, wrt)``,
-    and raises the same error at the same op.  Only the loss and the
-    gradients (the sinks) are written back to their nodes; other values are
-    dropped at capture, and at each replay after their last reader.  A plan
-    bound to an optimizer's gradient row (:meth:`bind`) writes the gradients
-    into that row instead.
+    and raises the same error at the same op.  The plan is bound to an
+    optimizer's flat gradient ``row``: each replay writes the gradient of
+    ``wrt[j]`` into ``views[j]``, its view of the row, and a gradient that is
+    a constant is written there once, at capture.  Only the loss and the
+    gradients (the sinks) are written out; other values are dropped at
+    capture, and at each replay after their last reader.
 
     A replay checks a node only where a non-finite value could hide.  A
     node's own check is left out when it has readers and each reads it at
     a position that ``passes`` it, has entries, and is checked itself or
-    left out by the same rule; the sinks are checked after the replay, the
-    gradients of a bound plan by one check over the row.  A non-finite
-    value then always reaches a check.  If one fails, the step is replayed
-    by a function generated with every check, which names the op that
-    recording it would have named.
+    left out by the same rule; the loss is checked after the replay, and
+    the gradients by one check over the row.  A non-finite value then
+    always reaches a check.  If one fails, the step is replayed by a
+    function generated with every check, which names the op that recording
+    it would have named.
     """
 
-    def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int):
+    def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int,
+                 row: np.ndarray, views: Sequence[np.ndarray]):
         wrt_ids, tape = _wrt_ids(loss, wrt), loss.tape
         self.out = loss.id
         self.inputs = tape.nodes[mark : mark + n_inputs]
@@ -675,16 +678,21 @@ class StepPlan:
         end = len(tape.nodes)
         grads = _sweep(tape, loss.id, wrt_ids)
         nodes = self.nodes = tape.nodes[:]
-        # a gradient that comes back detached is a constant
-        self.grads = {nid: nodes[g.id] if g.tape is tape else Node("leaf", (), g.value) for nid, g in grads.items()}
+        # each computed gradient's views of the row; a gradient that comes
+        # back detached is a constant
+        self.row, self.into = row, {}
+        for nid, view in zip(wrt_ids, views, strict=True):
+            if grads[nid].tape is tape:
+                self.into.setdefault(nodes[grads[nid].id], []).append(view)
+            else:
+                view[...] = grads[nid].value
         # the step's nodes up to the loss, then its recorded backward
         self.program = [i for i in (*range(mark + n_inputs, loss.id + 1), *range(end, len(nodes)))
                         if nodes[i].op != "leaf"]
         step = [nodes[i] for i in self.program]
         # with the logits' shape; a recorded backward shares the label array
         self.softmax = [(node, nodes[node.inputs[0]].value.shape) for node in step if node.op == "softmax_xent"]
-        keep = dict.fromkeys([nodes[self.out], *self.grads.values()])
-        self.sinks = [node for node in keep if node.op != "leaf"]
+        self.sinks = list(dict.fromkeys([nodes[self.out], *self.into]))
         # each node's readers in the step, with the operand position read;
         # a reader always follows what it reads
         readers = {node: [] for node in step}
@@ -706,37 +714,14 @@ class StepPlan:
         # the shapes the replay is generated for, which ``run`` holds fixed
         self.shapes = {i: nodes[i].value.shape for k in self.program for i in (k, *nodes[k].inputs)}
         for node in step:
-            if node not in keep:
+            if node not in self.sinks:
                 node.value = None  # so that a first replay holds one set of values
-        # set by ``bind``: the gradient row, and each computed gradient's views
-        self.row, self.into = None, {}
-
-    def bind(self, grads: Sequence[tuple[Node, np.ndarray]], row: np.ndarray) -> None:
-        """Have every replay write each gradient node of ``grads`` into the
-        view of ``row`` (an optimizer's flat gradient row) paired with it;
-        :meth:`run` then checks the row and returns ``None``.  A constant
-        gradient is written once, here."""
-        into = {}
-        for node, view in grads:
-            if node.op == "leaf":
-                view[...] = node.value
-            else:
-                into.setdefault(node, []).append(view)
-        self.row, self.into = row, into
-        self.generate()
-
-    def generate(self) -> None:
-        """Drop both generated replays, so that the next replay generates
-        them again from ``program``."""
-        self.__dict__.pop("lean", None)
-        self.__dict__.pop("full", None)
 
     @functools.cached_property
     def lean(self) -> Callable[[], None]:
-        """The replay with the checks kept at capture and the sinks checked
-        after the step, except a bound plan's gradients, which ``run`` checks
-        in the row."""
-        return self._replay(self.own, set(self.sinks).difference(self.into) | {self.nodes[self.out]})
+        """The replay with the checks kept at capture and the loss checked
+        after the step; ``run`` checks the gradients in the row."""
+        return self._replay(self.own, {self.nodes[self.out]})
 
     @functools.cached_property
     def full(self) -> Callable[[], None]:
@@ -749,10 +734,10 @@ class StepPlan:
         its leaves hold when it is called.  Node ``k``'s value is the local
         ``v{k}``, checked after its forward if the node is in ``checks`` and
         deleted after its last reader; the nodes in ``late`` are checked at
-        the end, and the sinks are written back, or into their views of a
-        bound plan's row.  Only node ids and positions enter the source: the
-        leaves, the checked nodes, the written-back sinks, the gradient views
-        and the op arguments are bound as one tuple each."""
+        the end, the loss is written back and each gradient into its views
+        of the row.  Only node ids and positions enter the source: the
+        leaves, the checked nodes, the loss, the gradient views and the op
+        arguments are bound as one tuple each."""
         nodes, program, shapes = self.nodes, self.program, self.shapes
         computed, sinks = set(program), set(self.sinks)
         last = {i: pos for pos, k in enumerate(program) for i in nodes[k].inputs}
@@ -769,7 +754,6 @@ class StepPlan:
             return f"{name}[{len(bound[name]) - 1}]"
 
         lines = [f"l{i} = L[{j}].value" for j, i in enumerate(leaves)]
-        views = set()
         for pos, k in enumerate(program):
             node = nodes[k]
             args = [f"v{i}" if i in computed else f"l{i}" for i in node.inputs]
@@ -792,8 +776,6 @@ class StepPlan:
             # a view of a value that nothing reads later, which no ufunc
             # then writes into
             form = _VIEWS.get(node.op) if node in sinks and k not in last and args[0] in dead else None
-            if form is not None and node.op == "transpose":
-                views.add(k)
             form = form or _OPS[node.op].form
             # a computed value that is not zero-dimensional is an array of its own
             out = [name for name, i in zip(args, node.inputs)
@@ -805,29 +787,24 @@ class StepPlan:
                 dead.append(f"v{k}")
             if dead:
                 lines.append("del " + ", ".join(dead))
+        lines.extend(f"_require_finite(v{k}, {ref('C', nodes[k])}.op)" for k in program if nodes[k] in late)
         for k in program:
-            if nodes[k] in late:
-                # a transposed view is checked in its base's layout, which
-                # np.vdot reads without a copy
-                lines.append(f"_require_finite(v{k}{'.T' * (k in views)}, {ref('C', nodes[k])}.op)")
-        for k in program:
-            if nodes[k] in sinks:
-                lines.extend(f"{ref('G', view)}[...] = v{k}" for view in self.into.get(nodes[k], ()))
-                if nodes[k] not in self.into or k == self.out:
-                    # a zero-dimensional forward may give a NumPy scalar
-                    value = f"np.asarray(v{k})" if shapes[k] == () else f"v{k}"
-                    lines.append(f"{ref('S', nodes[k])}.value = {value}")
+            lines.extend(f"{ref('G', view)}[...] = v{k}" for view in self.into.get(nodes[k], ()))
+            if k == self.out:
+                # a zero-dimensional forward may give a NumPy scalar
+                value = f"np.asarray(v{k})" if shapes[k] == () else f"v{k}"
+                lines.append(f"{ref('S', nodes[k])}.value = {value}")
         body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
         scope: dict = {}
         exec(_compiled(f"def make(L, C, S, G, A):\n    def replay():\n{body}    return replay\n"), globals(), scope)
         return scope["make"](*(tuple(objs) for objs in bound.values()))
 
-    def run(self, inputs: Sequence, labels: Sequence = ()) -> Grads | None:
-        """The step's first-order gradients at new input values and new
-        labels, one vector per ``softmax_cross_entropy`` in recording order,
-        or ``None`` once the plan is bound: its row then holds them.  The
-        loss value is ``nodes[out].value``.  A replay reads its inputs and
-        writes into none of them, so they are not copied."""
+    def run(self, inputs: Sequence, labels: Sequence = ()) -> None:
+        """Replay the step at new input values and new labels, one vector
+        per ``softmax_cross_entropy`` in recording order: the loss value is
+        then ``nodes[out].value`` and the row holds the gradients.  A replay
+        reads its inputs and labels and writes into none of them, so they
+        are not copied."""
         if len(inputs) != len(self.inputs) or len(labels) != len(self.softmax):
             raise ValueError(f"the step takes {len(self.inputs)} inputs and {len(self.softmax)} label vectors")
         values = [np.asarray(v, dtype=np.float64, order="C") for v in inputs]
@@ -843,9 +820,6 @@ class StepPlan:
         with np.errstate(all="ignore"):
             try:
                 self.lean()
-                if self.row is not None:
-                    _require_finite(self.row, "gradient")
+                _require_finite(self.row, "gradient")
             except NonFiniteError:
                 self.full()
-        if self.row is None:
-            return {nid: Tensor(None, None, node.value) for nid, node in self.grads.items()}

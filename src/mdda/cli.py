@@ -33,8 +33,6 @@ from .experiment import (
 from .pipeline import load_bundle, save_bundle
 from .scatter import export_scatter
 
-_SUBCOMMANDS = ("gen-data", "pretrain", "adapt", "distill", "predict", "run", "ablate", "scatter")
-
 
 @dataclasses.dataclass(frozen=True)
 class CliInvocation:
@@ -51,18 +49,8 @@ def parse_args(argv) -> CliInvocation:
         description="Multi-source distilling domain adaptation on synthetic shifted domains.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "gen-data": "sample every configured domain and write CSV datasets",
-        "pretrain": "stage 1: train extractor and classifier per source",
-        "adapt": "stage 2: train target encoder and critic per source",
-        "distill": "stage 3: fine-tune each classifier on its near-target half",
-        "predict": "stage 4: weighted aggregate prediction on the target test split",
-        "run": "full multi-seed experiment, exporting report.json and summary.csv",
-        "ablate": "run with the uniform-weighting and no-distilling comparisons enabled",
-        "scatter": "export an SVG scatter of the configured domains",
-    }
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _HANDLERS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, metavar="PATH", help="JSON experiment config")
         p.add_argument("--out", metavar="DIR", default=None, help="output directory (default ./out)")
         p.add_argument("--seed", type=int, default=None, help="override the config's master seed")
@@ -171,15 +159,16 @@ def _cmd_scatter(inv: CliInvocation, cfg: ExperimentConfig) -> None:
     export_scatter(domains, os.path.join(inv.output_dir, "scatter.svg"))
 
 
+# each subcommand's handler and help, in the order the usage lists them
 _HANDLERS = {
-    "gen-data": _cmd_gen_data,
-    "pretrain": _cmd_pretrain,
-    "adapt": _cmd_adapt,
-    "distill": _cmd_distill,
-    "predict": _cmd_predict,
-    "run": _cmd_run,
-    "ablate": _cmd_ablate,
-    "scatter": _cmd_scatter,
+    "gen-data": (_cmd_gen_data, "sample every configured domain and write CSV datasets"),
+    "pretrain": (_cmd_pretrain, "stage 1: train extractor and classifier per source"),
+    "adapt": (_cmd_adapt, "stage 2: train target encoder and critic per source"),
+    "distill": (_cmd_distill, "stage 3: fine-tune each classifier on its near-target half"),
+    "predict": (_cmd_predict, "stage 4: weighted aggregate prediction on the target test split"),
+    "run": (_cmd_run, "full multi-seed experiment, exporting report.json and summary.csv"),
+    "ablate": (_cmd_ablate, "run with the uniform-weighting and no-distilling comparisons enabled"),
+    "scatter": (_cmd_scatter, "export an SVG scatter of the configured domains"),
 }
 
 
@@ -187,7 +176,7 @@ def dispatch(inv: CliInvocation) -> int:
     try:
         cfg = _load(inv)
         os.makedirs(inv.output_dir, exist_ok=True)
-        _HANDLERS[inv.subcommand](inv, cfg)
+        _HANDLERS[inv.subcommand][0](inv, cfg)
     except (MddaError, OSError, ValueError) as exc:
         print(f"mdda {inv.subcommand}: {exc}", file=sys.stderr)
         return 1

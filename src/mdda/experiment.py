@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("repeats must be at least 1")
         if self.n_source < 1 or self.n_target < 2:
             raise ConfigError("sample counts too small (target is split in half)")
+        if self.method.distill and self.n_source < 2:
+            raise ConfigError("n_source must be at least 2 to distill (it selects among the source samples)")
         for name in self.ablations:
             if name not in _VALID_ABLATIONS:
                 raise ConfigError(f"unknown ablation {name!r}; valid: {_VALID_ABLATIONS}")

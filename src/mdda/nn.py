@@ -171,25 +171,21 @@ def _bind(opt: OptimizerState, params: Sequence[Tensor]) -> None:
         start = stop
 
 
-def _gradient_views(opt: OptimizerState, params: Sequence[Tensor], grads):
-    """Each parameter's entry of ``grads`` (a tensor or a step plan's node),
-    which must have its shape, with its view of the gradient row; a missing
-    entry is a caller bug, not a zero."""
-    for p, (_, view) in zip(params, opt._views):
-        if p.id not in grads:
-            raise KeyError(f"missing gradient entry for parameter node {p.id}")
-        if grads[p.id].value.shape != view.shape:
-            raise ShapeError(f"gradient shape {grads[p.id].value.shape} != shape {view.shape} of parameter node {p.id}")
-        yield grads[p.id], view
+def _gradient_row(opt: OptimizerState, params: Sequence[Tensor]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The optimizer's flat gradient row and each parameter's view of it,
+    for a step plan to write into; binds the optimizer to ``params`` if no
+    step has."""
+    if opt._views is None:
+        _bind(opt, params)
+    return opt._rows[0], [view for _, view in opt._views]
 
 
 def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads | None) -> None:
     """Apply one Adam update in place, from ``grads`` or, when it is
-    ``None``, from the optimizer's gradient row as a step plan bound to it
-    wrote it.  The update runs once over the flat buffer, element-wise, so
-    each value gets the bits a per-parameter update would give it.  A
-    non-finite result raises before any parameter, moment or step count is
-    written."""
+    ``None``, from the optimizer's gradient row as a step plan wrote it.
+    The update runs once over the flat buffer, element-wise, so each value
+    gets the bits a per-parameter update would give it.  A non-finite
+    result raises before any parameter, moment or step count is written."""
     if opt._views is None:
         if grads is None:
             raise ValueError("the optimizer has no gradient row before its first step")
@@ -200,8 +196,13 @@ def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads | None) -> 
         if p.value is not view:
             raise ShapeError("optimizer state does not match the parameter list")
     if grads is not None:
-        for g, view in _gradient_views(opt, params, grads):
-            view[...] = g.value
+        # a missing entry is a caller bug, not a zero
+        for p, (_, view) in zip(params, opt._views):
+            if p.id not in grads:
+                raise KeyError(f"missing gradient entry for parameter node {p.id}")
+            if grads[p.id].value.shape != view.shape:
+                raise ShapeError(f"gradient shape {grads[p.id].value.shape} != shape {view.shape} of parameter node {p.id}")
+            view[...] = grads[p.id].value
     t, b1, b2 = opt.step_count + 1, opt.beta1, opt.beta2
     g, m_old, v_old, m, v, a, b = opt._rows
     # the IEEE operations and order of the allocating update

@@ -33,7 +33,7 @@ from .nn import (
     save_params,
     step,
 )
-from .nn import _gradient_views
+from .nn import _gradient_row
 from .rng import _FILL_CAP, Xoshiro256
 
 _EPS_NORM = 1e-12
@@ -241,8 +241,8 @@ def _minibatches(rng: Xoshiro256, steps: int, batch_size: int, n: int):
 class _Steps:
     """The record-or-replay step of one Adam loop over ``params``: the first
     step is recorded past a tape mark and captured as a plan of ``n_inputs``
-    inputs, bound to the gradient row that the optimizer's first update
-    makes; every later step replays it, so ``step`` copies no gradient."""
+    inputs, bound to the optimizer's gradient row; every later step replays
+    it, so ``step`` copies no gradient."""
 
     def __init__(self, params: list[Tensor], opt, n_inputs: int):
         self.params, self.opt, self.n_inputs, self.plan = params, opt, n_inputs, None
@@ -253,13 +253,16 @@ class _Steps:
         order; ``inputs()`` gives the arrays a replay takes in their place."""
         if self.plan is None:
             self.params[0].tape.reset(self.mark)
+            # bound here, before recording: binding in __init__ or after
+            # recording moved the heap's layout and raised the peak RSS
+            row, views = _gradient_row(self.opt, self.params)
             loss = record()
-            grads, self.plan = backward(loss, self.params), StepPlan(loss, self.params, self.mark, self.n_inputs)
+            grads = backward(loss, self.params)
+            self.plan = StepPlan(loss, self.params, self.mark, self.n_inputs, row, views)
             step(self.opt, self.params, grads)
-            if self.plan is not None and self.opt._rows is not None:
-                self.plan.bind(_gradient_views(self.opt, self.params, self.plan.grads), self.opt._rows[0])
         else:
-            step(self.opt, self.params, self.plan.run(inputs(), labels))
+            self.plan.run(inputs(), labels)
+            step(self.opt, self.params, None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from mdda.autodiff import Tape, Tensor, _require_finite, backward, matmul, softmax_cross_entropy
+from mdda.autodiff import StepPlan, Tape, Tensor, _require_finite, backward, matmul, softmax_cross_entropy
 from mdda.datagen import Dataset, DomainSpec, rotation_matrix
 from mdda.errors import ConfigError, ShapeError
 from mdda.nn import Mlp, MlpConfig, forward, init_mlp
@@ -214,6 +214,23 @@ class ReferenceAdam:
             out.append(values[start : start + arr.size].reshape(arr.shape))
             start += arr.size
         return out
+
+
+def gradient_views(row: np.ndarray, wrt) -> list[np.ndarray]:
+    """Views of ``row`` laid out as an optimizer's gradient row: one per
+    tensor of ``wrt``, in order."""
+    views, start = [], 0
+    for t in wrt:
+        views.append(row[start : start + t.value.size].reshape(t.shape))
+        start += t.value.size
+    return views
+
+
+def step_plan(loss: Tensor, wrt, mark: int, n_inputs: int) -> StepPlan:
+    """A step plan bound to a row of its own (``gradient_views``), which
+    holds NaN wherever the plan has not written."""
+    row = np.full(sum(t.value.size for t in wrt), np.nan)
+    return StepPlan(loss, wrt, mark, n_inputs, row, gradient_views(row, wrt))
 
 
 # ---------------------------------------------------------------------------

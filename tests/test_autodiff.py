@@ -294,28 +294,29 @@ def _edge_step():
 
 def _plan(step):
     loss, params, mark, inputs, labels = step
-    return autodiff.StepPlan(loss, params, mark, len(inputs)), inputs, labels
+    return helpers.step_plan(loss, params, mark, len(inputs)), inputs, labels
 
 
 @pytest.mark.parametrize("step", [_critic_step, lambda values=(): _pretrain_step("leaky_relu", values)],
                          ids=["critic", "pretrain"])
 def test_a_replay_reads_the_parameters_an_optimizer_rebinds_after_capture(step):
     loss, params, mark, inputs, labels = step()
-    plan = autodiff.StepPlan(loss, params, mark, len(inputs))
+    plan = helpers.step_plan(loss, params, mark, len(inputs))
     before = [p.value for p in params]
     # the first update rebinds each parameter node to a view of one fresh
     # buffer, which then holds the new values
-    nn.step(nn.adam(0.01), params, plan.run(inputs, labels))
+    plan.run(inputs, labels)
+    grads = helpers.gradient_views(plan.row, params)
+    nn.step(nn.adam(0.01), params, {p.id: Tensor.of(g) for p, g in zip(params, grads)})
     after = [plan.nodes[p.id].value for p in params]
     assert all(a is not b for a, b in zip(after, before))
     assert any(not np.array_equal(a, b) for a, b in zip(after, before))
 
-    grads = plan.run(inputs, labels)
+    plan.run(inputs, labels)
     fresh_loss, fresh_params, *_ = step([a.copy() for a in after])
     want = backward(fresh_loss, fresh_params)
     assert plan.nodes[plan.out].value.tobytes() == fresh_loss.value.tobytes()
-    for p, q in zip(params, fresh_params):
-        assert grads[p.id].value.tobytes() == want[q.id].value.tobytes()
+    assert plan.row.tobytes() == b"".join(want[q.id].value.tobytes() for q in fresh_params)
 
 
 def _program_values(frame, position):
@@ -333,17 +334,19 @@ def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n
     require_finite = autodiff._require_finite
 
     def counted_check(value, op):
-        if op != "leaf":  # the step's inputs
-            # a transposed sink view is checked as its base's transpose, and
+        if value is plan.row:  # after the replay, every gradient written into the row
+            checked.extend(pos for pos, k in enumerate(plan.program) if plan.nodes[k] in plan.into)
+        elif op != "leaf":  # the step's inputs
             # a value that a ufunc wrote into an operand is the latest bound
             held = [pos for pos, v in _program_values(sys._getframe(1), position).items()
                     if v is value or v.base is not None and v.base is value.base]
             checked.append(max(held))
         return require_finite(value, op)
 
-    def replayed(replay):
-        """Run ``replay`` with a trace that notes each program value as it
-        is bound: a forward run twice would bind its local twice."""
+    def replayed(call, replay):
+        """``call()`` with a trace that notes each program value of
+        ``replay`` as it is bound: a forward run twice would bind its local
+        twice."""
         seen = {}
 
         def on_line(frame, event, arg):
@@ -357,15 +360,13 @@ def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n
         sys.settrace(lambda frame, event, arg: on_line if frame.f_code is replay.__code__ else None)
         try:
             with np.errstate(all="ignore"):
-                replay()
+                call()
         finally:
             sys.settrace(previous)
 
     # the generated replays look the check up at each call
     monkeypatch.setattr(autodiff, "_require_finite", counted_check)
-    plan.run(inputs, labels)  # sets the inputs and labels
-    checked.clear()
-    replayed(plan.lean)
+    replayed(lambda: plan.run(inputs, labels), plan.lean)
 
     # each forward once, in program order
     assert bound == list(range(len(plan.program)))
@@ -373,27 +374,32 @@ def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n
     expected = [pos for pos, node in enumerate(step_nodes) if node in plan.own or node in plan.sinks]
     assert len(set(checked)) == len(checked) and sorted(checked) == expected
     # the loss and every gradient that is not a constant are checked
-    assert set(plan.sinks) == {node for node in (plan.nodes[plan.out], *plan.grads.values()) if node.op != "leaf"}
+    assert set(plan.sinks) == {plan.nodes[plan.out], *plan.into}
     assert len(checked) == n_checks
     # the fallback checks every checked op after its forward, in program
     # order: 31 and 75 checks
     bound.clear()
     checked.clear()
-    replayed(plan.full)
+    replayed(plan.full, plan.full)
     assert bound == list(range(len(plan.program)))
     assert checked == [pos for pos, node in enumerate(step_nodes) if autodiff._OPS[node.op].checked]
     assert len(checked) == n_every
 
 
 def _outcome(plan, inputs, labels):
-    """The bytes of the loss and the gradients of a replay, or its error;
-    a bound plan's gradients are its row."""
+    """The bytes of the loss and the gradient row of a replay, or its error."""
     try:
-        grads = plan.run(inputs, labels)
+        plan.run(inputs, labels)
     except NonFiniteError as exc:
         return str(exc)
-    values = [plan.row] if grads is None else [g.value for g in grads.values()]
-    return plan.nodes[plan.out].value.tobytes(), [v.tobytes() for v in values]
+    return plan.nodes[plan.out].value.tobytes(), plan.row.tobytes()
+
+
+def _regenerate(plan):
+    """Drop both generated replays, so that the next replay generates them
+    again from the plan's program."""
+    vars(plan).pop("lean", None)
+    vars(plan).pop("full", None)
 
 
 def _faulty_replays(plan, k, fault):
@@ -416,7 +422,7 @@ def _faulty_replays(plan, k, fault):
     autodiff._OPS["fault"] = spec._replace(form=f"{{v}} = _faulty({', '.join(operands)})")
     node.op = "fault"
     try:
-        plan.generate()
+        _regenerate(plan)
         return plan.lean, plan.full
     finally:
         node.op = op
@@ -429,7 +435,7 @@ def _restored(plan):
     finally:
         autodiff._OPS.pop("fault", None)
         vars(autodiff).pop("_faulty", None)
-        plan.generate()
+        _regenerate(plan)
 
 
 def _assert_faults_surface(plan, inputs, labels, entries):
@@ -478,7 +484,7 @@ def test_a_fault_in_any_node_of_a_random_replay_raises_as_with_every_check(data,
     n_inputs = next(i for i, node in enumerate(tape.nodes) if node.op != "leaf")
     inputs = [tape.nodes[i].value.copy() for i in range(n_inputs)]
     labels = [node.aux.copy() for node in tape.nodes if node.op == "softmax_xent"]
-    plan = autodiff.StepPlan(loss, wrt, 0, n_inputs)
+    plan = helpers.step_plan(loss, wrt, 0, n_inputs)
     _assert_faults_surface(plan, inputs, labels, _entries(seed))
 
 
@@ -496,16 +502,19 @@ def _finetune_step(values=()):
 
 
 def _bound(step):
-    """The plan of ``step`` bound, as a training loop binds it, to the Adam
-    state that its first replay updated: the plan, the optimizer, the
-    parameters, the inputs and the labels."""
+    """The plan of ``step`` bound, as a training loop binds it, to the
+    gradient row of an Adam state, which its first replay then updated: the
+    plan, the optimizer, the parameters, the inputs, the labels and the row
+    as the capture left it."""
     loss, params, mark, inputs, labels = step()
-    plan = autodiff.StepPlan(loss, params, mark, len(inputs))
     opt = nn.adam(0.01)
-    nn.step(opt, params, plan.run(inputs, labels))
-    opt._rows[0][...] = np.nan  # so that the row holds only what the plan writes
-    plan.bind(nn._gradient_views(opt, params, plan.grads), opt._rows[0])
-    return plan, opt, params, inputs, labels
+    row, views = nn._gradient_row(opt, params)
+    row[...] = np.nan  # so that the row holds only what the plan writes
+    plan = autodiff.StepPlan(loss, params, mark, len(inputs), row, views)
+    captured = row.copy()
+    plan.run(inputs, labels)
+    nn.step(opt, params, None)
+    return plan, opt, params, inputs, labels, captured
 
 
 _PRETRAIN = lambda values=(): _pretrain_step("leaky_relu", values)  # noqa: E731
@@ -513,7 +522,7 @@ _PRETRAIN = lambda values=(): _pretrain_step("leaky_relu", values)  # noqa: E731
 
 @pytest.mark.parametrize("step", [_PRETRAIN, _critic_step, _finetune_step], ids=["pretrain", "critic", "finetune"])
 def test_a_bound_replay_writes_a_freshly_recorded_steps_gradients_into_the_row(step):
-    plan, opt, params, inputs, labels = _bound(step)
+    plan, opt, params, inputs, labels, captured = _bound(step)
     for _ in range(2):
         assert plan.run(inputs, labels) is None
         fresh_loss, fresh_params, *_ = step([p.value.copy() for p in params])
@@ -523,21 +532,26 @@ def test_a_bound_replay_writes_a_freshly_recorded_steps_gradients_into_the_row(s
         nn.step(opt, params, None)
     # the critic's last bias does not move the penalty: its gradient is a
     # constant, which the replay never writes
-    constants = [p for p in params if plan.grads[p.id].op == "leaf"]
+    written = [view for views in plan.into.values() for view in views]
+    constants = [p for p, (_, view) in zip(params, opt._views) if not any(view is w for w in written)]
     assert constants == (params[-1:] if step is _critic_step else [])
-    assert sum(map(len, plan.into.values())) == len(params) - len(constants)
+    assert len(written) == len(params) - len(constants)
+    # the capture wrote the constant into the row, and nothing else
+    assert captured.tobytes() == b"".join((want[q.id].value if p in constants else np.full(q.shape, np.nan)).tobytes()
+                                          for p, q in zip(params, fresh_params))
 
 
 @pytest.mark.parametrize("step", [_PRETRAIN, _critic_step], ids=["pretrain", "critic"])
 def test_a_fault_in_any_node_of_a_bound_replay_raises_as_with_every_check(step):
-    plan, _, _, inputs, labels = _bound(step)
+    plan, _, _, inputs, labels, _ = _bound(step)
     _assert_faults_surface(plan, inputs, labels, _entries(38))
 
 
 def _step_error(plan, opt, params, inputs, labels) -> str:
     """The message of a bound replay and its Adam update, which must raise."""
     with pytest.raises(NonFiniteError) as raised:
-        nn.step(opt, params, plan.run(inputs, labels))
+        plan.run(inputs, labels)
+        nn.step(opt, params, None)
     return str(raised.value)
 
 
@@ -548,7 +562,7 @@ def test_a_bound_step_that_raises_leaves_the_optimizer_as_it_was(step):
     that replay passes the fault on, of the update, as recording the step
     would; the optimizer's values, moments and step count stay as they
     were."""
-    plan, opt, params, inputs, labels = _bound(step)
+    plan, opt, params, inputs, labels, _ = _bound(step)
     state = opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(), opt.step_count
     entries = _entries(39)
     with _restored(plan):
@@ -595,7 +609,7 @@ def test_the_replayed_sum_and_mean_equal_the_ndarray_reductions_bit_for_bit(v):
     for op in ("sum", "mean"):
         tape = Tape()
         x = tape.leaf(np.ones(v.shape))
-        plan = autodiff.StepPlan(getattr(x, op)(), [x], 0, 1)
+        plan = helpers.step_plan(getattr(x, op)(), [x], 0, 1)
         plan.run([v])
         want = np.asarray(getattr(v, op)())
         assert plan.nodes[plan.out].value.tobytes() == want.tobytes()
@@ -685,7 +699,7 @@ def _array_twins(op, primitive, arrays, args):
     network runs it."""
     tape = Tape()
     leaves = [tape.leaf(np.ones_like(a)) for a in arrays]
-    plan = autodiff.StepPlan(primitive(*leaves), [], 0, 0)
+    plan = helpers.step_plan(primitive(*leaves), [], 0, 0)
     for leaf, a in zip(leaves, arrays):
         plan.nodes[leaf.id].value = a
     layer_op = getattr(autodiff._ARRAY_OPS, op, None)
@@ -897,12 +911,13 @@ def _replayed(log, tape):
 
 def _loss_and_gradient_bytes(run):
     """The loss's and each gradient's bytes of ``run()``, which returns the
-    loss value and the gradients in order, or the NonFiniteError message."""
+    loss value and the gradient arrays in order, or the NonFiniteError
+    message."""
     try:
         loss, grads = run()
     except NonFiniteError as exc:
         return str(exc)
-    return loss.tobytes(), [(g.shape, g.value.tobytes()) for g in grads]
+    return loss.tobytes(), [(g.shape, g.tobytes()) for g in grads]
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -915,7 +930,7 @@ def test_a_replayed_step_is_byte_equal_to_a_freshly_recorded_one(data, seed):
         assume(False)  # a step whose recording fails is never captured
     # the step's inputs are the leaves recorded before its first op
     n_inputs = next(i for i, node in enumerate(tape.nodes) if node.op != "leaf")
-    plan = autodiff.StepPlan(loss, wrt, 0, n_inputs)
+    plan = helpers.step_plan(loss, wrt, 0, n_inputs)
 
     # the same step recorded afresh at new leaf values and labels
     fresh = Tape()
@@ -923,7 +938,7 @@ def test_a_replayed_step_is_byte_equal_to_a_freshly_recorded_one(data, seed):
     def record():
         _, fresh_loss, fresh_wrt = _random_dag(_replayed(log, fresh), seed + 1000, second_order=True, tape=fresh, strict=True)
         grads = backward(fresh_loss, fresh_wrt)
-        return fresh_loss.value, [grads[t.id] for t in fresh_wrt]
+        return fresh_loss.value, [grads[t.id].value for t in fresh_wrt]
 
     expected = _loss_and_gradient_bytes(record)
     inputs = [fresh.nodes[i].value for i in range(n_inputs)]
@@ -942,8 +957,8 @@ def test_a_replayed_step_is_byte_equal_to_a_freshly_recorded_one(data, seed):
             plan.run(inputs, [labels[0][:-1]] + labels[1:])
 
     def replay():
-        grads = plan.run(inputs, labels)
-        return plan.nodes[loss.id].value, [grads[t.id] for t in wrt]
+        plan.run(inputs, labels)
+        return plan.nodes[loss.id].value, helpers.gradient_views(plan.row, wrt)
 
     assert _loss_and_gradient_bytes(replay) == expected
 
@@ -959,13 +974,13 @@ def test_a_replay_recomputes_the_row_maxima_and_labels_of_a_recorded_softmax_bac
         return total, [xs, ws]
 
     total, wrt = record(stream(42, "x").uniforms(8, -2.0, 2.0).reshape(4, 2), [0, 1, 2, 1])
-    plan = autodiff.StepPlan(total, wrt, 0, 1)
+    plan = helpers.step_plan(total, wrt, 0, 1)
     x, y = stream(43, "x").uniforms(8, -2.0, 2.0).reshape(4, 2), [2, 2, 0, 1]
     fresh, fresh_wrt = record(x, y)
-    grads, want = plan.run([x], [y]), backward(fresh, fresh_wrt)
+    plan.run([x], [y])
+    want = backward(fresh, fresh_wrt)
     assert plan.nodes[total.id].value.tobytes() == fresh.value.tobytes()
-    for a, b in zip(wrt, fresh_wrt):
-        assert grads[a.id].value.tobytes() == want[b.id].value.tobytes()
+    assert plan.row.tobytes() == b"".join(want[b.id].value.tobytes() for b in fresh_wrt)
     with pytest.raises(NonFiniteError, match="^leaf produced a non-finite value$"):
         plan.run([np.full((4, 2), np.nan)], [y])
 

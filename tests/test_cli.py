@@ -88,6 +88,21 @@ def test_invalid_config_contents_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("mdda run:")
 
 
+def test_a_config_that_cannot_distill_exits_one_before_any_stage(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    _set_config_field("n_source", 1)(config_file, out)
+    assert main(["pretrain", "--config", config_file, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdda pretrain:") and "n_source" in err
+    assert not out.exists()
+    # without distilling, a single source sample runs through every stage
+    data = json.loads(Path(config_file).read_text())
+    Path(config_file).write_text(json.dumps({**data, "method": {**data["method"], "distill": False}}))
+    for sub in ("pretrain", "adapt", "distill", "predict"):
+        assert main([sub, "--config", config_file, "--out", str(out), "-q"]) == 0
+    assert (out / "predictions.csv").is_file()
+
+
 # ---------------------------------------------------------------------------
 # the staged checkpoint flow
 

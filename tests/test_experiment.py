@@ -98,6 +98,19 @@ def test_config_validation():
         dataclasses.replace(cfg, classifier=MlpConfig((4, 1)))
 
 
+def test_a_config_that_distills_needs_two_source_samples(tmp_path):
+    # stage 3 selects among each source's samples, and would fail only there
+    cfg = tiny_experiment_config()
+    with pytest.raises(ConfigError, match="n_source"):
+        dataclasses.replace(cfg, n_source=1)
+    path = tmp_path / "exp.json"
+    save_config(cfg, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n_source": 1}))
+    with pytest.raises(ConfigError, match="n_source"):
+        load_config(path)
+    assert dataclasses.replace(cfg, n_source=1, method=MethodConfig(distill=False)).n_source == 1
+
+
 def test_seed_stream_is_stable_and_distinct():
     cfg = tiny_experiment_config()
     assert seed_stream(cfg, 0, "data").next_u64() == seed_stream(cfg, 0, "data").next_u64()

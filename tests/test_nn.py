@@ -16,6 +16,7 @@ from mdda.autodiff import Tape, Tensor, backward, matmul, softmax_cross_entropy
 from mdda.errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from mdda.nn import (
     MlpConfig,
+    _gradient_row,
     adam,
     clone_mlp,
     forward,
@@ -274,6 +275,21 @@ def test_a_step_from_the_gradient_row_is_the_step_from_the_same_gradients():
     assert a.value.tobytes() == b.value.tobytes() and opt_b.step_count == 2
     with pytest.raises(ShapeError, match="does not match the parameter list"):
         step(opt_b, [a], None)
+
+
+def test_the_gradient_row_binds_an_optimizer_that_has_not_stepped():
+    tape = Tape()
+    a, b = tape.leaf(np.ones((2, 3))), tape.leaf(np.array([1.0, -2.0]))
+    opt = adam(0.1)
+    row, views = _gradient_row(opt, [a, b])
+    assert row is opt._rows[0] and a.value.base is b.value.base is opt._values
+    # one view per parameter, laid out in order
+    assert [(v.shape, v.ctypes.data - row.ctypes.data) for v in views] == [((2, 3), 0), ((2,), 48)]
+    again, views_again = _gradient_row(opt, [a, b])
+    assert again is row and all(v is w for v, w in zip(views, views_again))
+    views[1][...] = [0.5, -3.0]
+    step(opt, [a, b], None)
+    assert opt.step_count == 1 and np.array_equal(a.value, np.ones((2, 3)))
 
 
 def test_gradients_of_swapped_shapes_raise_naming_the_node():
