@@ -127,7 +127,7 @@ def _cmd_adapt(inv: CliInvocation, cfg: ExperimentConfig) -> None:
 
 def _cmd_distill(inv: CliInvocation, cfg: ExperimentConfig) -> None:
     bundles = _load_bundles(inv, cfg, 2)
-    _save_bundles(inv, cfg, distill_sources(cfg, 0, sample_domains(cfg, 0), bundles))
+    _save_bundles(inv, cfg, distill_sources(cfg, 0, sample_sources(cfg, 0), bundles))
 
 
 def _cmd_predict(inv: CliInvocation, cfg: ExperimentConfig) -> None:

@@ -32,7 +32,6 @@ from .pipeline import (
     distill_select,
     domain_weight,
     pretrain_source,
-    sample_distances,
     single_source_probs,
     uniform_weights,
 )
@@ -256,24 +255,24 @@ def adapt_sources(cfg: ExperimentConfig, rep: int, data: Domains, bundles) -> li
     ]
 
 
-def distill_sources(cfg: ExperimentConfig, rep: int, data: Domains, bundles) -> list[SourceBundle]:
+def distill_sources(cfg: ExperimentConfig, rep: int, sources: list[Dataset], bundles) -> list[SourceBundle]:
     """Stage 3: each classifier fine-tuned on the source samples that
-    cfg.method selects, or the bundles unchanged when distilling is off."""
+    cfg.method selects by the tau of its adaptation, or the bundles
+    unchanged when distilling is off."""
     if not cfg.method.distill:
         return bundles
+    for b, ds in zip(bundles, sources):
+        if b.tau is None or b.tau.shape != (ds.n,):
+            raise ConfigError(f"source {b.name}: bundle has no tau over its {ds.n} samples; rerun adapt")
     return [
         distill_finetune(
             b,
             ds,
-            distill_select(
-                sample_distances(b, ds, data.tgt_adapt.x),
-                rule=cfg.method.distill_rule,
-                fraction=cfg.method.distill_fraction,
-            ),
+            distill_select(b.tau, rule=cfg.method.distill_rule, fraction=cfg.method.distill_fraction),
             cfg.finetune,
             seed_stream(cfg, rep, "finetune", b.name),
         )
-        for b, ds in zip(bundles, data.sources)
+        for b, ds in zip(bundles, sources)
     ]
 
 
@@ -299,7 +298,7 @@ def run_seed(cfg: ExperimentConfig, rep: int) -> SeedResult:
         checksum_stage2 = _params_checksum(bundles)
         wasserstein = domain_weight([b.wd_estimate for b in bundles])
         stage = "distill"
-        distilled = distill_sources(cfg, rep, data, bundles)
+        distilled = distill_sources(cfg, rep, data.sources, bundles)
 
         stage = "predict"
         # the ablations reuse this seed's networks and change one mechanism each

@@ -30,6 +30,7 @@ from .nn import (
     forward,
     init_mlp,
     load_mlp,
+    load_params,
     save_params,
     step,
 )
@@ -107,6 +108,7 @@ class SourceBundle:
     critic: Mlp | None = None
     wd_estimate: float | None = None
     distilled: bool = False
+    tau: np.ndarray | None = None  # each source sample's distance to the target
 
     def __post_init__(self):
         if self.extractor.config.d_out != self.classifier.config.d_in:
@@ -114,8 +116,8 @@ class SourceBundle:
         stage2 = (self.target_encoder is not None, self.critic is not None, self.wd_estimate is not None)
         if any(stage2) and not all(stage2):
             raise ConfigError("target_encoder, critic and wd_estimate appear together")
-        if self.distilled and self.target_encoder is None:
-            raise ConfigError("distilled requires a completed adaptation stage")
+        if (self.distilled or self.tau is not None) and self.target_encoder is None:
+            raise ConfigError("distilled and tau require a completed adaptation stage")
         if self.target_encoder is not None and self.target_encoder.config != self.extractor.config:
             raise ConfigError("target encoder must share the extractor architecture")
 
@@ -391,14 +393,16 @@ def adapt_target(
         critic=critic,
         wd_estimate=0.0,
     )
-    adapted.wd_estimate = estimate_wd(adapted, src, tgt)
+    # one scoring of every row gives both the distance estimate and tau
+    scores = _critic_scores(adapted, src_feats, tgt)
+    adapted.wd_estimate = estimate_wd(*scores)
+    adapted.tau = sample_distances(*scores)
     return adapted
 
 
-def estimate_wd(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> float:
+def estimate_wd(src_scores: np.ndarray, tgt_scores: np.ndarray) -> float:
     """Converged critic gap over the full source and target sets: the
     mean source score minus the mean target score."""
-    src_scores, tgt_scores = _critic_scores(bundle, src, tgt)
     with np.errstate(all="ignore"):
         gap = float(src_scores.mean() - tgt_scores.mean())
     if not math.isfinite(gap):
@@ -406,27 +410,24 @@ def estimate_wd(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> float:
     return gap
 
 
+def _critic_scores(bundle: SourceBundle, src_feats: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frozen critic's score of every source feature row and of every
+    target row through the target encoder."""
+    if bundle.critic is None or bundle.target_encoder is None:
+        raise ConfigError("bundle missing critic; run adaptation first")
+    src_scores = bundle.critic.predict_values(src_feats)[:, 0]
+    tgt_scores = bundle.critic.predict_values(bundle.target_encoder.predict_values(tgt))[:, 0]
+    return src_scores, tgt_scores
+
+
 # ---------------------------------------------------------------------------
 # stage 3: source distilling
 
 
-def sample_distances(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> np.ndarray:
+def sample_distances(src_scores: np.ndarray, tgt_scores: np.ndarray) -> np.ndarray:
     """Each source sample's critic score minus the mean target score,
-    in absolute value."""
-    src_scores, tgt_scores = _critic_scores(bundle, src, tgt)
+    in absolute value: the tau that distilling selects by."""
     return np.abs(src_scores - tgt_scores.mean())
-
-
-def _critic_scores(bundle: SourceBundle, src: Dataset, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The frozen critic's score of every source row through the extractor
-    and of every target row through the target encoder."""
-    if bundle.critic is None or bundle.target_encoder is None:
-        raise ConfigError("bundle missing critic; run adaptation first")
-    if tgt.shape[0] < 1:
-        raise ConfigError("critic scoring needs non-empty target data")
-    src_scores = bundle.critic.predict_values(bundle.extractor.predict_values(src.x))[:, 0]
-    tgt_scores = bundle.critic.predict_values(bundle.target_encoder.predict_values(tgt))[:, 0]
-    return src_scores, tgt_scores
 
 
 def distill_select(tau: np.ndarray, rule: str = "closest", fraction: float = 0.5) -> DistillSelection:
@@ -476,6 +477,7 @@ def distill_finetune(
         critic=bundle.critic,
         wd_estimate=bundle.wd_estimate,
         distilled=True,
+        tau=bundle.tau,
     )
 
 
@@ -542,8 +544,9 @@ _NET_FILES = ("extractor", "classifier", "target_encoder", "critic")
 
 
 def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
-    """Write one parameter file per network plus meta.json, stamped with
-    ``experiment``, the hash of the experiment that produced the bundle.
+    """Write one parameter file per network, tau.bin for an adapted bundle,
+    and meta.json, stamped with ``experiment``, the hash of the experiment
+    that produced the bundle.
 
     meta.json is removed first and replaced last, so a write cut short
     leaves a bundle that does not load rather than one mixing old and new
@@ -560,6 +563,8 @@ def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
             continue
         configs[attr] = to_json(net.config)
         save_params(net, os.path.join(directory, f"{attr}.bin"))
+    if bundle.tau is not None:
+        save_params([Tensor.of(bundle.tau)], os.path.join(directory, "tau.bin"))
     meta = {
         "schema_version": 1,
         "name": bundle.name,
@@ -577,8 +582,8 @@ def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
 
 def load_bundle(directory, experiment: str) -> SourceBundle:
     """Read a checkpoint.  A bundle stamped with any experiment hash other
-    than ``experiment`` is stale and rejected, and so is a parameter file
-    that does not fit its network's config."""
+    than ``experiment`` is stale and rejected, and so are a parameter file
+    that does not fit its network's config and an adapted bundle's unreadable tau."""
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     version = meta.get("schema_version") if isinstance(meta, dict) else None
@@ -604,6 +609,12 @@ def load_bundle(directory, experiment: str) -> SourceBundle:
         for attr in _NET_FILES
         if attr in configs
     }
+    tau = None
+    if "critic" in nets:
+        try:
+            (tau,) = load_params(os.path.join(directory, "tau.bin"))
+        except (DataFormatError, OSError, ValueError) as exc:
+            raise ConfigError(f"{directory}: bundle {name!r} has no readable tau ({exc}); rerun adapt") from None
     return SourceBundle(
         name=name,
         extractor=nets["extractor"],
@@ -612,4 +623,5 @@ def load_bundle(directory, experiment: str) -> SourceBundle:
         critic=nets.get("critic"),
         wd_estimate=wd_estimate,
         distilled=distilled,
+        tau=tau,
     )

@@ -116,6 +116,19 @@ def _jump_table(r: int) -> np.ndarray:
     return table
 
 
+def _libm(fn, v: np.ndarray) -> np.ndarray:
+    """``fn`` of the math module over ``v``, element by element."""
+    return np.fromiter(map(fn, v.tolist()), np.float64, v.size)
+
+
+@functools.cache
+def _numpy_trig_is_libm() -> bool:
+    """Whether numpy's cos and sin give libm's bits on a fixed spread of
+    angles in [0, 2pi): probed once, at the first ``normals`` call."""
+    a = (2.0 * math.pi) * (np.arange(4093) * 0.6180339887498949 % 1.0)
+    return all(f(a).tobytes() == _libm(getattr(math, f.__name__), a).tobytes() for f in (np.cos, np.sin))
+
+
 class Xoshiro256:
     """xoshiro256** generator over a 256-bit state.
 
@@ -214,10 +227,11 @@ class Xoshiro256:
     def normals(self, count: int) -> np.ndarray:
         """Standard normals via Box-Muller; pairs are drawn per call and
         an unused spare from an odd count is discarded, so the draw
-        count is a function of `count` alone.  ``log``, ``cos`` and
-        ``sin`` are libm's, element by element, as numpy's may round
-        differently; blocks of at most one full fill bound the memory
-        this takes."""
+        count is a function of `count` alone.  ``log`` is libm's, element
+        by element, as numpy's may round differently; so are ``cos`` and
+        ``sin`` unless numpy's give libm's bits on the probe angles.
+        Blocks of at most one full fill bound the memory this takes."""
+        numpy_trig = _numpy_trig_is_libm()
         out = np.empty(count, dtype=np.float64)
         for lo in range(0, count, _FILL_CAP):
             block = out[lo:lo + _FILL_CAP]
@@ -226,9 +240,10 @@ class Xoshiro256:
             # u1 in (0, 1] so log(u1) is finite
             u1 = ((x[0::2] >> 11) + 1) * 2.0**-53
             a = (2.0 * math.pi) * ((x[1::2] >> 11) * 2.0**-53)
-            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
-            block[0::2] = r * np.fromiter(map(math.cos, a.tolist()), np.float64, pairs)
-            block[1::2] = (r * np.fromiter(map(math.sin, a.tolist()), np.float64, pairs))[: block.size // 2]
+            r = np.sqrt(-2.0 * _libm(math.log, u1))
+            cos, sin = (np.cos(a), np.sin(a)) if numpy_trig else (_libm(math.cos, a), _libm(math.sin, a))
+            block[0::2] = r * cos
+            block[1::2] = (r * sin)[: block.size // 2]
         return out
 
     def integers(self, count: int, below: int) -> np.ndarray:

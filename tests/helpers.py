@@ -9,7 +9,7 @@ from mdda.autodiff import StepPlan, Tape, Tensor, _require_finite, backward, mat
 from mdda.datagen import Dataset, DomainSpec, rotation_matrix
 from mdda.errors import ConfigError, ShapeError
 from mdda.nn import Mlp, MlpConfig, forward, init_mlp
-from mdda.pipeline import gradient_penalty
+from mdda.pipeline import _critic_scores, gradient_penalty
 from mdda.rng import _MASK, _splitmix64, stream
 
 
@@ -167,6 +167,13 @@ def gp_param_grad_worst_error() -> float:
 
     fd = central_difference(value, arrays)
     return max(relative_error(grads[p.id].value, f) for p, f in zip(critic.params, fd))
+
+
+def critic_scores(bundle, src: Dataset, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two score vectors that ``estimate_wd`` and ``sample_distances``
+    take: the frozen critic's score of every source row through the
+    extractor and of every target row through the target encoder."""
+    return _critic_scores(bundle, bundle.extractor.predict_values(src.x), tgt)
 
 
 def linear_critic(weights_row, bias: float = 0.0) -> Mlp:

@@ -45,7 +45,7 @@ from mdda.pipeline import (
 )
 from mdda.rng import stream
 
-from helpers import concat_datasets, fd_sweep, gp_param_grad_worst_error, linear_critic
+from helpers import concat_datasets, critic_scores, fd_sweep, gp_param_grad_worst_error, linear_critic
 from test_pipeline import _constant_bundle, _toy_bundle, _toy_data
 
 FEATURES = MlpConfig((2, 32, 8), final_activation="tanh")
@@ -207,7 +207,7 @@ def test_criterion_5_distilling_helps_on_corrupted_source(criterion):
         tgt_eval = sample_domain(tgt_spec, 5000, stream(seed, "data", "tgt-eval"))
         bundle = pretrain_source(src, FEATURES, HEADS, PRETRAIN, stream(seed, "pre"))
         adapted = adapt_target(bundle, src, tgt.x, adapt_cfg, stream(seed, "adapt"))
-        sel = distill_select(sample_distances(adapted, src, tgt.x))
+        sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
         tuned = distill_finetune(adapted, src, sel, TrainConfig(500, 64, 1e-3),
                                  stream(seed, "ft"))
 

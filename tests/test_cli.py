@@ -156,7 +156,7 @@ def test_staged_predict_equals_run_seed_zero(method, tmp_path, monkeypatch):
 
     data = sample_domains(cfg, 0)
     adapted = adapt_sources(cfg, 0, data, pretrain_sources(cfg, 0, data.sources))
-    pred = predict_target(distill_sources(cfg, 0, data, adapted), cfg.method.weighting, data.tgt_test.x)
+    pred = predict_target(distill_sources(cfg, 0, data.sources, adapted), cfg.method.weighting, data.tgt_test.x)
     assert np.array_equal(rows[:, 0].astype(np.int64), pred.labels)
     assert np.array_equal(rows[:, 1:], pred.probs)
     staged_acc = float(np.mean(pred.labels == data.tgt_test.y))
@@ -199,7 +199,7 @@ def test_each_staged_subcommand_samples_only_the_domains_it_uses(config_file, tm
     monkeypatch.setattr(experiment, "sample_domain", noted)
     out = str(tmp_path / "out")
     every = ["near", "off", "target"]
-    expected = {"gen-data": every, "pretrain": ["near", "off"], "adapt": every, "distill": every,
+    expected = {"gen-data": every, "pretrain": ["near", "off"], "adapt": every, "distill": ["near", "off"],
                 "predict": ["target"]}
     for sub, names in expected.items():
         sampled.clear()
@@ -331,6 +331,32 @@ def test_an_interrupted_bundle_write_does_not_load(config_file, tmp_path, monkey
     # the run before; it must not load as a stage-2 bundle
     assert main(["distill", "--config", config_file, "--out", out, "-q"]) == 1
     assert "meta.json" in capsys.readouterr().err
+
+
+def _drop_tau(path):
+    path.unlink()
+
+
+def _truncate_tau(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _shorten_tau(path):
+    save_params([Tensor.of(load_params(path)[0][:-1])], path)
+
+
+@pytest.mark.parametrize("damage", [_drop_tau, _truncate_tau, _shorten_tau],
+                         ids=["missing", "truncated", "one-short"])
+def test_an_adapted_bundle_without_a_fitting_tau_exits_one(damage, config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for sub in ("pretrain", "adapt"):
+        assert main([sub, "--config", config_file, "--out", out, "-q"]) == 0
+    damage(Path(out, "bundles", "near", "tau.bin"))
+    capsys.readouterr()
+    assert main(["distill", "--config", config_file, "--out", out, "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdda distill:") and "near" in err and "rerun adapt" in err
+    assert "Traceback" not in err
 
 
 def test_quiet_suppresses_progress(config_file, tmp_path, capsys):

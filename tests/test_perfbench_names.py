@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import tiny_experiment_config
+from helpers import critic_scores
 import mdda.cli
 import mdda.experiment
 import mdda.pipeline
@@ -76,7 +77,7 @@ def test_tracer_names_the_step_kind_of_every_backward():
         pipeline = mdda.pipeline
         bundle = pipeline.pretrain_source(src, MlpConfig((2, 4, 3)), MlpConfig((3, 2)), train, stream(3, "pre"))
         bundle = pipeline.adapt_target(bundle, src, tgt, adapt, stream(4, "adapt"))
-        sel = pipeline.distill_select(pipeline.sample_distances(bundle, src, tgt))
+        sel = pipeline.distill_select(pipeline.sample_distances(*critic_scores(bundle, src, tgt)))
         pipeline.distill_finetune(bundle, src, sel, train, stream(5, "fine"))
     finally:
         t.uninstall()
@@ -98,6 +99,20 @@ def test_every_pipeline_span_records_a_call():
     assert [span for span in workloads._PIPELINE_SPANS if not calls.get(span)] == []
     # the recorded backward of the penalty reaches the public matmul
     assert calls["autodiff.matmul"] > calls["pipeline.gradient_penalty"]
+
+
+def test_every_staged_cli_span_records_a_call(tmp_path):
+    config, out = tmp_path / "exp.json", tmp_path / "out"
+    mdda.experiment.save_config(tiny_experiment_config(), config)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for sub in workloads.STAGED_SUBCOMMANDS:
+            assert mdda.cli.main([sub, "--config", str(config), "--out", str(out), "-q"]) == 0, sub
+    finally:
+        t.uninstall()
+    calls = {name: entry["calls"] for name, entry in t.summary().items()}
+    assert [span for span in workloads.WORKLOADS["staged-cli"].spans if not calls.get(span)] == []
 
 
 def test_op_microbench_reports_every_op_metric(monkeypatch):

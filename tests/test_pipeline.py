@@ -51,6 +51,7 @@ from helpers import (
     ReferenceAdam,
     assign,
     concat_datasets,
+    critic_scores,
     gp_param_grad_worst_error,
     gradient_views,
     identity_net,
@@ -162,6 +163,10 @@ def test_source_bundle_validation():
         SourceBundle(name="d", extractor=identity_net(1),
                      classifier=init_mlp(MlpConfig((1, 2)), stream(0, "c")),
                      distilled=True)
+    with pytest.raises(ConfigError, match="tau"):
+        SourceBundle(name="t", extractor=identity_net(1),
+                     classifier=init_mlp(MlpConfig((1, 2)), stream(0, "c")),
+                     tau=np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +487,8 @@ def test_adapt_freezes_extractor_and_records_the_critic_gap():
     adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(5, "adapt"))
     for p, before in zip(bundle.extractor.params, frozen):
         assert np.array_equal(p.value, before)
-    assert abs(adapted.wd_estimate - estimate_wd(adapted, src, tgt.x)) <= 1e-12
+    assert abs(adapted.wd_estimate - estimate_wd(*critic_scores(adapted, src, tgt.x))) <= 1e-12
+    assert adapted.tau.tobytes() == sample_distances(*critic_scores(adapted, src, tgt.x)).tobytes()
     probs = single_source_probs(adapted, tgt.x)
     manual = adapted.classifier.predict_values(
         adapted.target_encoder.predict_values(tgt.x))
@@ -553,14 +559,14 @@ def test_estimate_wd_sign_on_identity_bundle():
     bundle = _identity_bundle()
     ones = Dataset(x=np.array([[1.0], [1.0]]), y=np.array([0, 0]), domain_name="ones")
     zeros = Dataset(x=np.array([[0.0], [0.0]]), y=np.array([0, 0]), domain_name="zeros")
-    assert estimate_wd(bundle, ones, zeros.x) == 1.0
-    assert estimate_wd(bundle, zeros, ones.x) == -1.0
+    assert estimate_wd(*critic_scores(bundle, ones, zeros.x)) == 1.0
+    assert estimate_wd(*critic_scores(bundle, zeros, ones.x)) == -1.0
 
 
 def test_estimate_wd_requires_an_adapted_bundle():
     src, bundle = _toy_bundle(steps=0)
     with pytest.raises(ConfigError, match="missing critic"):
-        estimate_wd(bundle, src, src.x)
+        estimate_wd(*critic_scores(bundle, src, src.x))
 
 
 def test_estimate_wd_equals_the_critic_loss_bit_for_bit():
@@ -573,7 +579,7 @@ def test_estimate_wd_equals_the_critic_loss_bit_for_bit():
     sf = adapted.extractor.predict_values(src.x)
     tf = adapted.target_encoder.predict_values(tgt.x)
     want = critic_loss(adapted.critic, Tensor.of(sf), Tensor.of(tf)).item()
-    assert estimate_wd(adapted, src, tgt.x) == want
+    assert estimate_wd(*critic_scores(adapted, src, tgt.x)) == want
     assert adapted.wd_estimate == want
 
 
@@ -588,14 +594,14 @@ def test_sample_distances_constant_critic_gives_zeros():
                           critic=linear_critic([0.0, 0.0], 5.0), wd_estimate=0.0)
     src = Dataset(x=stream(1, "src").uniforms(8, -2.0, 2.0).reshape((4, 2)),
                   y=np.zeros(4, dtype=np.int64), domain_name="s")
-    tau = sample_distances(bundle, src, np.zeros((3, 2)))
+    tau = sample_distances(*critic_scores(bundle, src, np.zeros((3, 2))))
     assert np.array_equal(tau, np.zeros(4))
 
 
 def test_sample_distances_identity_example():
     bundle = _identity_bundle()
     src = Dataset(x=np.array([[3.0], [5.0]]), y=np.array([0, 0]), domain_name="s")
-    tau = sample_distances(bundle, src, np.array([[2.0], [2.0]]))
+    tau = sample_distances(*critic_scores(bundle, src, np.array([[2.0], [2.0]])))
     assert np.array_equal(tau, np.array([1.0, 3.0]))
 
 
@@ -603,7 +609,7 @@ def test_sample_distances_matches_a_python_loop():
     src, bundle = _toy_bundle(steps=10)
     tgt = _toy_data(9, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(10, "adapt"))
-    tau = sample_distances(adapted, src, tgt.x)
+    tau = sample_distances(*critic_scores(adapted, src, tgt.x))
     src_scores = adapted.critic.predict_values(
         adapted.extractor.predict_values(src.x))[:, 0]
     tgt_scores = adapted.critic.predict_values(
@@ -643,7 +649,7 @@ def test_distill_finetune_zero_steps_copies_the_classifier():
     tgt = _toy_data(12, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(13, "adapt"))
-    sel = distill_select(sample_distances(adapted, src, tgt.x))
+    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
     tuned = distill_finetune(adapted, src, sel, TrainConfig(steps=0), stream(14, "ft"))
     assert tuned.stage == 3 and tuned.distilled
     assert tuned.extractor is adapted.extractor
@@ -657,7 +663,7 @@ def test_distill_finetune_matches_a_manual_replay():
     tgt = _toy_data(15, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(16, "adapt"))
-    sel = distill_select(sample_distances(adapted, src, tgt.x), fraction=1.0)
+    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)), fraction=1.0)
     tuned = distill_finetune(adapted, src, sel, TrainConfig(6, 8, 1e-3), stream(17, "ft"))
 
     rng = stream(17, "ft")
@@ -702,7 +708,7 @@ def test_distilling_prunes_a_corrupted_half():
                            AdaptConfig(steps=150, batch_size=128, lr_critic=1e-3,
                                        lr_encoder=1e-5, critic_hidden=(16, 16)),
                            stream(0, "adapt"))
-    sel = distill_select(sample_distances(adapted, src, tgt.x))
+    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
     # the first 500 rows are the clean half; the critic should prefer them
     purity = float(np.mean(sel.selected_indices < 500))
     assert purity >= 0.8
@@ -844,12 +850,13 @@ def test_bundle_round_trip_stage_three(tmp_path):
     src, bundle = _toy_bundle(steps=10)
     tgt = _toy_data(26, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(27, "adapt"))
-    sel = distill_select(sample_distances(adapted, src, tgt.x))
+    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
     tuned = distill_finetune(adapted, src, sel, TrainConfig(4, 8, 1e-3), stream(28, "ft"))
     save_bundle(tuned, tmp_path / "b", "stamp")
     back = load_bundle(tmp_path / "b", "stamp")
     assert back.stage == 3 and back.distilled
     assert back.wd_estimate == tuned.wd_estimate
+    assert back.tau.tobytes() == tuned.tau.tobytes() == adapted.tau.tobytes()
     for attr in ("extractor", "classifier", "target_encoder", "critic"):
         for pa, pb in zip(getattr(back, attr).params, getattr(tuned, attr).params):
             assert np.array_equal(pa.value, pb.value)

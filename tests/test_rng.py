@@ -4,12 +4,16 @@ sequences that cross serial fills, lane fills and lane boundaries."""
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdda.rng
 from helpers import ReferenceXoshiro256
 from mdda.rng import _FILL_CAP, _LANE_STEPS, Xoshiro256, _jump_table, stream
 
@@ -99,6 +103,29 @@ def test_normals_longer_than_a_fill_match_the_reference(count):
     assert gen.next_u64() == ref.next_u64()
     assert gen.normals(count).tobytes() == ref.normals(count).tobytes()
     assert gen.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("matches", [True, False], ids=["numpy-trig", "libm-fallback"])
+@pytest.mark.parametrize("count", [1, 3, 2 * _FILL_CAP + 1, 5001])
+def test_normals_match_the_reference_whatever_the_trig_probe_says(count, matches, monkeypatch):
+    mapped, libm = set(), mdda.rng._libm
+    monkeypatch.setattr(mdda.rng, "_libm", lambda fn, v: mapped.add(fn.__name__) or libm(fn, v))
+    monkeypatch.setattr(mdda.rng, "_numpy_trig_is_libm", lambda: matches)
+    gen, ref = Xoshiro256(count), ReferenceXoshiro256(count)
+    assert gen.normals(count).tobytes() == ref.normals(count).tobytes()
+    assert gen.next_u64() == ref.next_u64()
+    assert mapped == ({"log"} if matches else {"log", "cos", "sin"})
+
+
+def test_the_trig_probe_runs_at_the_first_normals_call_not_at_import():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mdda.rng.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import mdda, mdda.rng as r; probed = r._numpy_trig_is_libm.cache_info; before = probed().currsize; "
+            "r.stream(1).normals(3); print(before, probed().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["0", "1"]
 
 
 # Small counts stay on the serial fill; large ones force lane fills.
