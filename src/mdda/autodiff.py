@@ -18,7 +18,9 @@ gradients: no gradient toward it is computed.  A training loop records its
 first step and captures it as a :class:`StepPlan`, which records the step's
 backward onto the tape as well and generates one straight-line Python
 function that replays every later step at its new inputs, with the same
-operations and without recording.  A replay checks only where a non-finite
+operations and without recording; the plans of several sources that train
+in lockstep replay as one such function over arrays with a leading source
+axis (:class:`Lockstep`).  A replay checks only where a non-finite
 value could hide, and raises the same error at the same op as recording the
 step would.
 
@@ -274,11 +276,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return _apply("softmax_xent", (logits,), _labels(np.array(labels, dtype=np.int64), *logits.shape))
 
 
-def _labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
-    """``labels`` as an int64 vector of ``n_batch`` classes below
-    ``n_classes``, not copied if it is one already."""
+def _labels(labels, n_batch: int, n_classes: int, lead: tuple = ()) -> np.ndarray:
+    """``labels`` as an int64 array of shape ``lead`` + (``n_batch``,) of
+    classes below ``n_classes``, not copied if it is one already."""
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n_batch,):
+    if y.shape != (*lead, n_batch):
         raise ShapeError(f"labels shape {y.shape} does not match batch size {n_batch}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
@@ -317,9 +319,11 @@ def _sqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _softmax_xent(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return (lse[:, 0] - shifted[np.arange(z.shape[0]), y]).mean()
+    # rows along the last axis, one mean per leading index
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    picked = shifted.reshape(-1, z.shape[-1])[np.arange(y.size), y.reshape(-1)].reshape(y.shape)
+    return (lse - picked).mean(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +470,10 @@ class _Op(NamedTuple):
     """``form`` is the op's forward as one line that binds ``{v}`` from its
     operands ({0}, {1}, ...) and its non-tensor argument ({aux}); a ufunc
     may write into an operand of its result's shape that nothing reads later
-    ({out}).  A step plan's replay runs the form at the captured shapes, and
-    ``fn``, generated from it at import, is the forward on float64 arrays
-    with the op's argument last.  ``vjp`` is the rule, ``None`` where the
+    ({out}).  A step plan's replay runs the form at the captured shapes, with
+    or without a leading source axis (:class:`Lockstep`), and ``fn``,
+    generated from it at import, is the forward on float64 arrays with the
+    op's argument last.  ``vjp`` is the rule, ``None`` where the
     derivative is zero almost everywhere, so the op stops gradients;
     ``checked`` says whether the result goes through ``_require_finite``,
     which ops that only move checked values skip; ``passes`` holds the
@@ -510,8 +515,8 @@ _OPS: dict[str, _Op] = {
     "neg": _Op("{v} = np.negative({0}{out})", _vjp_neg, passes=(0,)),
     "matmul": _Op("{v} = np.matmul({0}, {1})", _vjp_matmul, passes=(0, 1)),
     # {1} is the weight's contiguous transposed copy, as matmul(x, w.T) takes
-    "linear": _Op("{v} = {0} @ {1} + {2}", _vjp_linear, passes=(0, 1, 2)),
-    "transpose": _Op("{v} = {0}.T.copy()", _vjp_transpose, checked=False, passes=(0,)),
+    "linear": _Op("{v} = {0} @ {1} + {2}[..., None, :]", _vjp_linear, passes=(0, 1, 2)),
+    "transpose": _Op("{v} = {0}.swapaxes(-1, -2).copy()", _vjp_transpose, checked=False, passes=(0,)),
     "reshape": _Op("{v} = {0}.reshape({aux}).copy()", _vjp_reshape, checked=False, passes=(0,)),
     # relu(-inf) is 0
     "relu": _Op("{v} = np.maximum({0}, 0.0{out})", _vjp_relu),
@@ -529,8 +534,8 @@ _OPS: dict[str, _Op] = {
     # 1 where x > 0, `slope` elsewhere (the kink at 0 takes the negative side)
     "step_mask": _Op("{v} = np.maximum({0} > 0.0, {aux}{out})", None, checked=False),
     # each row's maximum, repeated across the row, and one-hot labels
-    "row_max": _Op("{v} = np.repeat({0}.max(axis=1, keepdims=True), {0}.shape[1], axis=1)", None, checked=False),
-    "one_hot": _Op("{v} = np.eye({0}.shape[1])[{aux}]", None, checked=False),
+    "row_max": _Op("{v} = np.repeat({0}.max(axis=-1, keepdims=True), {0}.shape[-1], axis=-1)", None, checked=False),
+    "one_hot": _Op("{v} = np.eye({0}.shape[-1])[{aux}]", None, checked=False),
 }
 _OPS = {op: spec._replace(fn=_forward(op, spec.form)) for op, spec in _OPS.items()}
 
@@ -629,7 +634,7 @@ def _sweep(tape: Tape, out_id: int, wrt_ids: list[int]) -> Grads:
 # A sink that no node reads may be a view of a value that nothing else
 # reads.  An operand keeps its copy: a product with a transposed view as
 # operand rounds differently on OpenBLAS.
-_VIEWS = {"transpose": "{v} = {0}.T", "reshape": "{v} = {0}.reshape({aux})"}
+_VIEWS = {"transpose": "{v} = {0}.swapaxes(-1, -2)", "reshape": "{v} = {0}.reshape({aux})"}
 
 
 # the steps of each source domain's networks have the same program, so
@@ -655,8 +660,9 @@ class StepPlan:
     optimizer's flat gradient ``row``: each replay writes the gradient of
     ``wrt[j]`` into ``views[j]``, its view of the row, and a gradient that is
     a constant is written there once, at capture.  Only the loss and the
-    gradients (the sinks) are written out; other values are dropped at
-    capture, and at each replay after their last reader.
+    gradients (the sinks) are written out; every other value, the
+    gradients' included, is dropped at capture, and at each replay after
+    its last reader.
 
     A replay checks a node only where a non-finite value could hide.  A
     node's own check is left out when it has readers and each reads it at
@@ -678,6 +684,7 @@ class StepPlan:
         end = len(tape.nodes)
         grads = _sweep(tape, loss.id, wrt_ids)
         nodes = self.nodes = tape.nodes[:]
+        self.wrt, self.views = [nodes[i] for i in wrt_ids], list(views)
         # each computed gradient's views of the row; a gradient that comes
         # back detached is a constant
         self.row, self.into = row, {}
@@ -714,7 +721,7 @@ class StepPlan:
         # the shapes the replay is generated for, which ``run`` holds fixed
         self.shapes = {i: nodes[i].value.shape for k in self.program for i in (k, *nodes[k].inputs)}
         for node in step:
-            if node not in self.sinks:
+            if node is not nodes[self.out]:
                 node.value = None  # so that a first replay holds one set of values
 
     @functools.cached_property
@@ -729,7 +736,7 @@ class StepPlan:
         generated when a check first fails."""
         return self._replay({self.nodes[k] for k in self.program if _OPS[self.nodes[k].op].checked}, set())
 
-    def _replay(self, checks: set, late: set) -> Callable[[], None]:
+    def _replay(self, checks: set, late: set, swap: dict | None = None) -> Callable[[], None]:
         """One straight-line function that runs ``program`` on the values
         its leaves hold when it is called.  Node ``k``'s value is the local
         ``v{k}``, checked after its forward if the node is in ``checks`` and
@@ -737,7 +744,8 @@ class StepPlan:
         the end, the loss is written back and each gradient into its views
         of the row.  Only node ids and positions enter the source: the
         leaves, the checked nodes, the loss, the gradient views and the op
-        arguments are bound as one tuple each."""
+        arguments are bound as one tuple each, where ``swap`` maps the
+        ``id`` of a bound object to the one bound in its place."""
         nodes, program, shapes = self.nodes, self.program, self.shapes
         computed, sinks = set(program), set(self.sinks)
         last = {i: pos for pos, k in enumerate(program) for i in nodes[k].inputs}
@@ -765,10 +773,10 @@ class StepPlan:
             if node.op == "linear":
                 w = node.inputs[1]
                 if first[w] == final[w]:
-                    args[1] = f"{args[1]}.T.copy()"
+                    args[1] = f"{args[1]}.swapaxes(-1, -2).copy()"
                 else:
                     if first[w] == pos:
-                        lines.append(f"t{w} = {args[1]}.T.copy()")
+                        lines.append(f"t{w} = {args[1]}.swapaxes(-1, -2).copy()")
                     args[1] = f"t{w}"
                     if final[w] == pos:
                         dead.append(f"t{w}")
@@ -797,7 +805,8 @@ class StepPlan:
         body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
         scope: dict = {}
         exec(_compiled(f"def make(L, C, S, G, A):\n    def replay():\n{body}    return replay\n"), globals(), scope)
-        return scope["make"](*(tuple(objs) for objs in bound.values()))
+        get = (swap or {}).get
+        return scope["make"](*(tuple(get(id(obj), obj) for obj in objs) for objs in bound.values()))
 
     def run(self, inputs: Sequence, labels: Sequence = ()) -> None:
         """Replay the step at new input values and new labels, one vector
@@ -823,3 +832,91 @@ class StepPlan:
                 _require_finite(self.row, "gradient")
             except NonFiniteError:
                 self.full()
+
+
+class Lockstep:
+    """The step plans of S sources, captured by the same recording at the
+    same shapes on S tapes, with every parameter they read in ``wrt``, and
+    bound to the rows of one gradient buffer ``row`` [S x n], replayed
+    together.  ``stacked[j]`` holds the values and the gradient of every
+    source's ``wrt[j]`` as two (S, ...) views.
+
+    At its first run it generates the first plan's replay with a leading
+    source axis on the parameters, inputs and labels, and with that plan's
+    checks.  Every op's form works with or without the axis, and each slice
+    of a stacked product or row reduction has the bits of its source's own
+    on the numpy and BLAS the tests check.
+    A program that reduces a whole array or broadcasts a one-element value
+    that is not a constant is not stacked.  When it is not, or a check
+    fails, :meth:`run` replays the sources one by one through their own
+    plans, in order: an error is then the one the first failing source
+    raises alone, with that source's index as its ``source``.
+    """
+
+    def __init__(self, plans: Sequence[StepPlan], row: np.ndarray, stacked: Sequence[tuple]):
+        self.plans, self.row, self.stacked = list(plans), row, stacked
+
+    @functools.cached_property
+    def lean(self) -> Callable[[], None] | None:
+        """The stacked replay, or ``None`` where the program does not stack."""
+        plan, n = self.plans[0], len(self.plans)
+        nodes = plan.nodes
+        if n < 2:
+            return None
+        self.inputs = [Node("leaf", (), None) for _ in plan.inputs]
+        self.labels = [np.zeros((n, shape[0]), dtype=np.int64) for _, shape in plan.softmax]
+        self.loss = Node(nodes[plan.out].op, (), None)
+        swap = {id(nodes[plan.out]): self.loss}
+        for node, view, (value, grad) in zip(plan.wrt, plan.views, self.stacked):
+            swap.update({id(node): Node("leaf", (), value), id(view): grad})
+        swap.update((id(node), holder) for node, holder in zip(plan.inputs, self.inputs))
+        swap.update((id(node.aux), labels) for (node, _), labels in zip(plan.softmax, self.labels))
+        # every computed value carries the axis, from a value it reads
+        carried = {*plan.wrt, *plan.inputs}
+        for k in plan.program:
+            node, shapes = nodes[k], [plan.shapes[i] for i in nodes[k].inputs]
+            reads = [nodes[i] in carried for i in node.inputs]
+            # the operand that a broadcasting replay reads as a float
+            scalar = (node.op in _BROADCASTING and shapes[0] != shapes[1]
+                      and reads[1 if math.prod(shapes[1]) == 1 else 0])
+            if node.op in ("sum", "mean") or not any(reads) or scalar:
+                return None
+            if node.op == "reshape":
+                swap[id(node.aux)] = (n, *node.aux)
+            carried.add(node)
+        return plan._replay(plan.own, {nodes[plan.out]}, swap)
+
+    def run(self, inputs: Sequence[Sequence], labels: Sequence[Sequence]) -> None:
+        """Replay every source's step, source s at ``inputs[s]`` and
+        ``labels[s]`` as :meth:`StepPlan.run` takes them; each plan's loss
+        value is then its source's, and the row holds the gradients."""
+        if len(inputs) != len(self.plans) or len(labels) != len(self.plans):
+            raise ValueError(f"the step takes the inputs and labels of {len(self.plans)} sources")
+        if self.lean is not None:
+            plan = self.plans[0]
+            if any(len(xs) != len(plan.inputs) or len(ys) != len(plan.softmax) for xs, ys in zip(inputs, labels)):
+                raise ValueError(f"each source takes {len(plan.inputs)} inputs and {len(plan.softmax)} label vectors")
+            values = [np.asarray(np.stack(arrays), dtype=np.float64) for arrays in zip(*inputs)]
+            for value, node in zip(values, plan.inputs):
+                if value.shape[1:] != node.value.shape:
+                    raise ShapeError(f"step input shape {value.shape[1:]} != captured shape {node.value.shape}")
+            for buffer, (_, shape), ys in zip(self.labels, plan.softmax, zip(*labels)):
+                buffer[...] = _labels(ys, *shape, lead=(len(ys),))
+            try:
+                with np.errstate(all="ignore"):
+                    for holder, value in zip(self.inputs, values):
+                        _require_finite(value, "leaf")
+                        holder.value = value
+                    self.lean()
+                    _require_finite(self.row, "gradient")
+                for s, other in enumerate(self.plans):
+                    other.nodes[other.out].value = self.loss.value[s, ...]
+                return
+            except NonFiniteError:
+                pass
+        for s, (other, xs, ys) in enumerate(zip(self.plans, inputs, labels)):
+            try:
+                other.run(xs, ys)
+            except NonFiniteError as exc:
+                exc.source = s
+                raise

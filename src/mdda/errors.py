@@ -17,7 +17,10 @@ class ShapeError(MddaError, ValueError):
 
 
 class NonFiniteError(MddaError, FloatingPointError):
-    """An operation produced NaN or infinity."""
+    """An operation produced NaN or infinity; ``source`` is the index of the
+    source it arose in when several train in lockstep."""
+
+    source = 0
 
 
 class DataFormatError(MddaError, ValueError):

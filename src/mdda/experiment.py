@@ -238,13 +238,9 @@ def sample_domains(cfg: ExperimentConfig, rep: int) -> Domains:
 
 
 def pretrain_sources(cfg: ExperimentConfig, rep: int, sources: list[Dataset]) -> list[SourceBundle]:
-    """Stage 1: an extractor and classifier per source."""
-    return [
-        pretrain_source(
-            ds, cfg.extractor, cfg.classifier, cfg.pretrain, seed_stream(cfg, rep, "pretrain", ds.domain_name)
-        )
-        for ds in sources
-    ]
+    """Stage 1: an extractor and classifier per source, all sources in lockstep."""
+    rngs = [seed_stream(cfg, rep, "pretrain", ds.domain_name) for ds in sources]
+    return pretrain_source(sources, cfg.extractor, cfg.classifier, cfg.pretrain, rngs)
 
 
 def adapt_sources(cfg: ExperimentConfig, rep: int, data: Domains, bundles) -> list[SourceBundle]:
@@ -264,16 +260,9 @@ def distill_sources(cfg: ExperimentConfig, rep: int, sources: list[Dataset], bun
     for b, ds in zip(bundles, sources):
         if b.tau is None or b.tau.shape != (ds.n,):
             raise ConfigError(f"source {b.name}: bundle has no tau over its {ds.n} samples; rerun adapt")
-    return [
-        distill_finetune(
-            b,
-            ds,
-            distill_select(b.tau, rule=cfg.method.distill_rule, fraction=cfg.method.distill_fraction),
-            cfg.finetune,
-            seed_stream(cfg, rep, "finetune", b.name),
-        )
-        for b, ds in zip(bundles, sources)
-    ]
+    sels = [distill_select(b.tau, rule=cfg.method.distill_rule, fraction=cfg.method.distill_fraction) for b in bundles]
+    rngs = [seed_stream(cfg, rep, "finetune", b.name) for b in bundles]
+    return distill_finetune(bundles, sources, sels, cfg.finetune, rngs)
 
 
 def predict_target(bundles, weighting: str, x: np.ndarray) -> Prediction:

@@ -130,21 +130,24 @@ def clone_mlp(src: Mlp, tape: Tape | None = None) -> Mlp:
 
 @dataclass
 class OptimizerState:
-    """Adam state over one parameter list.  The first step copies the
-    parameters into one flat buffer and rebinds each (its tensor and its
-    tape node) to a view of it; every later step must pass the same list,
-    and Adam updates the buffer in place."""
+    """Adam state over one parameter list, or over the equally shaped lists
+    of S sources one after another.  The first step copies the parameters
+    into one [S x n] buffer, a row per source, and rebinds each (its tensor
+    and its tape node) to a view of its source's row; every later step must
+    pass the same list, and Adam updates the buffer in place."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    # set by the first step: the flat values, seven flat rows (gradient, moments,
-    # next moments, two scratch) and each parameter's value and gradient views
+    # set by the first step: the values, flat, seven [S x n] buffers (gradient,
+    # moments, next moments, two scratch), each parameter's value and gradient
+    # views, and each parameter position's over all sources as (S, ...) views
     _values: np.ndarray | None = field(default=None, repr=False)
     _rows: list | None = field(default=None, repr=False)
     _views: list | None = field(default=None, repr=False)
+    _stacked: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.learning_rate > 0.0:
@@ -156,40 +159,49 @@ def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
     return OptimizerState(learning_rate, beta1, beta2, eps)
 
 
-def _bind(opt: OptimizerState, params: Sequence[Tensor]) -> None:
+def _bind(opt: OptimizerState, params: Sequence[Tensor], n_sources: int) -> None:
     if any(p.tape is None or p.tape.nodes[p.id].op != "leaf" for p in params):
         raise ValueError("an optimizer only updates tape leaves")
-    n = sum(p.value.size for p in params)
-    opt._values, opt._rows, opt._views = np.empty(n), list(np.zeros((7, n))), []
-    start = 0
-    for p in params:
-        stop = start + p.value.size
-        view = opt._values[start:stop].reshape(p.shape)
+    shapes = [p.shape for p in params[: len(params) // n_sources]]
+    if len(params) != n_sources * len(shapes) or any(p.shape != shapes[j % len(shapes)]
+                                                     for j, p in enumerate(params)):
+        raise ShapeError(f"the parameter lists of {n_sources} sources differ in shape")
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    opt._values, opt._rows = np.empty(n_sources * ends[-1]), list(np.zeros((7, n_sources, ends[-1])))
+    values = opt._values.reshape(n_sources, ends[-1])
+    opt._stacked = [(values[:, a:b].reshape(n_sources, *shape), opt._rows[0][:, a:b].reshape(n_sources, *shape))
+                    for a, b, shape in zip(ends, ends[1:], shapes)]
+    opt._views = []
+    for j, p in enumerate(params):
+        values, grads = opt._stacked[j % len(shapes)]
+        view = values[j // len(shapes), ...]
         view[...] = p.value
         p.value = p.tape.nodes[p.id].value = view
-        opt._views.append((view, opt._rows[0][start:stop].reshape(p.shape)))
-        start = stop
+        opt._views.append((view, grads[j // len(shapes), ...]))
 
 
-def _gradient_row(opt: OptimizerState, params: Sequence[Tensor]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The optimizer's flat gradient row and each parameter's view of it,
-    for a step plan to write into; binds the optimizer to ``params`` if no
-    step has."""
+def _gradient_row(opt: OptimizerState, params: Sequence[Tensor],
+                  n_sources: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The optimizer's gradient buffer, a row per source, and each
+    parameter's view of it, for step plans to write into; binds the
+    optimizer to ``params``, the lists of ``n_sources`` sources one after
+    another, if no step has."""
     if opt._views is None:
-        _bind(opt, params)
+        _bind(opt, params, n_sources)
     return opt._rows[0], [view for _, view in opt._views]
 
 
 def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads | None) -> None:
     """Apply one Adam update in place, from ``grads`` or, when it is
-    ``None``, from the optimizer's gradient row as a step plan wrote it.
-    The update runs once over the flat buffer, element-wise, so each value
-    gets the bits a per-parameter update would give it.  A non-finite
-    result raises before any parameter, moment or step count is written."""
+    ``None``, from the optimizer's gradient buffer as step plans wrote it.
+    The update runs once over the whole buffer, element-wise, so each value
+    gets the bits a per-parameter or per-source update would give it.  A
+    non-finite result raises, naming the first source it arose in, before
+    any parameter, moment or step count is written."""
     if opt._views is None:
         if grads is None:
             raise ValueError("the optimizer has no gradient row before its first step")
-        _bind(opt, params)
+        _bind(opt, params, 1)
     if len(params) != len(opt._views):
         raise ShapeError("optimizer state does not match the parameter list")
     for p, (view, _) in zip(params, opt._views):
@@ -205,6 +217,7 @@ def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads | None) -> 
             view[...] = grads[p.id].value
     t, b1, b2 = opt.step_count + 1, opt.beta1, opt.beta2
     g, m_old, v_old, m, v, a, b = opt._rows
+    values = opt._values.reshape(g.shape)
     # the IEEE operations and order of the allocating update
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
     # values - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
@@ -214,10 +227,14 @@ def step(opt: OptimizerState, params: Sequence[Tensor], grads: Grads | None) -> 
         np.add(np.multiply(v_old, b2, out=v), a, out=v)
         np.multiply(np.divide(m, 1.0 - b1**t, out=a), opt.learning_rate, out=a)
         np.add(np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b), opt.eps, out=b)
-        np.subtract(opt._values, np.divide(a, b, out=a), out=a)
-    _require_finite(a, "assign")
+        np.subtract(values, np.divide(a, b, out=a), out=a)
+    try:
+        _require_finite(a, "assign")
+    except NonFiniteError as exc:
+        exc.source = int(np.flatnonzero(~np.isfinite(a).all(axis=1))[0])
+        raise
     opt._rows[1:5] = m, v, m_old, v_old
-    opt._values[...] = a
+    values[...] = a
     opt.step_count = t
 
 

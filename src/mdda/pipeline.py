@@ -1,6 +1,7 @@
 """The four-stage multi-source adaptation pipeline.
 
-Stage 1 pre-trains a feature extractor and classifier per source.
+Stage 1 pre-trains a feature extractor and classifier per source, all
+sources of a seed in lockstep, as stage 3 fine-tunes their classifiers.
 Stage 2 freezes the extractor and trains a target encoder against a
 critic so that encoded target features become indistinguishable from
 source features; the converged critic gap estimates the Wasserstein
@@ -14,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import StepPlan, Tape, Tensor, backward, matmul, softmax_cross_entropy
+from .autodiff import Lockstep, StepPlan, Tape, Tensor, backward, matmul, softmax_cross_entropy
 from .datagen import Dataset
 from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError
 from .errors import from_json, json_bool, json_field, json_float, json_str, to_json
@@ -186,47 +187,55 @@ class Prediction:
 
 
 def pretrain_source(
-    src: Dataset,
+    sources: list[Dataset],
     extractor_cfg: MlpConfig,
     classifier_cfg: MlpConfig,
     train: TrainConfig,
-    rng: Xoshiro256,
-    name: str | None = None,
-) -> SourceBundle:
-    """Jointly train extractor and classifier on labelled source data."""
-    if extractor_cfg.d_in != src.d:
-        raise ConfigError(f"extractor expects width {extractor_cfg.d_in}, data has {src.d}")
+    rngs: list[Xoshiro256],
+) -> list[SourceBundle]:
+    """Jointly train an extractor and classifier on each source's labelled
+    data, each source from its own stream, all of them in lockstep."""
     if extractor_cfg.d_out != classifier_cfg.d_in:
         raise ConfigError("classifier input width must equal extractor output width")
-    if src.y.max() >= classifier_cfg.d_out:
-        raise ConfigError(f"label {src.y.max()} outside {classifier_cfg.d_out} classes")
-    tape = Tape()
-    extractor = init_mlp(extractor_cfg, rng, tape)
-    classifier = init_mlp(classifier_cfg, rng, tape)
-    _train_supervised((extractor, classifier), src.x, src.y, train, rng, "pre-training")
-    return SourceBundle(name=name or src.domain_name, extractor=extractor, classifier=classifier)
+    if len(rngs) != len(sources):
+        raise ConfigError(f"{len(rngs)} streams for {len(sources)} sources")
+    for src in sources:
+        if extractor_cfg.d_in != src.d:
+            raise ConfigError(f"extractor expects width {extractor_cfg.d_in}, data has {src.d}")
+        if src.y.max() >= classifier_cfg.d_out:
+            raise ConfigError(f"label {src.y.max()} outside {classifier_cfg.d_out} classes")
+    nets = []
+    for rng in rngs:
+        tape = Tape()
+        nets.append((init_mlp(extractor_cfg, rng, tape), init_mlp(classifier_cfg, rng, tape)))
+    _train_supervised(nets, [src.x for src in sources], [src.y for src in sources], train, rngs,
+                      "pre-training", [src.domain_name for src in sources])
+    return [SourceBundle(name=src.domain_name, extractor=e, classifier=c) for src, (e, c) in zip(sources, nets)]
 
 
-def _train_supervised(nets: tuple[Mlp, ...], x: np.ndarray, y: np.ndarray,
-                      train: TrainConfig, rng: Xoshiro256, what: str) -> None:
-    """Adam on the cross-entropy of the chained ``nets`` (one tape) over
-    minibatches of rows of ``x``; a non-finite value is a divergence."""
-    tape = nets[0].tape
-    steps = _Steps([p for net in nets for p in net.params], adam(train.learning_rate), 1)
+def _train_supervised(nets: list[tuple[Mlp, ...]], xs: list[np.ndarray], ys: list[np.ndarray],
+                      train: TrainConfig, rngs: list[Xoshiro256], what: str, names: list[str]) -> None:
+    """Adam on the cross-entropy of each source's chained ``nets`` (one tape
+    per source) over minibatches of its rows of ``xs`` and ``ys``, drawn from
+    its own stream, all sources in lockstep.  A non-finite value is a
+    divergence of the first source, in source order, at the earliest step."""
+    steps = _Steps([[p for net in chain for p in net.params] for chain in nets], adam(train.learning_rate), 1)
 
-    def record(rows: np.ndarray, labels: np.ndarray) -> Tensor:
-        h = tape.leaf(rows)
-        for net in nets:
+    def record(s: int, x: np.ndarray, y: np.ndarray) -> Tensor:
+        h = nets[s][0].tape.leaf(x)
+        for net in nets[s]:
             h = forward(net, h)
-        return softmax_cross_entropy(h, labels)
+        return softmax_cross_entropy(h, y)
 
-    for i, idx in enumerate(_minibatches(rng, train.steps, train.batch_size, x.shape[0])):
-        rows, labels = x[idx], y[idx]
+    batches = zip(*(_minibatches(rng, train.steps, train.batch_size, x.shape[0]) for rng, x in zip(rngs, xs)))
+    for i, idx in enumerate(batches):
+        x, y = [x[j] for x, j in zip(xs, idx)], [y[j] for y, j in zip(ys, idx)]
         try:
-            steps(lambda: record(rows, labels), lambda: [rows], [labels])
+            steps(lambda s: record(s, x[s], y[s]), lambda s: [x[s]], lambda s: [y[s]])
         except NonFiniteError as exc:
-            raise DivergenceError(f"{what} diverged: {exc}", step=i) from exc
-    tape.reset(steps.mark)
+            raise DivergenceError(f"{what} of source {names[exc.source]} diverged: {exc}", step=i) from exc
+    for chain, mark in zip(nets, steps.marks):
+        chain[0].tape.reset(mark)
 
 
 def _minibatches(rng: Xoshiro256, steps: int, batch_size: int, n: int):
@@ -241,30 +250,53 @@ def _minibatches(rng: Xoshiro256, steps: int, batch_size: int, n: int):
 
 
 class _Steps:
-    """The record-or-replay step of one Adam loop over ``params``: the first
-    step is recorded past a tape mark and captured as a plan of ``n_inputs``
-    inputs, bound to the optimizer's gradient row; every later step replays
-    it, so ``step`` copies no gradient."""
+    """The record-or-replay step of one Adam loop over the equally shaped
+    parameter lists of S sources, one tape each, with one optimizer: the
+    first step records each source's loss past its tape's mark and captures
+    it as a plan of ``n_inputs`` inputs, bound to the source's row of the
+    optimizer's gradient buffer; every later step replays all sources as one
+    (``Lockstep``), so ``step`` copies no gradient.  A ``NonFiniteError``
+    names the source it arose in by its ``source``."""
 
-    def __init__(self, params: list[Tensor], opt, n_inputs: int):
-        self.params, self.opt, self.n_inputs, self.plan = params, opt, n_inputs, None
-        self.mark = params[0].tape.mark()
+    def __init__(self, params: list[list[Tensor]], opt, n_inputs: int):
+        self.params, self.opt, self.n_inputs, self.replay = params, opt, n_inputs, None
+        self.flat = [p for ps in params for p in ps]
+        self.marks = [ps[0].tape.mark() for ps in params]
 
-    def __call__(self, record, inputs, labels=()) -> None:
-        """``record()`` records the loss, its input leaves first and in
-        order; ``inputs()`` gives the arrays a replay takes in their place."""
-        if self.plan is None:
-            self.params[0].tape.reset(self.mark)
-            # bound here, before recording: binding in __init__ or after
-            # recording moved the heap's layout and raised the peak RSS
-            row, views = _gradient_row(self.opt, self.params)
-            loss = record()
-            grads = backward(loss, self.params)
-            self.plan = StepPlan(loss, self.params, self.mark, self.n_inputs, row, views)
-            step(self.opt, self.params, grads)
+    def __call__(self, record, inputs, labels=lambda s: ()) -> None:
+        """``record(s)`` records source s's loss, its input leaves first and
+        in order; ``inputs(s)`` and ``labels(s)`` give the arrays and label
+        vectors a replay takes in their place."""
+        if self.replay is None:
+            recorded = []
+            for s, (params, mark) in enumerate(zip(self.params, self.marks)):
+                params[0].tape.reset(mark)
+                try:
+                    loss = record(s)
+                    recorded.append((loss, backward(loss, params)))
+                except NonFiniteError as exc:
+                    exc.source = s
+                    raise
+            # bound after recording, so that the optimizer's buffers lie above
+            # the capture's freed values for the loop's life: bound before, the
+            # heap's top was left free, and glibc trimmed and regrew it at every
+            # step (72k minor page faults in stage 2 of `quickstart`, not 1.7k)
+            row, views = _gradient_row(self.opt, self.flat, len(self.params))
+            plans = []
+            for s, (params, mark, (loss, grads)) in enumerate(zip(self.params, self.marks, recorded)):
+                own = views[s * len(params) : (s + 1) * len(params)]
+                plans.append(StepPlan(loss, params, mark, self.n_inputs, row[s], own))
+                if len(self.params) > 1:
+                    # node ids repeat across the tapes: no one dict holds every gradient
+                    for p, view in zip(params, own):
+                        view[...] = grads[p.id].value
+            if plans[0] is not None:
+                self.replay = Lockstep(plans, row, self.opt._stacked)
+            step(self.opt, self.flat, grads if len(self.params) == 1 else None)
         else:
-            self.plan.run(inputs(), labels)
-            step(self.opt, self.params, None)
+            sources = range(len(self.params))
+            self.replay.run([inputs(s) for s in sources], [labels(s) for s in sources])
+            step(self.opt, self.flat, None)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +391,8 @@ def adapt_target(
         leaky_slope=cfg.critic_slope,
     )
     critic = init_mlp(critic_cfg, rng, tape)
-    critic_steps = _Steps(critic.params, adam(cfg.lr_critic, beta1=0.5, beta2=0.9), 3)
-    encoder_steps = _Steps(target_encoder.params, adam(cfg.lr_encoder, beta1=0.5, beta2=0.9), 1)
+    critic_steps = _Steps([critic.params], adam(cfg.lr_critic, beta1=0.5, beta2=0.9), 3)
+    encoder_steps = _Steps([target_encoder.params], adam(cfg.lr_encoder, beta1=0.5, beta2=0.9), 1)
     for i in range(cfg.steps):
         if cfg.lr_decay:
             # anneal both players to zero so the endpoint is settled,
@@ -374,13 +406,13 @@ def adapt_target(
                 ti = rng.integers(cfg.batch_size, below=tgt.shape[0])
                 s = src_feats[si]
                 t = target_encoder.predict_values(tgt[ti])
-                critic_steps(lambda: _critic_objective(critic, s, t, rng, cfg),
-                             lambda: [s, t, _penalty_points(s, t, rng, cfg.include_endpoints)])
+                critic_steps(lambda _: _critic_objective(critic, s, t, rng, cfg),
+                             lambda _: [s, t, _penalty_points(s, t, rng, cfg.include_endpoints)])
             rows = tgt[rng.integers(cfg.batch_size, below=tgt.shape[0])]
-            encoder_steps(lambda: encoder_loss(critic, forward(target_encoder, tape.leaf(rows))), lambda: [rows])
+            encoder_steps(lambda _: encoder_loss(critic, forward(target_encoder, tape.leaf(rows))), lambda _: [rows])
         except NonFiniteError as exc:
             raise DivergenceError(f"adaptation diverged: {exc}", step=i) from exc
-    tape.reset(critic_steps.mark)
+    tape.reset(critic_steps.marks[0])
 
     for p, before in zip(bundle.extractor.params, frozen_before):
         if not np.array_equal(p.value, before):
@@ -451,34 +483,31 @@ def distill_select(tau: np.ndarray, rule: str = "closest", fraction: float = 0.5
 
 
 def distill_finetune(
-    bundle: SourceBundle,
-    src: Dataset,
-    sel: DistillSelection,
+    bundles: list[SourceBundle],
+    sources: list[Dataset],
+    sels: list[DistillSelection],
     train: TrainConfig,
-    rng: Xoshiro256,
-) -> SourceBundle:
-    """Fine-tune a copy of the classifier on the selected samples only.
+    rngs: list[Xoshiro256],
+) -> list[SourceBundle]:
+    """Fine-tune a copy of each source's classifier on its selected samples
+    only, each source from its own stream, all of them in lockstep.
 
-    Features come from the frozen extractor; the returned bundle shares
-    every network except the classifier with the input bundle.
+    Features come from the frozen extractor; each returned bundle shares
+    every network except the classifier with its input bundle.
     """
-    if bundle.target_encoder is None:
-        raise ConfigError("distilling requires a completed adaptation stage")
-    if sel.tau.size != src.n:
-        raise ConfigError(f"selection over {sel.tau.size} samples, dataset has {src.n}")
-    feats = bundle.extractor.predict_values(src.x)[sel.selected_indices]
-    classifier = clone_mlp(bundle.classifier, Tape())
-    _train_supervised((classifier,), feats, src.y[sel.selected_indices], train, rng, "fine-tuning")
-    return SourceBundle(
-        name=bundle.name,
-        extractor=bundle.extractor,
-        classifier=classifier,
-        target_encoder=bundle.target_encoder,
-        critic=bundle.critic,
-        wd_estimate=bundle.wd_estimate,
-        distilled=True,
-        tau=bundle.tau,
-    )
+    if not len(bundles) == len(sources) == len(sels) == len(rngs):
+        raise ConfigError("distilling needs one bundle, dataset, selection and stream per source")
+    for bundle, src, sel in zip(bundles, sources, sels):
+        if bundle.target_encoder is None:
+            raise ConfigError("distilling requires a completed adaptation stage")
+        if sel.tau.size != src.n:
+            raise ConfigError(f"selection over {sel.tau.size} samples, dataset has {src.n}")
+    rows = [sel.selected_indices for sel in sels]
+    feats = [b.extractor.predict_values(src.x)[idx] for b, src, idx in zip(bundles, sources, rows)]
+    classifiers = [clone_mlp(b.classifier, Tape()) for b in bundles]
+    _train_supervised([(c,) for c in classifiers], feats, [src.y[idx] for src, idx in zip(sources, rows)],
+                      train, rngs, "fine-tuning", [b.name for b in bundles])
+    return [replace(b, classifier=c, distilled=True) for b, c in zip(bundles, classifiers)]
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_criterion_3_distance_tracks_shift(criterion):
     steps = []  # per seed, the smallest step between consecutive estimates
     for seed in range(10):
         src = sample_domain(base, 1000, stream(seed, "data", "src"))
-        bundle = pretrain_source(src, FEATURES, HEADS, PRETRAIN, stream(seed, "pre"))
+        (bundle,) = pretrain_source([src], FEATURES, HEADS, PRETRAIN, [stream(seed, "pre")])
         tgt = sample_domain(base, 1000, stream(seed, "data", "tgt"))
         matched = adapt_target(bundle, src, tgt.x, adapt_cfg, stream(seed, "adapt"))
         worst_matched = max(worst_matched, abs(matched.wd_estimate))
@@ -205,11 +205,11 @@ def test_criterion_5_distilling_helps_on_corrupted_source(criterion):
              sample_domain(corrupt, 500, stream(seed, "data", "corrupt"))], "src")
         tgt = sample_domain(tgt_spec, 1000, stream(seed, "data", "tgt"))
         tgt_eval = sample_domain(tgt_spec, 5000, stream(seed, "data", "tgt-eval"))
-        bundle = pretrain_source(src, FEATURES, HEADS, PRETRAIN, stream(seed, "pre"))
+        (bundle,) = pretrain_source([src], FEATURES, HEADS, PRETRAIN, [stream(seed, "pre")])
         adapted = adapt_target(bundle, src, tgt.x, adapt_cfg, stream(seed, "adapt"))
         sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
-        tuned = distill_finetune(adapted, src, sel, TrainConfig(500, 64, 1e-3),
-                                 stream(seed, "ft"))
+        (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(500, 64, 1e-3),
+                                    [stream(seed, "ft")])
 
         def acc(b):
             labels = np.argmax(single_source_probs(b, tgt_eval.x), axis=1)

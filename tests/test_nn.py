@@ -292,6 +292,44 @@ def test_the_gradient_row_binds_an_optimizer_that_has_not_stepped():
     assert opt.step_count == 1 and np.array_equal(a.value, np.ones((2, 3)))
 
 
+def test_the_gradient_row_of_several_sources_stacks_their_parameters_without_a_copy():
+    lists = []
+    for s in range(3):
+        tape = Tape()
+        lists.append([tape.leaf(np.full((2, 3), s)), tape.leaf(np.array(s - 0.5)), tape.leaf(np.arange(2.0) + s)])
+    opt = adam(0.1)
+    row, views = _gradient_row(opt, [p for ps in lists for p in ps], 3)
+    assert row.shape == (3, 9) and len(views) == 9
+    for s, ps in enumerate(lists):
+        # each source's parameters and gradients lie in its own row, in order
+        assert [v.ctypes.data - row[s].ctypes.data for v in views[3 * s : 3 * s + 3]] == [0, 48, 56]
+        assert [p.value.ctypes.data - opt._values.ctypes.data for p in ps] == [72 * s, 72 * s + 48, 72 * s + 56]
+    for j, (values, grads) in enumerate(opt._stacked):
+        # parameter j of every source, as one view of each buffer
+        assert values.shape == grads.shape == (3, *lists[0][j].shape)
+        assert values.base is opt._values and np.shares_memory(grads, opt._rows[0])
+        assert all(np.array_equal(values[s], lists[s][j].value) for s in range(3))
+    with pytest.raises(ShapeError, match="differ in shape"):
+        _gradient_row(adam(0.1), [lists[0][0], lists[1][1]], 2)
+
+
+@pytest.mark.parametrize("faulty", [(1,), (0, 2), (2,)])
+def test_a_non_finite_update_of_one_source_names_it_and_changes_nothing(faulty):
+    tapes = [Tape() for _ in range(3)]
+    params = [tape.leaf(np.full((2, 2), 1.0 + s)) for s, tape in enumerate(tapes)]
+    opt = adam(0.1)
+    row, views = _gradient_row(opt, params, 3)
+    row[...] = 0.5
+    step(opt, params, None)
+    state = opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(), opt.step_count
+    for s in faulty:
+        views[s][1, s % 2] = np.inf
+    with pytest.raises(NonFiniteError, match="assign") as raised:
+        step(opt, params, None)
+    assert raised.value.source == faulty[0]
+    assert (opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(), opt.step_count) == state
+
+
 def test_gradients_of_swapped_shapes_raise_naming_the_node():
     tape = Tape()
     w = tape.leaf(np.ones((2, 3)))

@@ -75,10 +75,10 @@ def test_tracer_names_the_step_kind_of_every_backward():
     try:
         # looked up on the module at call time, so the wrapped functions run
         pipeline = mdda.pipeline
-        bundle = pipeline.pretrain_source(src, MlpConfig((2, 4, 3)), MlpConfig((3, 2)), train, stream(3, "pre"))
+        (bundle,) = pipeline.pretrain_source([src], MlpConfig((2, 4, 3)), MlpConfig((3, 2)), train, [stream(3, "pre")])
         bundle = pipeline.adapt_target(bundle, src, tgt, adapt, stream(4, "adapt"))
         sel = pipeline.distill_select(pipeline.sample_distances(*critic_scores(bundle, src, tgt)))
-        pipeline.distill_finetune(bundle, src, sel, train, stream(5, "fine"))
+        pipeline.distill_finetune([bundle], [src], [sel], train, [stream(5, "fine")])
     finally:
         t.uninstall()
     # each training loop records and captures its first step of each kind,
@@ -99,6 +99,24 @@ def test_every_pipeline_span_records_a_call():
     assert [span for span in workloads._PIPELINE_SPANS if not calls.get(span)] == []
     # the recorded backward of the penalty reaches the public matmul
     assert calls["autodiff.matmul"] > calls["pipeline.gradient_penalty"]
+
+
+def test_a_seed_pretrains_and_fine_tunes_all_its_sources_in_one_call_each():
+    cfg = tiny_experiment_config()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        mdda.experiment.run_seed(cfg, 0)
+    finally:
+        t.uninstall()
+    calls = {name: entry["calls"] for name, entry in t.summary().items()}
+    assert calls["pipeline.pretrain_source"] == calls["pipeline.distill_finetune"] == 1
+    # under that one call, each source captures its first step
+    captures = {kind: sum(totals.values()) for kind, totals in t.step_nodes.items()}
+    assert captures["pretrain_step"] == captures["finetune_step"] == len(cfg.sources) == 2
+    # and one Adam update per step serves every source
+    steps = cfg.pretrain.steps + cfg.finetune.steps + len(cfg.sources) * cfg.adapt.steps * (cfg.adapt.n_critic + 1)
+    assert calls["nn.step"] == steps
 
 
 def test_every_staged_cli_span_records_a_call(tmp_path):

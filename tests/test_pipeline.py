@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdda.pipeline
-from mdda.autodiff import StepPlan, Tape, Tensor, backward, softmax_cross_entropy
+from mdda.autodiff import Lockstep, StepPlan, Tape, Tensor, backward, softmax_cross_entropy
 from mdda.datagen import Dataset, DomainSpec, sample_domain
 from mdda.errors import (
     ConfigError,
@@ -71,8 +72,8 @@ def _toy_data(seed: int, n: int = 40, label: str = "") -> Dataset:
 
 def _toy_bundle(steps: int = 30):
     src = _toy_data(1)
-    bundle = pretrain_source(src, EXTRACTOR, CLASSIFIER,
-                             TrainConfig(steps, 16, 2e-3), stream(2, "pre"))
+    (bundle,) = pretrain_source([src], EXTRACTOR, CLASSIFIER,
+                                TrainConfig(steps, 16, 2e-3), [stream(2, "pre")])
     return src, bundle
 
 
@@ -177,8 +178,8 @@ def test_pretrain_reaches_high_accuracy_on_separated_classes():
     spec = DomainSpec(name="easy", n_classes=2, d=2,
                       base_means=((0.0, 0.0), (3.0, 0.0)), cov_scale=0.3)
     train = sample_domain(spec, 400, stream(1, "train"))
-    bundle = pretrain_source(train, MlpConfig((2, 8, 4), final_activation="tanh"),
-                             MlpConfig((4, 2)), TrainConfig(600, 64, 2e-3), stream(1, "pre"))
+    (bundle,) = pretrain_source([train], MlpConfig((2, 8, 4), final_activation="tanh"),
+                                MlpConfig((4, 2)), TrainConfig(600, 64, 2e-3), [stream(1, "pre")])
     assert bundle.stage == 1
     assert bundle.target_encoder is None and bundle.critic is None
     assert bundle.wd_estimate is None and not bundle.distilled
@@ -192,8 +193,8 @@ def test_pretrain_zero_steps_predicts_near_uniform():
     spec = DomainSpec(name="blob", n_classes=3, d=2,
                       base_means=((0.0, 0.0), (1e-4, 0.0), (0.0, 1e-4)), cov_scale=1e-5)
     data = sample_domain(spec, 200, stream(3, "blob"))
-    bundle = pretrain_source(data, EXTRACTOR, MlpConfig((3, 3)),
-                             TrainConfig(steps=0), stream(3, "pre"))
+    (bundle,) = pretrain_source([data], EXTRACTOR, MlpConfig((3, 3)),
+                                TrainConfig(steps=0), [stream(3, "pre")])
     logits = bundle.classifier.predict_values(bundle.extractor.predict_values(data.x))
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
@@ -203,8 +204,8 @@ def test_pretrain_zero_steps_predicts_near_uniform():
 
 def test_pretrain_is_deterministic():
     src = _toy_data(5)
-    a = pretrain_source(src, EXTRACTOR, CLASSIFIER, TrainConfig(20, 8, 1e-3), stream(6, "pre"))
-    b = pretrain_source(src, EXTRACTOR, CLASSIFIER, TrainConfig(20, 8, 1e-3), stream(6, "pre"))
+    (a,) = pretrain_source([src], EXTRACTOR, CLASSIFIER, TrainConfig(20, 8, 1e-3), [stream(6, "pre")])
+    (b,) = pretrain_source([src], EXTRACTOR, CLASSIFIER, TrainConfig(20, 8, 1e-3), [stream(6, "pre")])
     for pa, pb in zip(a.extractor.params + a.classifier.params,
                       b.extractor.params + b.classifier.params):
         assert np.array_equal(pa.value, pb.value)
@@ -214,7 +215,7 @@ def test_pretrain_divergence_reports_the_step():
     huge = Dataset(x=np.full((8, 2), 1e308), y=np.zeros(8, dtype=np.int64), domain_name="huge")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="at step 0") as excinfo:
-            pretrain_source(huge, EXTRACTOR, CLASSIFIER, TrainConfig(5, 4, 1e-3), stream(7, "pre"))
+            pretrain_source([huge], EXTRACTOR, CLASSIFIER, TrainConfig(5, 4, 1e-3), [stream(7, "pre")])
     assert excinfo.value.step == 0
 
 
@@ -250,9 +251,18 @@ def test_pretrain_divergence_at_a_replayed_step(monkeypatch):
     x[row] = 1e308
     huge = Dataset(x=x, y=src.y, domain_name="huge")
     replayed, recorded = _divergence(
-        lambda: pretrain_source(huge, EXTRACTOR, CLASSIFIER, train, stream(7, "pre")), monkeypatch)
+        lambda: pretrain_source([huge], EXTRACTOR, CLASSIFIER, train, [stream(7, "pre")]), monkeypatch)
     assert replayed.step == recorded.step == k > 0
     assert str(replayed) == str(recorded)
+    # the same rows as source 1 of two, beside a source that trains cleanly
+    clean = _toy_data(6, label="clean")
+    alone = str(replayed)
+    rngs = lambda: [stream(7, "pre", "clean"), stream(7, "pre")]  # noqa: E731
+    replayed, recorded = _divergence(
+        lambda: pretrain_source([clean, huge], EXTRACTOR, CLASSIFIER, train, rngs()), monkeypatch)
+    assert replayed.step == recorded.step == k
+    assert str(replayed) == str(recorded) == alone
+    assert alone.startswith("pre-training of source huge diverged: ")
 
 
 def test_adaptation_divergence_at_a_replayed_step(monkeypatch):
@@ -302,10 +312,55 @@ def test_finetune_divergence_in_the_backward_of_a_replayed_step(monkeypatch):
                           target_encoder=identity_net(1), critic=identity_net(1), wd_estimate=0.0)
     sel = DistillSelection(tau=np.zeros(n), selected_indices=np.arange(n), fraction=1.0)
     replayed, recorded = _divergence(
-        lambda: distill_finetune(bundle, Dataset(x, y, "huge"), sel, train, stream(8, "fine")), monkeypatch)
+        lambda: distill_finetune([bundle], [Dataset(x, y, "huge")], [sel], train, [stream(8, "fine")]), monkeypatch)
     assert replayed.step == recorded.step == k > 0
     assert str(replayed) == str(recorded)
     assert "sub produced a non-finite value" in str(replayed)
+
+
+def _huge_row_source(name: str, after: int, train: TrainConfig):
+    """A fine-tuning source built as in the test above, whose first row to
+    enter a batch after step ``after`` is huge: its bundle, data, selection
+    and the step at which that row enters."""
+    n = 40
+    rng = stream(8, "fine", name)
+    batches = [rng.integers(train.batch_size, below=n) for _ in range(train.steps)]
+    seen = {int(r) for b in batches[: after + 1] for r in b}
+    row, k = next((int(r), i) for i in range(after + 1, train.steps) for r in batches[i] if int(r) not in seen)
+    x = stream(9, "x", name).normals(n).reshape(n, 1)
+    x[row] = 1e308
+    y = np.arange(n) % 2
+    y[row] = 0
+    classifier = init_mlp(MlpConfig((1, 2)), stream(0, "clf"))
+    assign(classifier.params[0], np.array([[1.0], [-1.0]]))
+    bundle = SourceBundle(name=name, extractor=identity_net(1), classifier=classifier,
+                          target_encoder=identity_net(1), critic=identity_net(1), wd_estimate=0.0)
+    sel = DistillSelection(tau=np.zeros(n), selected_indices=np.arange(n), fraction=1.0)
+    return bundle, Dataset(x, y, name), sel, k
+
+
+def test_finetune_divergence_names_the_source_that_diverges_first(monkeypatch):
+    # source "late", first in order, meets its huge row after source "early"
+    # does: in lockstep the earlier step is reported, named and worded as
+    # when "early" trains alone, replayed and recorded alike
+    train = TrainConfig(20, 4, 1e-3)
+    early = _huge_row_source("early", 0, train)
+    late = _huge_row_source("late", early[3], train)
+    assert 0 < early[3] < late[3]
+
+    def run(*sources):
+        return lambda: distill_finetune([s[0] for s in sources], [s[1] for s in sources], [s[2] for s in sources],
+                                        train, [stream(8, "fine", s[1].domain_name) for s in sources])
+
+    replayed, recorded = _divergence(run(late, early), monkeypatch)
+    assert replayed.step == recorded.step == early[3]
+    assert str(replayed) == str(recorded) == str(_divergence(run(early), monkeypatch)[0])
+    assert str(replayed).startswith("fine-tuning of source early diverged: sub produced a non-finite value")
+    assert _divergence(run(late), monkeypatch)[0].step == late[3]
+    # when several sources fail in one step, the first in source order is named
+    twin = (replace(early[0], name="twin"), *early[1:])
+    replayed, recorded = _divergence(run(twin, early), monkeypatch)
+    assert str(replayed) == str(recorded) == str(_divergence(run(early), monkeypatch)[0]).replace("early", "twin", 1)
 
 
 @pytest.mark.parametrize("kind", ["critic", "supervised"])
@@ -331,10 +386,11 @@ def test_a_replay_keeps_only_the_loss_the_gradients_and_constant_leaves(kind):
     assert plan.nodes[loss.id].value.shape == () and np.isfinite(row).all()
     assert all(node.value is not None for node in past_inputs if node.op == "leaf")
     alive = [node for node in past_inputs if node.op != "leaf" and node.value is not None]
-    assert alive == captured and set(alive) == {plan.nodes[loss.id], *plan.into}
+    # the capture dropped the gradients' values, which a replay writes only into the row
+    assert alive == captured == [plan.nodes[loss.id]]
     # the recorded backward made the gradients nodes of the plan, apart from
     # a constant one: the last bias does not move the penalty
-    written = [view for node in alive for view in plan.into.get(node, ())]
+    written = [view for views in plan.into.values() for view in views]
     detached = [p for p, view in zip(net.params, views) if not any(view is w for w in written)]
     assert detached == ([net.params[-1]] if kind == "critic" else [])
 
@@ -360,12 +416,12 @@ def test_minibatches_drawn_by_the_block_are_the_per_step_draws(data, seed):
 def test_pretrain_width_mismatches():
     src = _toy_data(8)
     with pytest.raises(ConfigError, match="extractor expects"):
-        pretrain_source(src, MlpConfig((3, 4, 3), final_activation="tanh"), CLASSIFIER,
-                        TrainConfig(1), stream(8, "pre"))
+        pretrain_source([src], MlpConfig((3, 4, 3), final_activation="tanh"), CLASSIFIER,
+                        TrainConfig(1), [stream(8, "pre")])
     with pytest.raises(ConfigError, match="classifier input"):
-        pretrain_source(src, EXTRACTOR, MlpConfig((4, 2)), TrainConfig(1), stream(8, "pre"))
+        pretrain_source([src], EXTRACTOR, MlpConfig((4, 2)), TrainConfig(1), [stream(8, "pre")])
     with pytest.raises(ConfigError, match="label"):
-        pretrain_source(src, EXTRACTOR, MlpConfig((3, 1)), TrainConfig(1), stream(8, "pre"))
+        pretrain_source([src], EXTRACTOR, MlpConfig((3, 1)), TrainConfig(1), [stream(8, "pre")])
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +611,140 @@ def test_in_place_training_gives_the_reference_parameters_and_checksum(monkeypat
     assert _params_checksum([bundle, adapted]) == _params_checksum([ref_bundle, ref_adapted])
 
 
+# ---------------------------------------------------------------------------
+# stages 1 and 3: every source of a seed in lockstep
+
+
+def _supervised_sources(kind: str, count: int, seed: int, extractor: MlpConfig, classifier: MlpConfig):
+    """``count`` sources of different sizes, as ``pretrain_source`` takes
+    them, or as bundles, datasets and selections for ``distill_finetune``."""
+    sources = []
+    for s in range(count):
+        n = 9 + 7 * s
+        x = stream(seed, "x", str(s)).uniforms(n * extractor.d_in, -2.0, 2.0).reshape(n, extractor.d_in)
+        sources.append(Dataset(x, stream(seed, "y", str(s)).integers(n, below=classifier.d_out), f"src{s}"))
+    if kind == "pretrain":
+        return (sources,)
+    bundles = []
+    for src in sources:
+        extractor_net = init_mlp(extractor, stream(seed, "extractor", src.domain_name))
+        bundles.append(SourceBundle(name=src.domain_name, extractor=extractor_net,
+                                    classifier=init_mlp(classifier, stream(seed, "clf", src.domain_name)),
+                                    target_encoder=extractor_net, critic=identity_net(1), wd_estimate=0.0))
+    sels = [distill_select(stream(seed, "tau", src.domain_name).uniforms(src.n)) for src in sources]
+    return bundles, sources, sels
+
+
+def _supervised_run(kind: str, sources: tuple, extractor: MlpConfig, classifier: MlpConfig, train: TrainConfig,
+                    seed: int, patch: pytest.MonkeyPatch):
+    """One call of ``pretrain_source`` or ``distill_finetune`` over the
+    sources, each from its own stream: its bundles, the streams after it,
+    each source's loss per step, and how many steps replayed a source on
+    its own."""
+    names = [src.domain_name for src in sources[-2 if kind == "finetune" else 0]]
+    rngs = [stream(seed, kind, name) for name in names]
+    losses, alone = [[] for _ in names], []
+    # a recorded loss is a tensor; a lockstep replay writes each plan's loss
+    cross_entropy, replay, run = mdda.pipeline.softmax_cross_entropy, Lockstep.run, StepPlan.run
+
+    def recorded(logits, labels):
+        loss = cross_entropy(logits, labels)
+        losses[sum(map(len, losses)) % len(names)].append(loss.value.tobytes())
+        return loss
+
+    def replayed(self, inputs, labels):
+        replay(self, inputs, labels)
+        for s, plan in enumerate(self.plans):
+            losses[s].append(plan.nodes[plan.out].value.tobytes())
+
+    patch.setattr(mdda.pipeline, "softmax_cross_entropy", recorded)
+    patch.setattr(Lockstep, "run", replayed)
+    patch.setattr(StepPlan, "run", lambda self, *args: alone.append(1) or run(self, *args))
+    if kind == "pretrain":
+        bundles = pretrain_source(sources[0], extractor, classifier, train, rngs)
+    else:
+        bundles = distill_finetune(*sources, train, rngs)
+    return bundles, rngs, losses, len(alone)
+
+
+def _lockstep_equals_alone(kind: str, count: int, seed: int, extractor: MlpConfig, classifier: MlpConfig,
+                           train: TrainConfig):
+    sources = _supervised_sources(kind, count, seed, extractor, classifier)
+    with pytest.MonkeyPatch.context() as patch:
+        bundles, rngs, losses, alone = _supervised_run(kind, sources, extractor, classifier, train, seed, patch)
+    # more than one source replays every step after the first as one program
+    assert alone == (0 if count > 1 else max(train.steps - 1, 0))
+    for s in range(count):
+        # each source alone, every step recorded and stepped by the reference Adam
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mdda.pipeline, "StepPlan", lambda *args: None)
+            patch.setattr(mdda.pipeline, "step", _reference_step())
+            one = tuple(part[s : s + 1] for part in sources)
+            (ref,), (ref_rng,), ref_losses, _ = _supervised_run(kind, one, extractor, classifier, train, seed, patch)
+        assert losses[s] == ref_losses[0] and len(ref_losses[0]) == train.steps
+        for net in ("extractor", "classifier"):
+            for p, q in zip(getattr(bundles[s], net).params, getattr(ref, net).params):
+                assert p.value.tobytes() == q.value.tobytes()
+        assert np.array_equal(rngs[s]._draw(2 * _FILL_CAP), ref_rng._draw(2 * _FILL_CAP))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["pretrain", "finetune"])
+def test_lockstep_training_equals_each_source_trained_alone(kind, count):
+    _lockstep_equals_alone(kind, count, 29, MlpConfig((2, 8, 8, 4), final_activation="tanh"), MlpConfig((4, 3)),
+                           TrainConfig(12, 16, 5e-3))
+
+
+_HIDDEN = st.sampled_from(["relu", "leaky_relu", "tanh"])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(["pretrain", "finetune"]), count=st.integers(1, 3), seed=st.integers(0, 999),
+       widths=st.lists(st.integers(1, 6), min_size=1, max_size=3), activation=_HIDDEN,
+       final=st.sampled_from(["none", "tanh"]), n_classes=st.integers(2, 4), batch=st.integers(1, 40),
+       steps=st.integers(0, 5))
+def test_lockstep_training_of_any_small_net_equals_each_source_alone(kind, count, seed, widths, activation, final,
+                                                                        n_classes, batch, steps):
+    extractor = MlpConfig((3, *widths), activation=activation, final_activation=final)
+    classifier = MlpConfig((widths[-1], n_classes), activation=activation)
+    _lockstep_equals_alone(kind, count, seed, extractor, classifier, TrainConfig(steps, batch, 1e-2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("faulty", [(1,), (0, 2), (2,)])
+def test_a_non_finite_row_in_lockstep_leaves_every_sources_optimizer_as_it_was(bad, faulty):
+    tapes = [Tape() for _ in range(3)]
+    nets = [(init_mlp(EXTRACTOR, stream(30, str(s)), tape), init_mlp(CLASSIFIER, stream(31, str(s)), tape))
+            for s, tape in enumerate(tapes)]
+    opt = adam(1e-2)
+    steps = mdda.pipeline._Steps([[p for net in chain for p in net.params] for chain in nets], opt, 1)
+    xs = [stream(32, str(s)).uniforms(16, -2.0, 2.0).reshape(8, 2) for s in range(3)]
+    ys = [stream(33, str(s)).integers(8, below=2) for s in range(3)]
+
+    def call(x):
+        def record(s):
+            h = tapes[s].leaf(x[s])
+            for net in nets[s]:
+                h = forward(net, h)
+            return softmax_cross_entropy(h, ys[s])
+
+        steps(record, lambda s: [x[s]], lambda s: [ys[s]])
+
+    for _ in range(3):
+        call(xs)
+    state = opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(), opt.step_count
+    poisoned = [x.copy() for x in xs]
+    for s in faulty:
+        poisoned[s][s + 1, s % 2] = bad
+    with pytest.raises(NonFiniteError, match="leaf produced a non-finite value") as raised:
+        call(poisoned)
+    assert raised.value.source == faulty[0]
+    assert (opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(), opt.step_count) == state
+    # and the loop goes on from the state it kept
+    call(xs)
+    assert opt.step_count == state[3] + 1
+
+
 def test_estimate_wd_sign_on_identity_bundle():
     bundle = _identity_bundle()
     ones = Dataset(x=np.array([[1.0], [1.0]]), y=np.array([0, 0]), domain_name="ones")
@@ -650,7 +840,7 @@ def test_distill_finetune_zero_steps_copies_the_classifier():
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(13, "adapt"))
     sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
-    tuned = distill_finetune(adapted, src, sel, TrainConfig(steps=0), stream(14, "ft"))
+    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(steps=0), [stream(14, "ft")])
     assert tuned.stage == 3 and tuned.distilled
     assert tuned.extractor is adapted.extractor
     assert tuned.classifier is not adapted.classifier
@@ -664,7 +854,7 @@ def test_distill_finetune_matches_a_manual_replay():
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(16, "adapt"))
     sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)), fraction=1.0)
-    tuned = distill_finetune(adapted, src, sel, TrainConfig(6, 8, 1e-3), stream(17, "ft"))
+    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(6, 8, 1e-3), [stream(17, "ft")])
 
     rng = stream(17, "ft")
     feats = adapted.extractor.predict_values(src.x)
@@ -688,7 +878,7 @@ def test_distill_finetune_selection_size_mismatch():
                            stream(19, "adapt"))
     sel = distill_select(np.ones(8))
     with pytest.raises(ConfigError, match="selection over"):
-        distill_finetune(adapted, src, sel, TrainConfig(steps=0), stream(20, "ft"))
+        distill_finetune([adapted], [src], [sel], TrainConfig(steps=0), [stream(20, "ft")])
 
 
 def test_distilling_prunes_a_corrupted_half():
@@ -702,8 +892,8 @@ def test_distilling_prunes_a_corrupted_half():
                            sample_domain(corrupt, 500, stream(0, "data", "corrupt"))], "src")
     tgt = sample_domain(tgt_spec, 1000, stream(0, "data", "tgt"))
     tgt_eval = sample_domain(tgt_spec, 5000, stream(0, "data", "tgt-eval"))
-    bundle = pretrain_source(src, MlpConfig((2, 32, 8), final_activation="tanh"),
-                             MlpConfig((8, 3)), TrainConfig(800, 64, 2e-3), stream(0, "pre"))
+    (bundle,) = pretrain_source([src], MlpConfig((2, 32, 8), final_activation="tanh"),
+                                MlpConfig((8, 3)), TrainConfig(800, 64, 2e-3), [stream(0, "pre")])
     adapted = adapt_target(bundle, src, tgt.x,
                            AdaptConfig(steps=150, batch_size=128, lr_critic=1e-3,
                                        lr_encoder=1e-5, critic_hidden=(16, 16)),
@@ -712,7 +902,7 @@ def test_distilling_prunes_a_corrupted_half():
     # the first 500 rows are the clean half; the critic should prefer them
     purity = float(np.mean(sel.selected_indices < 500))
     assert purity >= 0.8
-    tuned = distill_finetune(adapted, src, sel, TrainConfig(500, 64, 1e-3), stream(0, "ft"))
+    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(500, 64, 1e-3), [stream(0, "ft")])
 
     def accuracy(b: SourceBundle) -> float:
         labels = np.argmax(single_source_probs(b, tgt_eval.x), axis=1)
@@ -851,7 +1041,7 @@ def test_bundle_round_trip_stage_three(tmp_path):
     tgt = _toy_data(26, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(27, "adapt"))
     sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
-    tuned = distill_finetune(adapted, src, sel, TrainConfig(4, 8, 1e-3), stream(28, "ft"))
+    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(4, 8, 1e-3), [stream(28, "ft")])
     save_bundle(tuned, tmp_path / "b", "stamp")
     back = load_bundle(tmp_path / "b", "stamp")
     assert back.stage == 3 and back.distilled
