@@ -768,8 +768,14 @@ class StepPlan:
             dead = [f"v{i}" for i in dict.fromkeys(node.inputs)
                     if i in computed and last[i] == pos and nodes[i] not in sinks]
             if node.op in _BROADCASTING and shapes[node.inputs[0]] != shapes[node.inputs[1]]:
+                # the one-element operand as a float, as ``_broadcasting``
+                # takes it; a stacked one as an (S, 1, ...) array, which each
+                # IEEE op rounds as it rounds the float
                 j = 1 if math.prod(shapes[node.inputs[1]]) == 1 else 0
-                args[j] = f"float({args[j]}.reshape(()))"
+                if swap and (node.inputs[j] in computed or id(nodes[node.inputs[j]]) in swap):
+                    args[j] = f"{args[j]}.reshape({(-1,) + (1,) * len(shapes[node.inputs[1 - j]])})"
+                else:
+                    args[j] = f"float({args[j]}.reshape(()))"
             if node.op == "linear":
                 w = node.inputs[1]
                 if first[w] == final[w]:
@@ -814,43 +820,62 @@ class StepPlan:
         then ``nodes[out].value`` and the row holds the gradients.  A replay
         reads its inputs and labels and writes into none of them, so they
         are not copied."""
+        self._load(self.inputs, [node.aux for node, _ in self.softmax], inputs, labels)
+        if not _passes(self.lean, self.row):
+            with np.errstate(all="ignore"):
+                self.full()
+
+    def _load(self, holders: Sequence[Node], buffers: Sequence[np.ndarray], inputs: Sequence,
+              labels: Sequence, lead: tuple = ()) -> None:
+        """Check ``inputs`` and ``labels`` as :meth:`run` takes them, each
+        with the leading shape ``lead``, then make them the values of the
+        input ``holders`` and write them into the label ``buffers``."""
         if len(inputs) != len(self.inputs) or len(labels) != len(self.softmax):
             raise ValueError(f"the step takes {len(self.inputs)} inputs and {len(self.softmax)} label vectors")
         values = [np.asarray(v, dtype=np.float64, order="C") for v in inputs]
         for node, arr in zip(self.inputs, values):
-            if arr.shape != node.value.shape:
-                raise ShapeError(f"step input shape {arr.shape} != captured shape {node.value.shape}")
+            if arr.shape != (*lead, *node.value.shape):
+                raise ShapeError(f"step input shape {arr.shape[len(lead):]} != captured shape {node.value.shape}")
             _require_finite(arr, "leaf")
-        ys = [_labels(y, *shape) for (_, shape), y in zip(self.softmax, labels)]
-        for node, arr in zip(self.inputs, values):
-            node.value = arr
-        for (node, _), y in zip(self.softmax, ys):
-            node.aux[...] = y
-        with np.errstate(all="ignore"):
-            try:
-                self.lean()
-                _require_finite(self.row, "gradient")
-            except NonFiniteError:
-                self.full()
+        ys = [_labels(y, *shape, lead=lead) for (_, shape), y in zip(self.softmax, labels)]
+        for holder, arr in zip(holders, values):
+            holder.value = arr
+        for buffer, y in zip(buffers, ys):
+            buffer[...] = y
+
+
+def _passes(replay: Callable[[], None], row: np.ndarray) -> bool:
+    """Run ``replay``; whether it and the gradient ``row`` it wrote are finite."""
+    with np.errstate(all="ignore"):
+        try:
+            replay()
+            _require_finite(row, "gradient")
+        except NonFiniteError:
+            return False
+    return True
+
+
+def _same(a, b) -> bool:
+    """Whether ``a`` and ``b`` are one object or hold the same bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a is b or (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class Lockstep:
     """The step plans of S sources, captured by the same recording at the
-    same shapes on S tapes, with every parameter they read in ``wrt``, and
-    bound to the rows of one gradient buffer ``row`` [S x n], replayed
-    together.  ``stacked[j]`` holds the values and the gradient of every
-    source's ``wrt[j]`` as two (S, ...) views.
+    same shapes on S tapes and bound to the rows of one gradient buffer
+    ``row`` [S x n], replayed together.  ``stacked[j]`` holds the values and
+    the gradient of every source's ``wrt[j]`` as two (S, ...) views.
 
     At its first run it generates the first plan's replay with a leading
     source axis on the parameters, inputs and labels, and with that plan's
     checks.  Every op's form works with or without the axis, and each slice
     of a stacked product or row reduction has the bits of its source's own
-    on the numpy and BLAS the tests check.
-    A program that reduces a whole array or broadcasts a one-element value
-    that is not a constant is not stacked.  When it is not, or a check
-    fails, :meth:`run` replays the sources one by one through their own
-    plans, in order: an error is then the one the first failing source
-    raises alone, with that source's index as its ``source``.
+    on the numpy and BLAS the tests check.  Where the plans do not stack
+    (:meth:`_stacks`), or a source's inputs or a check fail, :meth:`run`
+    replays the sources one by one through their own plans, in order: an
+    error is then the one the first failing source raises alone, with that
+    source's index as its ``source``.
     """
 
     def __init__(self, plans: Sequence[StepPlan], row: np.ndarray, stacked: Sequence[tuple]):
@@ -858,11 +883,11 @@ class Lockstep:
 
     @functools.cached_property
     def lean(self) -> Callable[[], None] | None:
-        """The stacked replay, or ``None`` where the program does not stack."""
+        """The stacked replay, or ``None`` where the plans do not stack."""
         plan, n = self.plans[0], len(self.plans)
-        nodes = plan.nodes
-        if n < 2:
+        if n < 2 or not self._stacks():
             return None
+        nodes = plan.nodes
         self.inputs = [Node("leaf", (), None) for _ in plan.inputs]
         self.labels = [np.zeros((n, shape[0]), dtype=np.int64) for _, shape in plan.softmax]
         self.loss = Node(nodes[plan.out].op, (), None)
@@ -871,20 +896,42 @@ class Lockstep:
             swap.update({id(node): Node("leaf", (), value), id(view): grad})
         swap.update((id(node), holder) for node, holder in zip(plan.inputs, self.inputs))
         swap.update((id(node.aux), labels) for (node, _), labels in zip(plan.softmax, self.labels))
-        # every computed value carries the axis, from a value it reads
-        carried = {*plan.wrt, *plan.inputs}
-        for k in plan.program:
-            node, shapes = nodes[k], [plan.shapes[i] for i in nodes[k].inputs]
-            reads = [nodes[i] in carried for i in node.inputs]
-            # the operand that a broadcasting replay reads as a float
-            scalar = (node.op in _BROADCASTING and shapes[0] != shapes[1]
-                      and reads[1 if math.prod(shapes[1]) == 1 else 0])
-            if node.op in ("sum", "mean") or not any(reads) or scalar:
-                return None
-            if node.op == "reshape":
-                swap[id(node.aux)] = (n, *node.aux)
-            carried.add(node)
+        swap.update((id(nodes[k].aux), (n, *nodes[k].aux)) for k in plan.program if nodes[k].op == "reshape")
         return plan._replay(plan.own, {nodes[plan.out]}, swap)
+
+    def _stacks(self) -> bool:
+        """Whether the first plan's replay, with a leading source axis on
+        its ``wrt``, inputs and labels, is every plan's: each plan runs the
+        same ops on the same nodes at the same shapes, binds the same values
+        everywhere else (the leaves outside ``wrt`` and the inputs, the op
+        arguments other than labels), and every op reads a value with the
+        axis and keeps it (reduces no whole array)."""
+        plan = self.plans[0]
+        nodes, stacked = plan.nodes, {*plan.wrt, *plan.inputs}
+        for k in plan.program:
+            if nodes[k].op in ("sum", "mean") or not any(nodes[i] in stacked for i in nodes[k].inputs):
+                return False
+            stacked.add(nodes[k])
+        leaves = {i for k in plan.program for i in nodes[k].inputs if nodes[i] not in stacked}
+        return all(
+            other.program == plan.program and other.shapes == plan.shapes
+            and all(_same(other.nodes[i].value, nodes[i].value) for i in leaves)
+            and all(other.nodes[k].op == nodes[k].op and other.nodes[k].inputs == nodes[k].inputs
+                    and (nodes[k].op in ("softmax_xent", "one_hot") or _same(other.nodes[k].aux, nodes[k].aux))
+                    for k in plan.program)
+            for other in self.plans[1:])
+
+    def _load(self, inputs: Sequence[Sequence], labels: Sequence[Sequence]) -> bool:
+        """Bind every source's inputs and labels, stacked, to the stacked
+        replay; ``False``, binding nothing, where some source's fail the
+        first plan's checks."""
+        try:
+            values = [np.asarray(xs) for xs in zip(*inputs, strict=True)]
+            ys = [np.asarray(y) for y in zip(*labels, strict=True)]
+            self.plans[0]._load(self.inputs, self.labels, values, ys, lead=(len(self.plans),))
+        except (ValueError, NonFiniteError):
+            return False
+        return True
 
     def run(self, inputs: Sequence[Sequence], labels: Sequence[Sequence]) -> None:
         """Replay every source's step, source s at ``inputs[s]`` and
@@ -892,31 +939,13 @@ class Lockstep:
         value is then its source's, and the row holds the gradients."""
         if len(inputs) != len(self.plans) or len(labels) != len(self.plans):
             raise ValueError(f"the step takes the inputs and labels of {len(self.plans)} sources")
-        if self.lean is not None:
-            plan = self.plans[0]
-            if any(len(xs) != len(plan.inputs) or len(ys) != len(plan.softmax) for xs, ys in zip(inputs, labels)):
-                raise ValueError(f"each source takes {len(plan.inputs)} inputs and {len(plan.softmax)} label vectors")
-            values = [np.asarray(np.stack(arrays), dtype=np.float64) for arrays in zip(*inputs)]
-            for value, node in zip(values, plan.inputs):
-                if value.shape[1:] != node.value.shape:
-                    raise ShapeError(f"step input shape {value.shape[1:]} != captured shape {node.value.shape}")
-            for buffer, (_, shape), ys in zip(self.labels, plan.softmax, zip(*labels)):
-                buffer[...] = _labels(ys, *shape, lead=(len(ys),))
+        if self.lean is not None and self._load(inputs, labels) and _passes(self.lean, self.row):
+            for s, plan in enumerate(self.plans):
+                plan.nodes[plan.out].value = self.loss.value[s, ...]
+            return
+        for s, (plan, xs, ys) in enumerate(zip(self.plans, inputs, labels)):
             try:
-                with np.errstate(all="ignore"):
-                    for holder, value in zip(self.inputs, values):
-                        _require_finite(value, "leaf")
-                        holder.value = value
-                    self.lean()
-                    _require_finite(self.row, "gradient")
-                for s, other in enumerate(self.plans):
-                    other.nodes[other.out].value = self.loss.value[s, ...]
-                return
-            except NonFiniteError:
-                pass
-        for s, (other, xs, ys) in enumerate(zip(self.plans, inputs, labels)):
-            try:
-                other.run(xs, ys)
+                plan.run(xs, ys)
             except NonFiniteError as exc:
                 exc.source = s
                 raise

@@ -252,11 +252,12 @@ def _minibatches(rng: Xoshiro256, steps: int, batch_size: int, n: int):
 class _Steps:
     """The record-or-replay step of one Adam loop over the equally shaped
     parameter lists of S sources, one tape each, with one optimizer: the
-    first step records each source's loss past its tape's mark and captures
-    it as a plan of ``n_inputs`` inputs, bound to the source's row of the
-    optimizer's gradient buffer; every later step replays all sources as one
-    (``Lockstep``), so ``step`` copies no gradient.  A ``NonFiniteError``
-    names the source it arose in by its ``source``."""
+    first step records each source's loss past its tape's mark, writes its
+    gradients into the source's row of the optimizer's gradient buffer and
+    captures it as a plan of ``n_inputs`` inputs bound to that row; every
+    later step replays all sources as one (``Lockstep``).  ``step`` reads
+    the gradients from the buffer.  A ``NonFiniteError`` names the source it
+    arose in by its ``source``."""
 
     def __init__(self, params: list[list[Tensor]], opt, n_inputs: int):
         self.params, self.opt, self.n_inputs, self.replay = params, opt, n_inputs, None
@@ -286,17 +287,14 @@ class _Steps:
             for s, (params, mark, (loss, grads)) in enumerate(zip(self.params, self.marks, recorded)):
                 own = views[s * len(params) : (s + 1) * len(params)]
                 plans.append(StepPlan(loss, params, mark, self.n_inputs, row[s], own))
-                if len(self.params) > 1:
-                    # node ids repeat across the tapes: no one dict holds every gradient
-                    for p, view in zip(params, own):
-                        view[...] = grads[p.id].value
+                for p, view in zip(params, own):
+                    view[...] = grads[p.id].value
             if plans[0] is not None:
                 self.replay = Lockstep(plans, row, self.opt._stacked)
-            step(self.opt, self.flat, grads if len(self.params) == 1 else None)
         else:
             sources = range(len(self.params))
             self.replay.run([inputs(s) for s in sources], [labels(s) for s in sources])
-            step(self.opt, self.flat, None)
+        step(self.opt, self.flat, None)
 
 
 # ---------------------------------------------------------------------------

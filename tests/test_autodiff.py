@@ -985,6 +985,43 @@ def test_a_replay_recomputes_the_row_maxima_and_labels_of_a_recorded_softmax_bac
         plan.run([np.full((4, 2), np.nan)], [y])
 
 
+@pytest.mark.parametrize("differs", [None, "frozen", "constant"])
+def test_a_lockstep_stacks_only_plans_that_bind_the_same_values_outside_wrt(differs):
+    """Two sources' plans of one program that reads a frozen layer below the
+    mark and a constant past the inputs: stacked only where both are the
+    same in each plan, and each source's loss and gradients are its own."""
+    opt, nets = nn.adam(1e-2), []
+    for s in range(2):
+        tape = Tape()
+        frozen = _leaf(tape, np.full((4, 3), 0.5 + 0.25 * s * (differs == "frozen")))
+        w = _leaf(tape, stream(44, "w", str(s)).uniforms(8, -1.0, 1.0).reshape(2, 4))
+        nets.append((tape, frozen, w, _leaf(tape, [0.1, -0.2 * s]), tape.mark()))
+    row, views = nn._gradient_row(opt, [p for _, _, w, b, _ in nets for p in (w, b)], 2)
+
+    def record(s, x, y):
+        tape, frozen, w, b, mark = nets[s]
+        tape.reset(mark)
+        hidden = linear(tape.leaf(x), frozen, Tensor.of(np.zeros(4)))
+        return softmax_cross_entropy(linear(hidden, w, b) * (1.5 + s * (differs == "constant")), y)
+
+    x = [stream(45, "x", str(s)).uniforms(15, -2.0, 2.0).reshape(5, 3) for s in range(2)]
+    y = [[0, 1, 1, 0, 1], [1, 1, 0, 0, 0]]
+    plans = [autodiff.StepPlan(record(s, x[s], y[s]), nets[s][2:4], nets[s][4], 1, row[s], views[2 * s : 2 * s + 2])
+             for s in range(2)]
+    lockstep = autodiff.Lockstep(plans, row, opt._stacked)
+    assert (lockstep.lean is None) == (differs is not None)
+    x, y = [x[1] * 0.5, x[0] - 1.0], [y[1], y[0]]
+    lockstep.run([[x[s]] for s in range(2)], [[y[s]] for s in range(2)])
+    for s, plan in enumerate(plans):
+        loss = record(s, x[s], y[s])
+        grads = backward(loss, nets[s][2:4])
+        assert plan.nodes[plan.out].value.tobytes() == loss.value.tobytes()
+        assert row[s].tobytes() == b"".join(grads[p.id].value.tobytes() for p in nets[s][2:4])
+    # a source whose rows its own plan rejects raises as it raises alone
+    with pytest.raises(ShapeError, match=r"^step input shape \(4, 3\) != captured shape \(5, 3\)$"):
+        lockstep.run([[x[0]], [x[1][:4]]], [[y[0]], [y[1][:4]]])
+
+
 def test_the_array_ops_and_the_tape_ops_hold_the_layer_ops():
     assert set(vars(autodiff._ARRAY_OPS)) == set(vars(autodiff._TAPE_OPS)) == {"linear", *nn._ACTIVATIONS}
 

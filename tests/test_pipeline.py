@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdda.pipeline
@@ -23,7 +23,7 @@ from mdda.errors import (
     ShapeError,
 )
 from mdda.experiment import _params_checksum
-from mdda.nn import MlpConfig, adam, clone_mlp, forward, init_mlp, step
+from mdda.nn import MlpConfig, _gradient_row, adam, clone_mlp, forward, init_mlp, step
 from mdda.pipeline import (
     AdaptConfig,
     DistillSelection,
@@ -565,16 +565,18 @@ def test_adapt_is_deterministic():
 
 def _reference_step():
     """``nn.step`` as the allocating reference Adam writing each parameter
-    through ``helpers.assign``, one reference per optimizer."""
+    through ``helpers.assign``, one reference per optimizer, from the
+    gradients a recorded step wrote into the optimizer's gradient row."""
     opts = []
 
     def run(opt, params, grads):
+        assert grads is None
         ref = next((r for o, r in opts if o is opt), None)
         if ref is None:
             ref = ReferenceAdam(opt.learning_rate, opt.beta1, opt.beta2, opt.eps)
             opts.append((opt, ref))
         ref.learning_rate = opt.learning_rate
-        for p, value in zip(params, ref.step([p.value for p in params], [grads[p.id].value for p in params])):
+        for p, value in zip(params, ref.step([p.value for p in params], _gradient_row(opt, params)[1])):
             assign(p, value)
 
     return run
@@ -703,6 +705,9 @@ _HIDDEN = st.sampled_from(["relu", "leaky_relu", "tanh"])
        widths=st.lists(st.integers(1, 6), min_size=1, max_size=3), activation=_HIDDEN,
        final=st.sampled_from(["none", "tanh"]), n_classes=st.integers(2, 4), batch=st.integers(1, 40),
        steps=st.integers(0, 5))
+# a one-element hidden row, which the backward of tanh takes as a float
+@example(kind="pretrain", count=2, seed=5, widths=[1], activation="relu", final="tanh", n_classes=3, batch=1,
+         steps=3)
 def test_lockstep_training_of_any_small_net_equals_each_source_alone(kind, count, seed, widths, activation, final,
                                                                         n_classes, batch, steps):
     extractor = MlpConfig((3, *widths), activation=activation, final_activation=final)
