@@ -13,10 +13,10 @@ builds a schedule of the nodes that need a gradient, then sweeps it.  With
 again.  That is what makes the critic's gradient penalty (a loss containing
 an input gradient) trainable with a single engine.  A first-order backward
 runs the same sweep, cuts the tape back and returns detached gradients.  An
-op without a rule (a step mask, row maxima, one-hot labels) stops
-gradients: no gradient toward it is computed.  A training loop records its
-first step and captures it as a :class:`StepPlan`, which records the step's
-backward onto the tape as well and generates one straight-line Python
+op without a rule (a step mask, row maxima, one-hot labels, rows of a value)
+stops gradients: no gradient toward it is computed.  A training loop records
+its first step and captures it as a :class:`StepPlan`, which records the
+step's backward onto the tape as well and generates one straight-line Python
 function that replays every later step at its new inputs, with the same
 operations and without recording; the plans of several sources that train
 in lockstep replay as one such function over arrays with a leading source
@@ -265,6 +265,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # the mask of the relu rule; perfbench/opbench.py times it
 def _step_mask(x: Tensor, slope: float) -> Tensor:
     return _apply("step_mask", (x,), slope)
+
+
+def _rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of ``x``, a view that carries no gradient."""
+    return _apply("rows", (x,), slice(start, stop))
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -536,6 +541,8 @@ _OPS: dict[str, _Op] = {
     # each row's maximum, repeated across the row, and one-hot labels
     "row_max": _Op("{v} = np.repeat({0}.max(axis=-1, keepdims=True), {0}.shape[-1], axis=-1)", None, checked=False),
     "one_hot": _Op("{v} = np.eye({0}.shape[-1])[{aux}]", None, checked=False),
+    # a slice of rows, which passes no operand: an entry outside it is not read
+    "rows": _Op("{v} = {0}[{aux}]", None, checked=False),
 }
 _OPS = {op: spec._replace(fn=_forward(op, spec.form)) for op, spec in _OPS.items()}
 
@@ -636,6 +643,32 @@ def _sweep(tape: Tape, out_id: int, wrt_ids: list[int]) -> Grads:
 # operand rounds differently on OpenBLAS.
 _VIEWS = {"transpose": "{v} = {0}.swapaxes(-1, -2)", "reshape": "{v} = {0}.reshape({aux})"}
 
+# the ops whose result's row i depends only on row i of operand 0
+_ROW_WISE = frozenset(("linear", "relu", "leaky_relu", "tanh", "step_mask"))
+
+
+@functools.lru_cache(maxsize=64)
+def _rows_agree(op: str, shapes: tuple, aux, start: int, stop: int) -> bool:
+    """Whether row-wise ``op`` on operands of ``shapes``, the whole value
+    first, gives the bytes of rows ``start:stop`` of its result on those
+    rows alone, for each of 8 probes with full-mantissa entries in [-2, 2).
+    A BLAS may take another order of summation for some rows of a slice,
+    which captured values of a few rows can hide; in a sweep of 612 product
+    shapes, each slice that differed in some of 100 random draws differed
+    on one of the first 4 probes."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    fn, part, args = _OPS[op].fn, slice(start, stop), () if aux is None else (aux,)
+    with np.errstate(all="ignore"):
+        for j in range(8):
+            # the top 53 bits of a Weyl sequence modulo 2**64, one probe at a
+            # time, so that a capture's peak memory does not grow
+            bits = np.arange(j * ends[-1], (j + 1) * ends[-1], dtype=np.uint64)
+            probe = (bits * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(11)) * 2.0**-51 - 2.0
+            x, *rest = (a.reshape(shape) for a, shape in zip(np.split(probe, ends[:-1]), shapes))
+            if not _same(fn(x[part], *rest, *args), fn(x, *rest, *args)[part]):
+                return False
+    return True
+
 
 # the steps of each source domain's networks have the same program, so
 # their replays share one compiled source
@@ -672,6 +705,12 @@ class StepPlan:
     always reaches a check.  If one fails, the step is replayed by a
     function generated with every check, which names the op that recording
     it would have named.
+
+    A row-wise node on rows of a value that an earlier node of the same op
+    and other operands ran on whole (the critic's score gap on rows of the
+    penalty's points) is shared, where the capture finds it equal to that
+    node's rows: a replay takes it as a view of them, which no ufunc writes
+    into, and does not run a view that only shared nodes read.
     """
 
     def __init__(self, loss: Tensor, wrt: Sequence[Tensor], mark: int, n_inputs: int,
@@ -700,15 +739,41 @@ class StepPlan:
         # with the logits' shape; a recorded backward shares the label array
         self.softmax = [(node, nodes[node.inputs[0]].value.shape) for node in step if node.op == "softmax_xent"]
         self.sinks = list(dict.fromkeys([nodes[self.out], *self.into]))
-        # each node's readers in the step, with the operand position read;
+        # A row-wise node on rows a:b of a value, directly or through shared
+        # nodes, is shared with an earlier node of the same op and other
+        # operands that ran on the whole value, where its captured bytes are
+        # that node's rows a:b and the op's are on probes of those shapes:
+        # {id: (base id, rows)}.  A replay takes it as those rows, so it reads
+        # only its base, which covers it.
+        self.shared, rows, whole = {}, {}, {}
+        for k in self.program:
+            node = nodes[k]
+            if node.op == "rows":
+                rows[k] = (node.inputs[0], node.aux)
+            elif node.op in _ROW_WISE:
+                x, part = rows.get(node.inputs[0], (None, None))
+                base = whole.get((node.op, (x, *node.inputs[1:]), node.aux))
+                if (base is not None and _same(node.value, nodes[base].value[part])
+                        and _rows_agree(node.op, tuple(nodes[i].value.shape for i in (x, *node.inputs[1:])),
+                                        node.aux, part.start, part.stop)):
+                    self.shared[k] = rows[k] = (base, part)
+                whole.setdefault((node.op, node.inputs, node.aux), k)
+        # the nodes a replay runs: not a view that no run node reads
+        self.emitted, read = [], set()
+        for k in reversed(self.program):
+            if k in read or nodes[k] in self.sinks or not (k in self.shared or nodes[k].op == "rows"):
+                self.emitted.append(k)
+                read.update(self.shared[k][:1] if k in self.shared else nodes[k].inputs)
+        self.emitted.reverse()
+        # each node's readers among those, with the operand position read;
         # a reader always follows what it reads
         readers = {node: [] for node in step}
-        for node in step:
-            for pos, i in enumerate(node.inputs):
-                readers.get(nodes[i], []).append((node, pos))
+        for k in self.emitted:
+            for pos, i in enumerate(() if k in self.shared else nodes[k].inputs):
+                readers.get(nodes[i], []).append((nodes[k], pos))
         # the nodes at which a non-finite value raises, and those of them
         # that keep their own check
-        covered, self.own = set(self.sinks), set()
+        covered, self.own = {*self.sinks, *(nodes[k] for k in self.shared)}, set()
         for node in reversed(step):
             if node in covered:
                 continue
@@ -734,7 +799,8 @@ class StepPlan:
     def full(self) -> Callable[[], None]:
         """The replay with every check, as recording the step runs them,
         generated when a check first fails."""
-        return self._replay({self.nodes[k] for k in self.program if _OPS[self.nodes[k].op].checked}, set())
+        return self._replay({self.nodes[k] for k in self.emitted
+                             if _OPS[self.nodes[k].op].checked and k not in self.shared}, set())
 
     def _replay(self, checks: set, late: set, swap: dict | None = None) -> Callable[[], None]:
         """One straight-line function that runs ``program`` on the values
@@ -748,13 +814,26 @@ class StepPlan:
         ``id`` of a bound object to the one bound in its place."""
         nodes, program, shapes = self.nodes, self.program, self.shapes
         computed, sinks = set(program), set(self.sinks)
-        last = {i: pos for pos, k in enumerate(program) for i in nodes[k].inputs}
+        # each run node's op, operands and op argument: a shared node is its
+        # base's rows
+        steps = [(k, *(("rows", self.shared[k][:1], self.shared[k][1]) if k in self.shared
+                       else (nodes[k].op, nodes[k].inputs, nodes[k].aux))) for k in self.emitted]
+        last = {i: pos for pos, (_, _, ins, _) in enumerate(steps) for i in ins}
+        # each view's base, and the last position at which a view of a value,
+        # or one of a view of it, is read (a sink's at the end): no ufunc ever
+        # writes into a view, nor into a value before then
+        views, held = {k: ins[0] for k, op, ins, _ in steps if op == "rows"}, {}
+        for pos in reversed(range(len(steps))):
+            k = steps[pos][0]
+            if k in views:
+                until = len(steps) if nodes[k] in sinks else max(last.get(k, pos), held.get(k, pos))
+                held[views[k]] = max(held.get(views[k], pos), until)
         # a weight read by several products is transposed once per call,
         # into t{w}, which lives until its last product
-        products = [(pos, nodes[k].inputs[1]) for pos, k in enumerate(program) if nodes[k].op == "linear"]
+        products = [(pos, ins[1]) for pos, (_, op, ins, _) in enumerate(steps) if op == "linear"]
         first = {w: pos for pos, w in reversed(products)}
         final = {w: pos for pos, w in products}
-        leaves = sorted({i for k in program for i in nodes[k].inputs} - computed)
+        leaves = sorted({i for _, _, ins, _ in steps for i in ins} - computed)
         bound = {"L": [nodes[i] for i in leaves], "C": [], "S": [], "G": [], "A": []}
 
         def ref(name: str, obj) -> str:
@@ -762,22 +841,22 @@ class StepPlan:
             return f"{name}[{len(bound[name]) - 1}]"
 
         lines = [f"l{i} = L[{j}].value" for j, i in enumerate(leaves)]
-        for pos, k in enumerate(program):
+        for pos, (k, op, ins, aux) in enumerate(steps):
             node = nodes[k]
-            args = [f"v{i}" if i in computed else f"l{i}" for i in node.inputs]
-            dead = [f"v{i}" for i in dict.fromkeys(node.inputs)
+            args = [f"v{i}" if i in computed else f"l{i}" for i in ins]
+            dead = [f"v{i}" for i in dict.fromkeys(ins)
                     if i in computed and last[i] == pos and nodes[i] not in sinks]
-            if node.op in _BROADCASTING and shapes[node.inputs[0]] != shapes[node.inputs[1]]:
+            if op in _BROADCASTING and shapes[ins[0]] != shapes[ins[1]]:
                 # the one-element operand as a float, as ``_broadcasting``
                 # takes it; a stacked one as an (S, 1, ...) array, which each
                 # IEEE op rounds as it rounds the float
-                j = 1 if math.prod(shapes[node.inputs[1]]) == 1 else 0
-                if swap and (node.inputs[j] in computed or id(nodes[node.inputs[j]]) in swap):
-                    args[j] = f"{args[j]}.reshape({(-1,) + (1,) * len(shapes[node.inputs[1 - j]])})"
+                j = 1 if math.prod(shapes[ins[1]]) == 1 else 0
+                if swap and (ins[j] in computed or id(nodes[ins[j]]) in swap):
+                    args[j] = f"{args[j]}.reshape({(-1,) + (1,) * len(shapes[ins[1 - j]])})"
                 else:
                     args[j] = f"float({args[j]}.reshape(()))"
-            if node.op == "linear":
-                w = node.inputs[1]
+            if op == "linear":
+                w = ins[1]
                 if first[w] == final[w]:
                     args[1] = f"{args[1]}.swapaxes(-1, -2).copy()"
                 else:
@@ -786,14 +865,14 @@ class StepPlan:
                     args[1] = f"t{w}"
                     if final[w] == pos:
                         dead.append(f"t{w}")
-            aux = ref("A", node.aux) if node.aux is not None else None
+            aux = ref("A", aux) if aux is not None else None
             # a view of a value that nothing reads later, which no ufunc
             # then writes into
-            form = _VIEWS.get(node.op) if node in sinks and k not in last and args[0] in dead else None
-            form = form or _OPS[node.op].form
+            form = _VIEWS.get(op) if node in sinks and k not in last and args[0] in dead else None
+            form = form or _OPS[op].form
             # a computed value that is not zero-dimensional is an array of its own
-            out = [name for name, i in zip(args, node.inputs)
-                   if name in dead and shapes[i] == shapes[k] != ()]
+            out = [name for name, i in zip(args, ins)
+                   if name in dead and shapes[i] == shapes[k] != () and i not in views and held.get(i, -1) < pos]
             lines.append(form.format(*args, v=f"v{k}", aux=aux, out=f", out={out[0]}" if out else ""))
             if node in checks:
                 lines.append(f"_require_finite(v{k}, {ref('C', node)}.op)")
@@ -905,11 +984,11 @@ class Lockstep:
         same ops on the same nodes at the same shapes, binds the same values
         everywhere else (the leaves outside ``wrt`` and the inputs, the op
         arguments other than labels), and every op reads a value with the
-        axis and keeps it (reduces no whole array)."""
+        axis and keeps it (reduces no whole array, takes no rows)."""
         plan = self.plans[0]
         nodes, stacked = plan.nodes, {*plan.wrt, *plan.inputs}
         for k in plan.program:
-            if nodes[k].op in ("sum", "mean") or not any(nodes[i] in stacked for i in nodes[k].inputs):
+            if nodes[k].op in ("sum", "mean", "rows") or not any(nodes[i] in stacked for i in nodes[k].inputs):
                 return False
             stacked.add(nodes[k])
         leaves = {i for k in plan.program for i in nodes[k].inputs if nodes[i] not in stacked}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Lockstep, StepPlan, Tape, Tensor, backward, matmul, softmax_cross_entropy
+from .autodiff import Lockstep, StepPlan, Tape, Tensor, _rows, backward, matmul, softmax_cross_entropy
 from .datagen import Dataset
 from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError
 from .errors import from_json, json_bool, json_field, json_float, json_str, to_json
@@ -219,7 +219,7 @@ def _train_supervised(nets: list[tuple[Mlp, ...]], xs: list[np.ndarray], ys: lis
     per source) over minibatches of its rows of ``xs`` and ``ys``, drawn from
     its own stream, all sources in lockstep.  A non-finite value is a
     divergence of the first source, in source order, at the earliest step."""
-    steps = _Steps([[p for net in chain for p in net.params] for chain in nets], adam(train.learning_rate), 1)
+    steps = _Steps([[p for net in chain for p in net.params] for chain in nets], adam(train.learning_rate))
 
     def record(s: int, x: np.ndarray, y: np.ndarray) -> Tensor:
         h = nets[s][0].tape.leaf(x)
@@ -254,20 +254,20 @@ class _Steps:
     parameter lists of S sources, one tape each, with one optimizer: the
     first step records each source's loss past its tape's mark, writes its
     gradients into the source's row of the optimizer's gradient buffer and
-    captures it as a plan of ``n_inputs`` inputs bound to that row; every
+    captures it as a plan of one input bound to that row; every
     later step replays all sources as one (``Lockstep``).  ``step`` reads
     the gradients from the buffer.  A ``NonFiniteError`` names the source it
     arose in by its ``source``."""
 
-    def __init__(self, params: list[list[Tensor]], opt, n_inputs: int):
-        self.params, self.opt, self.n_inputs, self.replay = params, opt, n_inputs, None
+    def __init__(self, params: list[list[Tensor]], opt):
+        self.params, self.opt, self.replay = params, opt, None
         self.flat = [p for ps in params for p in ps]
         self.marks = [ps[0].tape.mark() for ps in params]
 
     def __call__(self, record, inputs, labels=lambda s: ()) -> None:
-        """``record(s)`` records source s's loss, its input leaves first and
-        in order; ``inputs(s)`` and ``labels(s)`` give the arrays and label
-        vectors a replay takes in their place."""
+        """``record(s)`` records source s's loss, its input leaf first;
+        ``inputs(s)`` and ``labels(s)`` give the array, as a list of one, and
+        the label vectors a replay takes in their place."""
         if self.replay is None:
             recorded = []
             for s, (params, mark) in enumerate(zip(self.params, self.marks)):
@@ -286,7 +286,7 @@ class _Steps:
             plans = []
             for s, (params, mark, (loss, grads)) in enumerate(zip(self.params, self.marks, recorded)):
                 own = views[s * len(params) : (s + 1) * len(params)]
-                plans.append(StepPlan(loss, params, mark, self.n_inputs, row[s], own))
+                plans.append(StepPlan(loss, params, mark, 1, row[s], own))
                 for p, view in zip(params, own):
                     view[...] = grads[p.id].value
             if plans[0] is not None:
@@ -332,32 +332,34 @@ def gradient_penalty(
     stays differentiable with respect to the critic parameters.
     """
     tape = critic.tape
-    points = _penalty_points(s, t, rng, include_endpoints)
-    # the points' leaf is the first node recorded, which a step plan of the
-    # critic step takes as an input
-    x_hat = tape.leaf(points)
+    # the first node recorded is one leaf of the points [interpolates; s; t],
+    # which a step plan of the critic step takes as its input
+    x = tape.leaf(_penalty_points(s, t, rng))
+    x_hat = x if include_endpoints else _rows(x, 0, s.shape[0])
     total = forward(critic, x_hat).sum()
     grad = backward(total, [x_hat], record=True)[x_hat.id]
-    row_sq = matmul(grad.square(), tape.leaf(np.ones((points.shape[1], 1))))
+    row_sq = matmul(grad.square(), tape.leaf(np.ones((x.shape[1], 1))))
     norms = (row_sq + _EPS_NORM).sqrt()
     return (norms - 1.0).square().mean()
 
 
-def _penalty_points(s: np.ndarray, t: np.ndarray, rng: Xoshiro256, include_endpoints: bool) -> np.ndarray:
+def _penalty_points(s: np.ndarray, t: np.ndarray, rng: Xoshiro256) -> np.ndarray:
     if s.shape != t.shape:
         raise ShapeError(f"paired batches must match: {s.shape} vs {t.shape}")
     if s.ndim != 2 or s.shape[0] < 1:
         raise ConfigError("gradient_penalty needs a non-empty [batch x features] pair")
     eps = rng.uniforms(s.shape[0])[:, None]
-    points = eps * s + (1.0 - eps) * t
-    return np.concatenate([points, s, t], axis=0) if include_endpoints else points
+    return np.concatenate([eps * s + (1.0 - eps) * t, s, t], axis=0)
 
 
 def _critic_objective(critic: Mlp, s: np.ndarray, t: np.ndarray, rng: Xoshiro256, cfg: AdaptConfig) -> Tensor:
-    """The critic's loss, with its input leaves first: batches, penalty points."""
-    sf, tf = critic.tape.leaf(s), critic.tape.leaf(t)
+    """The critic's loss, with its one input leaf, the penalty's points,
+    first: the score gap reads the batches as rows of it."""
+    tape, n = critic.tape, s.shape[0]
+    points = tape.mark()
     penalty = gradient_penalty(critic, s, t, rng, cfg.include_endpoints)
-    return cfg.alpha * penalty - critic_loss(critic, sf, tf)
+    x = tape.handle(points)
+    return cfg.alpha * penalty - critic_loss(critic, _rows(x, n, 2 * n), _rows(x, 2 * n, 3 * n))
 
 
 def adapt_target(
@@ -389,8 +391,8 @@ def adapt_target(
         leaky_slope=cfg.critic_slope,
     )
     critic = init_mlp(critic_cfg, rng, tape)
-    critic_steps = _Steps([critic.params], adam(cfg.lr_critic, beta1=0.5, beta2=0.9), 3)
-    encoder_steps = _Steps([target_encoder.params], adam(cfg.lr_encoder, beta1=0.5, beta2=0.9), 1)
+    critic_steps = _Steps([critic.params], adam(cfg.lr_critic, beta1=0.5, beta2=0.9))
+    encoder_steps = _Steps([target_encoder.params], adam(cfg.lr_encoder, beta1=0.5, beta2=0.9))
     for i in range(cfg.steps):
         if cfg.lr_decay:
             # anneal both players to zero so the endpoint is settled,
@@ -405,7 +407,7 @@ def adapt_target(
                 s = src_feats[si]
                 t = target_encoder.predict_values(tgt[ti])
                 critic_steps(lambda _: _critic_objective(critic, s, t, rng, cfg),
-                             lambda _: [s, t, _penalty_points(s, t, rng, cfg.include_endpoints)])
+                             lambda _: [_penalty_points(s, t, rng)])
             rows = tgt[rng.integers(cfg.batch_size, below=tgt.shape[0])]
             encoder_steps(lambda _: encoder_loss(critic, forward(target_encoder, tape.leaf(rows))), lambda _: [rows])
         except NonFiniteError as exc:

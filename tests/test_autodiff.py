@@ -6,11 +6,12 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+import unittest.mock
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -265,18 +266,19 @@ def _pretrain_step(activation, values=()):
     return loss, extractor.params + classifier.params, mark, [x], [y]
 
 
-def _critic_step(values=()):
-    """One critic step of `quickstart`: a (8, 64, 64, 1) leaky critic, batches
-    of 64 features and the penalty on 192 points, as ``_pretrain_step``."""
+def _critic_step(values=(), widths=(8, 64, 64, 1), batch=64, include_endpoints=True, draw=35):
+    """One critic step of `quickstart`, as the pipeline records it: a
+    (8, 64, 64, 1) leaky critic, batches of 64 features and the penalty on
+    192 points, its one input, as ``_pretrain_step``; the batches and the
+    interpolation weights come from the streams ``draw`` and ``draw + 1``."""
     tape = Tape()
-    critic = init_mlp(MlpConfig((8, 64, 64, 1), activation="leaky_relu", leaky_slope=0.2), stream(34, "critic"), tape)
+    critic = init_mlp(MlpConfig(widths, activation="leaky_relu", leaky_slope=0.2), stream(34, "critic"), tape)
     _with_values(critic.params, values)
     mark = tape.mark()
-    s, t = (stream(35, side).uniforms(64 * 8, -2.0, 2.0).reshape(64, 8) for side in ("s", "t"))
-    sf, tf = tape.leaf(s), tape.leaf(t)
-    penalty = pipeline.gradient_penalty(critic, s, t, stream(36, "eps"))
-    loss = 10.0 * penalty - pipeline.critic_loss(critic, sf, tf)
-    return loss, critic.params, mark, [s, t, tape.nodes[mark + 2].value.copy()], []
+    s, t = (stream(draw, side).uniforms(batch * widths[0], -2.0, 2.0).reshape(batch, widths[0]) for side in ("s", "t"))
+    cfg = pipeline.AdaptConfig(include_endpoints=include_endpoints)
+    loss = pipeline._critic_objective(critic, s, t, stream(draw + 1, "eps"), cfg)
+    return loss, critic.params, mark, [tape.nodes[mark].value.copy()], []
 
 
 def _edge_step():
@@ -324,7 +326,7 @@ def _program_values(frame, position):
     return {position[name]: v for name, v in frame.f_locals.items() if name in position}
 
 
-@pytest.mark.parametrize("step, n_checks, n_every", [(lambda: _pretrain_step("relu"), 15, 31), (_critic_step, 14, 75)],
+@pytest.mark.parametrize("step, n_checks, n_every", [(lambda: _pretrain_step("relu"), 15, 31), (_critic_step, 10, 65)],
                          ids=["pretrain", "critic"])
 def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n_checks, n_every):
     plan, inputs, labels = _plan(step())
@@ -368,22 +370,114 @@ def test_a_replayed_step_checks_the_nodes_its_capture_keeps(monkeypatch, step, n
     monkeypatch.setattr(autodiff, "_require_finite", counted_check)
     replayed(lambda: plan.run(inputs, labels), plan.lean)
 
-    # each forward once, in program order
-    assert bound == list(range(len(plan.program)))
+    # each forward once, in program order, apart from the views that only
+    # shared nodes read
+    run = [pos for pos, k in enumerate(plan.program) if k in plan.emitted]
+    assert bound == run
     step_nodes = [plan.nodes[k] for k in plan.program]
     expected = [pos for pos, node in enumerate(step_nodes) if node in plan.own or node in plan.sinks]
     assert len(set(checked)) == len(checked) and sorted(checked) == expected
     # the loss and every gradient that is not a constant are checked
     assert set(plan.sinks) == {plan.nodes[plan.out], *plan.into}
     assert len(checked) == n_checks
-    # the fallback checks every checked op after its forward, in program
-    # order: 31 and 75 checks
+    # the fallback checks every checked op that is not shared after its
+    # forward, in program order: 31 and 65 checks
     bound.clear()
     checked.clear()
     replayed(plan.full, plan.full)
-    assert bound == list(range(len(plan.program)))
-    assert checked == [pos for pos, node in enumerate(step_nodes) if autodiff._OPS[node.op].checked]
+    assert bound == run
+    assert checked == [pos for pos in run
+                       if autodiff._OPS[step_nodes[pos].op].checked and plan.program[pos] not in plan.shared]
     assert len(checked) == n_every
+
+
+def test_the_critic_step_takes_its_score_gap_as_rows_of_the_penalty_forward():
+    # Both batches' forwards, and the step masks of their backward, are rows
+    # of the penalty forward's nodes on this BLAS: the 3 products and 2
+    # activations of each batch and 2 masks of each, read as views.
+    plan, inputs, _ = _plan(_critic_step())
+    shared = [plan.nodes[k].op for k in plan.shared]
+    assert sorted(shared) == ["leaky_relu"] * 4 + ["linear"] * 6 + ["step_mask"] * 4
+    points = plan.inputs[0]
+    first = min(k for k in plan.program if plan.nodes[k].op == "rows")
+    assert all(base < first for base, _ in plan.shared.values())
+    assert sorted((part.start, part.stop) for _, part in plan.shared.values()) == [(64, 128)] * 7 + [(128, 192)] * 7
+    # the batches' first products and activations, read only as views, are not run
+    assert len(plan.program) - len(plan.emitted) == 4
+    # a replay writes into no view: of its input, nor of a value a view holds
+    inputs[0].setflags(write=False)
+    plan.run(inputs, [])
+    fresh_loss, *_ = _critic_step([node.value.copy() for node in plan.wrt])
+    assert plan.nodes[plan.out].value.tobytes() == fresh_loss.value.tobytes()
+    assert points.op == "leaf" and points.value is inputs[0]
+
+
+def _shared_step(order, values=(), draw=49):
+    """A product on 192 rows and the same product on rows 64:128 of its
+    input, which a replay takes as rows of the first, a tanh of the whole
+    and an exp of the part, which is not shared: the exp after the tanh
+    (``"part-last"``), before it (``"part-first"``), or alone
+    (``"part-only"``), as ``_pretrain_step``."""
+    tape = Tape()
+    w, b = (_leaf(tape, stream(50, name).uniforms(math.prod(shape), -1.0, 1.0).reshape(shape))
+            for name, shape in (("w", (4, 8)), ("b", (4,))))
+    _with_values([w, b], values)
+    mark = tape.mark()
+    x = tape.leaf(stream(draw, "x").uniforms(192 * 8, -2.0, 2.0).reshape(192, 8))
+    whole, part = linear(x, w, b), linear(autodiff._rows(x, 64, 128), w, b)
+    if order == "part-only":
+        loss = part.exp().sum()
+    elif order == "part-last":
+        # each may write into its operand where nothing reads it later
+        loss = whole.tanh().sum() + part.exp().sum()
+    else:
+        loss = part.exp().sum() + whole.tanh().sum()
+    return loss, [w, b], mark, [x.value.copy()], []
+
+
+@pytest.mark.parametrize("order", ["part-last", "part-first", "part-only"])
+def test_a_replay_writes_into_no_shared_rows_and_checks_their_base(order):
+    # No ufunc writes into the whole product while its rows are read, nor
+    # into the rows; the whole product, read only as rows, keeps its check.
+    plan, opt, params, inputs, labels, _ = _bound(lambda values=(), draw=49: _shared_step(order, values, draw))
+    assert [plan.nodes[k].op for k in plan.shared] == ["linear"]
+    for draw in (51, 52):
+        fresh_loss, fresh_params, _, inputs, _ = _shared_step(order, [p.value.copy() for p in params], draw)
+        want = backward(fresh_loss, fresh_params)
+        plan.run(inputs)
+        assert plan.nodes[plan.out].value.tobytes() == fresh_loss.value.tobytes()
+        assert opt._rows[0].tobytes() == b"".join(want[q.id].value.tobytes() for q in fresh_params)
+    _assert_faults_surface(plan, inputs, labels, _entries(53))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(widths=st.sampled_from([(8, 64, 64, 1), (8, 32, 32, 1), (2, 32, 1)]),
+       batch=st.sampled_from([1, 2, 3, 7, 63, 64, 65]), include_endpoints=st.booleans(), differ=st.booleans(),
+       seed=st.integers(0, 999))
+# captured rows equal to the whole's, but another order of summation for the
+# one-column product's rows of the slice, which a later step's bytes show
+@example(widths=(8, 32, 32, 1), batch=7, include_endpoints=True, differ=False, seed=77)
+def test_a_critic_replay_is_byte_equal_to_a_fresh_record_at_any_batch(widths, batch, include_endpoints, differ,
+                                                                      seed):
+    """Sharing is decided at capture by bytes, which on this BLAS differ for
+    one-row products and some one-column ones; taken as "differ", no node
+    is shared.  Either way two replays at new parameters and points equal
+    recording the step afresh."""
+    def step(values=(), draw=35):
+        return _critic_step(values, widths, batch, include_endpoints, draw)
+
+    with contextlib.ExitStack() as stack:
+        if differ:
+            stack.enter_context(unittest.mock.patch.object(autodiff, "_same", lambda a, b: False))
+        plan, opt, params, *_ = _bound(step)
+    assert bool(plan.shared) == (include_endpoints and not differ and batch > 1)
+    for draw in (seed, seed + 1000):
+        fresh_loss, fresh_params, _, inputs, _ = step([p.value.copy() for p in params], draw=draw)
+        want = backward(fresh_loss, fresh_params)
+        plan.run(inputs)
+        assert plan.nodes[plan.out].value.tobytes() == fresh_loss.value.tobytes()
+        assert opt._rows[0].tobytes() == b"".join(want[q.id].value.tobytes() for q in fresh_params)
+        nn.step(opt, params, None)
 
 
 def _outcome(plan, inputs, labels):
@@ -438,6 +532,13 @@ def _restored(plan):
         _regenerate(plan)
 
 
+def _run_by_op(plan):
+    """The nodes that a replay of ``plan`` runs by their own op: a shared
+    node is its base's rows, and a view that only shared nodes read is not
+    run at all."""
+    return [k for k in plan.emitted if k not in plan.shared]
+
+
 def _assert_faults_surface(plan, inputs, labels, entries):
     """With a NaN or an infinity written into one entry of each node's value
     in turn, right after its forward, ``run`` raises the message of a replay
@@ -445,7 +546,7 @@ def _assert_faults_surface(plan, inputs, labels, entries):
     generated replays (``_faulty_replays``)."""
     raised = 0
     with _restored(plan):
-        for k in plan.program:
+        for k in _run_by_op(plan):
             fault = {}
             lean, full = _faulty_replays(plan, k, fault)
             for bad in (np.nan, np.inf, -np.inf):
@@ -478,7 +579,7 @@ def test_a_fault_in_any_node_of_a_replay_raises_as_with_every_check(step):
 @given(data=st.data(), seed=st.integers(0, 999))
 def test_a_fault_in_any_node_of_a_random_replay_raises_as_with_every_check(data, seed):
     try:
-        tape, loss, wrt = _random_dag(data.draw, seed, second_order=True, strict=True)
+        tape, loss, wrt = _random_dag(data.draw, seed, second_order=True, strict=True, rows=True)
     except NonFiniteError:
         assume(False)
     n_inputs = next(i for i, node in enumerate(tape.nodes) if node.op != "leaf")
@@ -557,8 +658,8 @@ def _step_error(plan, opt, params, inputs, labels) -> str:
 
 @pytest.mark.parametrize("step", [_PRETRAIN, _critic_step], ids=["pretrain", "critic"])
 def test_a_bound_step_that_raises_leaves_the_optimizer_as_it_was(step):
-    """With a NaN or an infinity written into any node of a bound replay,
-    the step raises the message of a replay with every check, or, where
+    """With a NaN or an infinity written into any node that a bound replay
+    runs by its op, the step raises the message of a replay with every check, or, where
     that replay passes the fault on, of the update, as recording the step
     would; the optimizer's values, moments and step count stay as they
     were."""
@@ -566,7 +667,7 @@ def test_a_bound_step_that_raises_leaves_the_optimizer_as_it_was(step):
     state = opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes(), opt.step_count
     entries = _entries(39)
     with _restored(plan):
-        for k in plan.program:
+        for k in _run_by_op(plan):
             fault = {}
             lean, full = _faulty_replays(plan, k, fault)
             for bad in (np.nan, np.inf, -np.inf):
@@ -684,11 +785,11 @@ _NON_FINITE_CASES = {
 
 
 def test_only_ops_that_cannot_fail_skip_the_finiteness_check():
-    # transpose and reshape move checked values; the step mask is 1 or the
-    # validated slope, the row maxima are entries of checked logits, and
+    # transpose, reshape and rows move checked values; the step mask is 1 or
+    # the validated slope, the row maxima are entries of checked logits, and
     # one-hot labels are 0 or 1, whatever their input
     unchecked = {op for op, spec in autodiff._OPS.items() if not spec.checked}
-    assert unchecked == {"transpose", "reshape", "step_mask", "row_max", "one_hot"}
+    assert unchecked == {"transpose", "reshape", "rows", "step_mask", "row_max", "one_hot"}
     assert set(_NON_FINITE_CASES) == set(autodiff._OPS) - unchecked
 
 
@@ -815,6 +916,24 @@ _DAG_NODES = {
 }
 
 
+def _rows_node(draw, tape, rng, pool):
+    """A row-wise op on rows of a pool matrix that the op also ran on whole,
+    as the critic's score gap and penalty do: the whole result joins the
+    pool, and a replay may take the part as its rows."""
+    x = draw(st.sampled_from([t for t in pool if t.value.ndim == 2]))
+    start = draw(st.integers(0, x.shape[0] - 1))
+    stop = draw(st.integers(start + 1, x.shape[0]))
+    op = draw(st.sampled_from(["linear", "relu", "leaky_relu", "tanh"]))
+    if op == "linear":
+        d_out = draw(st.integers(1, 3))
+        w, b = _random_leaf(tape, rng, (d_out, x.shape[1])), _random_leaf(tape, rng, (d_out,))
+        fn = lambda v: linear(v, w, b)  # noqa: E731
+    else:
+        fn = {"relu": Tensor.relu, "leaky_relu": lambda v: v.leaky_relu(0.2), "tanh": Tensor.tanh}[op]
+    pool.append(fn(x))
+    return fn(autodiff._rows(x, start, stop))
+
+
 def test_the_random_dags_cover_every_vjp_rule():
     assert set(_DAG_NODES) == {op for op, spec in autodiff._OPS.items() if spec.vjp is not None}
 
@@ -832,13 +951,14 @@ def _recorded_gradient(draw, tape, rng, pool):
     return backward(out.square().sum(), [wrt], record=True)[wrt.id]
 
 
-def _random_dag(draw, seed, second_order=False, tape=None, strict=False):
+def _random_dag(draw, seed, second_order=False, tape=None, strict=False, rows=False):
     """A tape of random op nodes over random leaves, the scalar sum of every
     node's sum, and handles to every input leaf.  With ``second_order`` the
     DAG holds at least one recorded backward, whose gradient later nodes may
     take as an operand; the constant leaves that backward records are not
-    inputs.  The DAG is recorded on ``tape`` if given; with ``strict`` an
-    overflowing forward raises instead of being left out."""
+    inputs.  With ``rows`` it may hold ``_rows_node`` pairs, whose gradient
+    stops at the rows.  The DAG is recorded on ``tape`` if given; with
+    ``strict`` an overflowing forward raises instead of being left out."""
     rng = stream(seed, "dag")
     tape = Tape() if tape is None else tape
     # One-element leaves of three shapes meet every shape and each other, in
@@ -848,13 +968,14 @@ def _random_dag(draw, seed, second_order=False, tape=None, strict=False):
     pool = [_random_leaf(tape, rng, shape) for shape in shapes]
     n_leaves = len(pool)
     ops = [draw(st.sampled_from(["add", "sub", "mul", "div"]))]
-    ops += draw(st.lists(st.sampled_from(sorted(_DAG_NODES) + ["backward"] * second_order), max_size=7))
+    ops += draw(st.lists(st.sampled_from(sorted(_DAG_NODES) + ["backward"] * second_order + ["rows"] * 3 * rows),
+                         max_size=7))
     if second_order:
         ops.insert(draw(st.integers(1, len(ops))), "backward")
     recorded: set[int] = set()
     for op in ops:
         before = len(tape)
-        build = _recorded_gradient if op == "backward" else _DAG_NODES[op]
+        build = {"backward": _recorded_gradient, "rows": _rows_node}.get(op) or _DAG_NODES[op]
         try:
             pool.append(build(draw, tape, rng, pool))
         except NonFiniteError:
@@ -925,7 +1046,7 @@ def _loss_and_gradient_bytes(run):
 def test_a_replayed_step_is_byte_equal_to_a_freshly_recorded_one(data, seed):
     log = []
     try:
-        tape, loss, wrt = _random_dag(_logged(data.draw, log), seed, second_order=True, strict=True)
+        tape, loss, wrt = _random_dag(_logged(data.draw, log), seed, second_order=True, strict=True, rows=True)
     except NonFiniteError:
         assume(False)  # a step whose recording fails is never captured
     # the step's inputs are the leaves recorded before its first op
@@ -936,7 +1057,8 @@ def test_a_replayed_step_is_byte_equal_to_a_freshly_recorded_one(data, seed):
     fresh = Tape()
 
     def record():
-        _, fresh_loss, fresh_wrt = _random_dag(_replayed(log, fresh), seed + 1000, second_order=True, tape=fresh, strict=True)
+        _, fresh_loss, fresh_wrt = _random_dag(_replayed(log, fresh), seed + 1000, second_order=True, tape=fresh,
+                                               strict=True, rows=True)
         grads = backward(fresh_loss, fresh_wrt)
         return fresh_loss.value, [grads[t.id].value for t in fresh_wrt]
 

@@ -3,6 +3,7 @@ adaptation with the input-gradient penalty, per-sample source
 distilling, and distance-weighted prediction aggregation."""
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -371,9 +372,8 @@ def test_a_replay_keeps_only_the_loss_the_gradients_and_constant_leaves(kind):
     mark = tape.mark()
     s, t = (stream(16, kind, str(i)).uniforms(8, -1.5, 1.5).reshape(4, 2) for i in range(2))
     if kind == "critic":
-        sf, tf = tape.leaf(s), tape.leaf(t)
-        loss = 10.0 * gradient_penalty(net, s, t, stream(17, "eps")) - critic_loss(net, sf, tf)
-        inputs, labels = [t, s, np.vstack([s, s, t])], []
+        loss = mdda.pipeline._critic_objective(net, s, t, stream(17, "eps"), AdaptConfig())
+        inputs, labels = [np.vstack([t, s, s])], []
     else:
         loss = softmax_cross_entropy(forward(net, tape.leaf(s)), [0, 1, 2, 1])
         inputs, labels = [t], [[2, 2, 0, 1]]
@@ -511,6 +511,23 @@ def test_gradient_penalty_endpoint_flag_changes_the_value():
     with_ends = gradient_penalty(critic, s, t, stream(13, "eps"), include_endpoints=True).item()
     without = gradient_penalty(critic, s, t, stream(13, "eps"), include_endpoints=False).item()
     assert with_ends != without
+
+
+@pytest.mark.parametrize("widths, batch, value, digest", [
+    ((8, 64, 64, 1), 64, "f457af8f9205eb3f", "8658f655bdebbd3acbcec82f3f96217f834f2f9f24b5d256fbd927e170bcba83"),
+    ((2, 32, 1), 3, "7dfdef868769f73f", "c696f634e05c7b6dc81e3f58211df934e4f0bacbce567f3b534ac46b74788b70"),
+])
+def test_gradient_penalty_without_endpoints_keeps_its_bytes(widths, batch, value, digest):
+    # taken over the first rows of the points' leaf, the value and the
+    # parameter gradients have the bytes of the penalty over a leaf of the
+    # interpolates alone
+    tape = Tape()
+    critic = init_mlp(MlpConfig(widths, activation="leaky_relu", leaky_slope=0.2), stream(46, "critic"), tape)
+    s, t = (stream(47, side).uniforms(batch * widths[0], -2.0, 2.0).reshape(batch, widths[0]) for side in ("s", "t"))
+    penalty = gradient_penalty(critic, s, t, stream(48, "eps"), include_endpoints=False)
+    grads = backward(penalty, critic.params)
+    assert penalty.value.tobytes().hex() == value
+    assert hashlib.sha256(b"".join(grads[p.id].value.tobytes() for p in critic.params)).hexdigest() == digest
 
 
 def test_gradient_penalty_batch_mismatch():
@@ -722,7 +739,7 @@ def test_a_non_finite_row_in_lockstep_leaves_every_sources_optimizer_as_it_was(b
     nets = [(init_mlp(EXTRACTOR, stream(30, str(s)), tape), init_mlp(CLASSIFIER, stream(31, str(s)), tape))
             for s, tape in enumerate(tapes)]
     opt = adam(1e-2)
-    steps = mdda.pipeline._Steps([[p for net in chain for p in net.params] for chain in nets], opt, 1)
+    steps = mdda.pipeline._Steps([[p for net in chain for p in net.params] for chain in nets], opt)
     xs = [stream(32, str(s)).uniforms(16, -2.0, 2.0).reshape(8, 2) for s in range(3)]
     ys = [stream(33, str(s)).integers(8, below=2) for s in range(3)]
 
