@@ -42,7 +42,6 @@ from .experiment import (
 from .nn import Mlp, MlpConfig, adam, clone_mlp, forward, init_mlp, step
 from .pipeline import (
     AdaptConfig,
-    DistillSelection,
     DomainWeights,
     SourceBundle,
     TrainConfig,

@@ -828,11 +828,6 @@ class StepPlan:
             if k in views:
                 until = len(steps) if nodes[k] in sinks else max(last.get(k, pos), held.get(k, pos))
                 held[views[k]] = max(held.get(views[k], pos), until)
-        # a weight read by several products is transposed once per call,
-        # into t{w}, which lives until its last product
-        products = [(pos, ins[1]) for pos, (_, op, ins, _) in enumerate(steps) if op == "linear"]
-        first = {w: pos for pos, w in reversed(products)}
-        final = {w: pos for pos, w in products}
         leaves = sorted({i for _, _, ins, _ in steps for i in ins} - computed)
         bound = {"L": [nodes[i] for i in leaves], "C": [], "S": [], "G": [], "A": []}
 
@@ -856,15 +851,7 @@ class StepPlan:
                 else:
                     args[j] = f"float({args[j]}.reshape(()))"
             if op == "linear":
-                w = ins[1]
-                if first[w] == final[w]:
-                    args[1] = f"{args[1]}.swapaxes(-1, -2).copy()"
-                else:
-                    if first[w] == pos:
-                        lines.append(f"t{w} = {args[1]}.swapaxes(-1, -2).copy()")
-                    args[1] = f"t{w}"
-                    if final[w] == pos:
-                        dead.append(f"t{w}")
+                args[1] = f"{args[1]}.swapaxes(-1, -2).copy()"
             aux = ref("A", aux) if aux is not None else None
             # a view of a value that nothing reads later, which no ufunc
             # then writes into

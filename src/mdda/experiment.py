@@ -258,11 +258,11 @@ def distill_sources(cfg: ExperimentConfig, rep: int, sources: list[Dataset], bun
     if not cfg.method.distill:
         return bundles
     for b, ds in zip(bundles, sources):
-        if b.tau is None or b.tau.shape != (ds.n,):
-            raise ConfigError(f"source {b.name}: bundle has no tau over its {ds.n} samples; rerun adapt")
-    sels = [distill_select(b.tau, rule=cfg.method.distill_rule, fraction=cfg.method.distill_fraction) for b in bundles]
+        if b.tau is None or b.tau.shape != (ds.n,) or not np.isfinite(b.tau).all():
+            raise ConfigError(f"source {b.name}: bundle has no finite tau over its {ds.n} samples; rerun adapt")
+    rows = [distill_select(b.tau, rule=cfg.method.distill_rule, fraction=cfg.method.distill_fraction) for b in bundles]
     rngs = [seed_stream(cfg, rep, "finetune", b.name) for b in bundles]
-    return distill_finetune(bundles, sources, sels, cfg.finetune, rngs)
+    return distill_finetune(bundles, sources, rows, cfg.finetune, rngs)
 
 
 def predict_target(bundles, weighting: str, x: np.ndarray) -> Prediction:

@@ -285,13 +285,15 @@ def load_params(path) -> list[np.ndarray]:
 
 def load_mlp(config: MlpConfig, path, tape: Tape) -> Mlp:
     """A net of ``config`` with the parameters of the file at ``path``,
-    which must hold one array of the right shape per parameter."""
+    which must hold one finite array of the right shape per parameter."""
     arrays = load_params(path)
     widths = config.layer_widths
     shapes = [shape for w_in, w_out in zip(widths, widths[1:]) for shape in ((w_out, w_in), (w_out,))]
     if len(arrays) != len(shapes):
         raise DataFormatError(f"{path}: has {len(arrays)} parameters, net needs {len(shapes)}")
-    for arr, shape in zip(arrays, shapes):
+    for i, (arr, shape) in enumerate(zip(arrays, shapes)):
         if arr.shape != shape:
             raise DataFormatError(f"{path}: parameter shape {arr.shape} does not match {shape}")
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: parameter {i} holds a non-finite value")
     return Mlp(config, tape, [tape.leaf(a) for a in arrays])

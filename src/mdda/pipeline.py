@@ -109,7 +109,7 @@ class SourceBundle:
     critic: Mlp | None = None
     wd_estimate: float | None = None
     distilled: bool = False
-    tau: np.ndarray | None = None  # each source sample's distance to the target
+    tau: np.ndarray | None = None  # stage 2's distance of each source sample to the target, until stage 3
 
     def __post_init__(self):
         if self.extractor.config.d_out != self.classifier.config.d_in:
@@ -127,32 +127,6 @@ class SourceBundle:
         if self.distilled:
             return 3
         return 2 if self.target_encoder is not None else 1
-
-
-@dataclass
-class DistillSelection:
-    """Per-sample distances and the half-set chosen for fine-tuning."""
-
-    tau: np.ndarray
-    selected_indices: np.ndarray
-    rule: str = "closest"
-    fraction: float = 0.5
-
-    def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=np.float64)
-        self.selected_indices = np.asarray(self.selected_indices, dtype=np.int64)
-        n = self.tau.size
-        k = self.selected_indices.size
-        if self.rule not in ("closest", "farthest"):
-            raise ConfigError(f"unknown distill rule {self.rule!r}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError("fraction must lie in (0, 1]")
-        if k != math.ceil(n * self.fraction):
-            raise ConfigError(f"selection size {k} != ceil({n} * {self.fraction})")
-        if np.unique(self.selected_indices).size != k:
-            raise ConfigError("selected indices must be unique")
-        if k and (self.selected_indices.min() < 0 or self.selected_indices.max() >= n):
-            raise ConfigError("selected indices out of range")
 
 
 @dataclass
@@ -417,19 +391,17 @@ def adapt_target(
     for p, before in zip(bundle.extractor.params, frozen_before):
         if not np.array_equal(p.value, before):
             raise ConfigError("source extractor changed during adaptation")
-    adapted = SourceBundle(
+    # one scoring of every row gives both the distance estimate and tau
+    scores = _critic_scores(critic, target_encoder, src_feats, tgt)
+    return SourceBundle(
         name=bundle.name,
         extractor=bundle.extractor,
         classifier=bundle.classifier,
         target_encoder=target_encoder,
         critic=critic,
-        wd_estimate=0.0,
+        wd_estimate=estimate_wd(*scores),
+        tau=sample_distances(*scores),
     )
-    # one scoring of every row gives both the distance estimate and tau
-    scores = _critic_scores(adapted, src_feats, tgt)
-    adapted.wd_estimate = estimate_wd(*scores)
-    adapted.tau = sample_distances(*scores)
-    return adapted
 
 
 def estimate_wd(src_scores: np.ndarray, tgt_scores: np.ndarray) -> float:
@@ -442,13 +414,12 @@ def estimate_wd(src_scores: np.ndarray, tgt_scores: np.ndarray) -> float:
     return gap
 
 
-def _critic_scores(bundle: SourceBundle, src_feats: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _critic_scores(critic: Mlp, target_encoder: Mlp, src_feats: np.ndarray,
+                   tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The frozen critic's score of every source feature row and of every
     target row through the target encoder."""
-    if bundle.critic is None or bundle.target_encoder is None:
-        raise ConfigError("bundle missing critic; run adaptation first")
-    src_scores = bundle.critic.predict_values(src_feats)[:, 0]
-    tgt_scores = bundle.critic.predict_values(bundle.target_encoder.predict_values(tgt))[:, 0]
+    src_scores = critic.predict_values(src_feats)[:, 0]
+    tgt_scores = critic.predict_values(target_encoder.predict_values(tgt))[:, 0]
     return src_scores, tgt_scores
 
 
@@ -462,9 +433,9 @@ def sample_distances(src_scores: np.ndarray, tgt_scores: np.ndarray) -> np.ndarr
     return np.abs(src_scores - tgt_scores.mean())
 
 
-def distill_select(tau: np.ndarray, rule: str = "closest", fraction: float = 0.5) -> DistillSelection:
-    """Pick the ceil(N * fraction) samples nearest the target (rule
-    "closest"; "farthest" inverts).  Ties go to the lower index."""
+def distill_select(tau: np.ndarray, rule: str = "closest", fraction: float = 0.5) -> np.ndarray:
+    """The rows, sorted, of the ceil(N * fraction) samples nearest the
+    target (rule "closest"; "farthest" inverts).  Ties go to the lower index."""
     tau = np.asarray(tau, dtype=np.float64)
     if tau.size < 2:
         raise ConfigError("distilling needs at least two samples")
@@ -472,42 +443,37 @@ def distill_select(tau: np.ndarray, rule: str = "closest", fraction: float = 0.5
         raise ConfigError(f"unknown distill rule {rule!r}")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError("fraction must lie in (0, 1]")
-    k = math.ceil(tau.size * fraction)
     order = np.argsort(tau if rule == "closest" else -tau, kind="stable")
-    return DistillSelection(
-        tau=tau,
-        selected_indices=np.sort(order[:k]),
-        rule=rule,
-        fraction=fraction,
-    )
+    return np.sort(order[: math.ceil(tau.size * fraction)])
 
 
 def distill_finetune(
     bundles: list[SourceBundle],
     sources: list[Dataset],
-    sels: list[DistillSelection],
+    rows: list[np.ndarray],
     train: TrainConfig,
     rngs: list[Xoshiro256],
 ) -> list[SourceBundle]:
-    """Fine-tune a copy of each source's classifier on its selected samples
+    """Fine-tune a copy of each source's classifier on its selected rows
     only, each source from its own stream, all of them in lockstep.
 
     Features come from the frozen extractor; each returned bundle shares
-    every network except the classifier with its input bundle.
+    every network except the classifier with its input bundle, and holds
+    no tau, which only distilling reads.
     """
-    if not len(bundles) == len(sources) == len(sels) == len(rngs):
-        raise ConfigError("distilling needs one bundle, dataset, selection and stream per source")
-    for bundle, src, sel in zip(bundles, sources, sels):
+    if not len(bundles) == len(sources) == len(rows) == len(rngs):
+        raise ConfigError("distilling needs one bundle, dataset, row array and stream per source")
+    for bundle, src, idx in zip(bundles, sources, rows):
         if bundle.target_encoder is None:
             raise ConfigError("distilling requires a completed adaptation stage")
-        if sel.tau.size != src.n:
-            raise ConfigError(f"selection over {sel.tau.size} samples, dataset has {src.n}")
-    rows = [sel.selected_indices for sel in sels]
+        if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < src.n
+                and np.unique(idx).size == idx.size):
+            raise ConfigError(f"source {bundle.name}: the rows to distill must be distinct integers in [0, {src.n})")
     feats = [b.extractor.predict_values(src.x)[idx] for b, src, idx in zip(bundles, sources, rows)]
     classifiers = [clone_mlp(b.classifier, Tape()) for b in bundles]
     _train_supervised([(c,) for c in classifiers], feats, [src.y[idx] for src, idx in zip(sources, rows)],
                       train, rngs, "fine-tuning", [b.name for b in bundles])
-    return [replace(b, classifier=c, distilled=True) for b, c in zip(bundles, classifiers)]
+    return [replace(b, classifier=c, distilled=True, tau=None) for b, c in zip(bundles, classifiers)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +539,9 @@ _NET_FILES = ("extractor", "classifier", "target_encoder", "critic")
 
 
 def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
-    """Write one parameter file per network, tau.bin for an adapted bundle,
-    and meta.json, stamped with ``experiment``, the hash of the experiment
-    that produced the bundle.
+    """Write one parameter file per network, tau.bin where the bundle holds
+    tau (an adapted bundle before distilling), and meta.json, stamped with
+    ``experiment``, the hash of the experiment that produced the bundle.
 
     meta.json is removed first and replaced last, so a write cut short
     leaves a bundle that does not load rather than one mixing old and new
@@ -612,7 +578,8 @@ def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
 def load_bundle(directory, experiment: str) -> SourceBundle:
     """Read a checkpoint.  A bundle stamped with any experiment hash other
     than ``experiment`` is stale and rejected, and so are a parameter file
-    that does not fit its network's config and an adapted bundle's unreadable tau."""
+    that does not fit its network's config and, for an adapted bundle that
+    is not distilled, an unreadable tau.bin."""
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     version = meta.get("schema_version") if isinstance(meta, dict) else None
@@ -639,7 +606,7 @@ def load_bundle(directory, experiment: str) -> SourceBundle:
         if attr in configs
     }
     tau = None
-    if "critic" in nets:
+    if "critic" in nets and not distilled:
         try:
             (tau,) = load_params(os.path.join(directory, "tau.bin"))
         except (DataFormatError, OSError, ValueError) as exc:

@@ -173,7 +173,7 @@ def critic_scores(bundle, src: Dataset, tgt: np.ndarray) -> tuple[np.ndarray, np
     """The two score vectors that ``estimate_wd`` and ``sample_distances``
     take: the frozen critic's score of every source row through the
     extractor and of every target row through the target encoder."""
-    return _critic_scores(bundle, bundle.extractor.predict_values(src.x), tgt)
+    return _critic_scores(bundle.critic, bundle.target_encoder, bundle.extractor.predict_values(src.x), tgt)
 
 
 def linear_critic(weights_row, bias: float = 0.0) -> Mlp:

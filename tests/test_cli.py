@@ -345,18 +345,62 @@ def _shorten_tau(path):
     save_params([Tensor.of(load_params(path)[0][:-1])], path)
 
 
-@pytest.mark.parametrize("damage", [_drop_tau, _truncate_tau, _shorten_tau],
-                         ids=["missing", "truncated", "one-short"])
+def _poison(index, value):
+    """Damage that sets entry 0 of the file's parameter ``index`` to
+    ``value``, past the checks of ``Tensor.of``."""
+    def apply(path):
+        arrays = load_params(path)
+        arrays[index].reshape(-1)[0] = value
+        save_params([Tensor(None, None, a) for a in arrays], path)
+    return apply
+
+
+def _bundle_files(out) -> dict:
+    return {p: p.read_bytes() for p in sorted(Path(out, "bundles").glob("*/*"))}
+
+
+@pytest.mark.parametrize("damage", [_drop_tau, _truncate_tau, _shorten_tau, _poison(0, np.nan)],
+                         ids=["missing", "truncated", "one-short", "non-finite"])
 def test_an_adapted_bundle_without_a_fitting_tau_exits_one(damage, config_file, tmp_path, capsys):
     out = str(tmp_path / "out")
     for sub in ("pretrain", "adapt"):
         assert main([sub, "--config", config_file, "--out", out, "-q"]) == 0
     damage(Path(out, "bundles", "near", "tau.bin"))
+    before = _bundle_files(out)
     capsys.readouterr()
     assert main(["distill", "--config", config_file, "--out", out, "-q"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("mdda distill:") and "near" in err and "rerun adapt" in err
     assert "Traceback" not in err
+    # the stage-2 bundles are left as they were, and one with a readable tau still loads
+    assert _bundle_files(out) == before
+    if damage not in (_drop_tau, _truncate_tau):
+        stamp = experiment.experiment_hash(tiny_experiment_config())
+        assert pipeline.load_bundle(Path(out, "bundles", "near"), stamp).stage == 2
+
+
+def test_a_non_finite_parameter_file_names_itself(config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for sub in ("pretrain", "adapt"):
+        assert main([sub, "--config", config_file, "--out", out, "-q"]) == 0
+    path = Path(out, "bundles", "near", "critic.bin")
+    _poison(2, np.inf)(path)
+    capsys.readouterr()
+    assert main(["distill", "--config", config_file, "--out", out, "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mdda distill:") and f"{path}: parameter 2 holds a non-finite value" in err
+    assert "Traceback" not in err
+
+
+def test_predict_reads_no_tau(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    for sub in ("pretrain", "adapt", "distill", "predict"):
+        assert main([sub, "--config", config_file, "--out", str(out), "-q"]) == 0
+    predictions = (out / "predictions.csv").read_bytes()
+    for tau in out.glob("bundles/*/tau.bin"):
+        tau.unlink()
+    assert main(["predict", "--config", config_file, "--out", str(out), "-q"]) == 0
+    assert (out / "predictions.csv").read_bytes() == predictions
 
 
 def test_quiet_suppresses_progress(config_file, tmp_path, capsys):

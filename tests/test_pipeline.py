@@ -27,7 +27,6 @@ from mdda.experiment import _params_checksum
 from mdda.nn import MlpConfig, _gradient_row, adam, clone_mlp, forward, init_mlp, step
 from mdda.pipeline import (
     AdaptConfig,
-    DistillSelection,
     DomainWeights,
     SourceBundle,
     TrainConfig,
@@ -131,15 +130,6 @@ def test_adapt_config_validation():
         AdaptConfig(lr_encoder=0.0)
     with pytest.raises(ConfigError, match="learning rates"):
         AdaptConfig(lr_critic=math.nan)
-
-
-def test_distill_selection_validation():
-    with pytest.raises(ConfigError, match="selection size"):
-        DistillSelection(tau=np.ones(4), selected_indices=np.array([0, 1, 2]))
-    with pytest.raises(ConfigError, match="rule"):
-        DistillSelection(tau=np.ones(4), selected_indices=np.array([0, 1]), rule="middle")
-    with pytest.raises(ConfigError, match="unique"):
-        DistillSelection(tau=np.ones(4), selected_indices=np.array([1, 1]))
 
 
 def test_domain_weights_validation():
@@ -311,9 +301,9 @@ def test_finetune_divergence_in_the_backward_of_a_replayed_step(monkeypatch):
     assign(classifier.params[0], np.array([[1.0], [-1.0]]))
     bundle = SourceBundle(name="id", extractor=identity_net(1), classifier=classifier,
                           target_encoder=identity_net(1), critic=identity_net(1), wd_estimate=0.0)
-    sel = DistillSelection(tau=np.zeros(n), selected_indices=np.arange(n), fraction=1.0)
     replayed, recorded = _divergence(
-        lambda: distill_finetune([bundle], [Dataset(x, y, "huge")], [sel], train, [stream(8, "fine")]), monkeypatch)
+        lambda: distill_finetune([bundle], [Dataset(x, y, "huge")], [np.arange(n)], train, [stream(8, "fine")]),
+        monkeypatch)
     assert replayed.step == recorded.step == k > 0
     assert str(replayed) == str(recorded)
     assert "sub produced a non-finite value" in str(replayed)
@@ -321,7 +311,7 @@ def test_finetune_divergence_in_the_backward_of_a_replayed_step(monkeypatch):
 
 def _huge_row_source(name: str, after: int, train: TrainConfig):
     """A fine-tuning source built as in the test above, whose first row to
-    enter a batch after step ``after`` is huge: its bundle, data, selection
+    enter a batch after step ``after`` is huge: its bundle, data, rows
     and the step at which that row enters."""
     n = 40
     rng = stream(8, "fine", name)
@@ -336,8 +326,7 @@ def _huge_row_source(name: str, after: int, train: TrainConfig):
     assign(classifier.params[0], np.array([[1.0], [-1.0]]))
     bundle = SourceBundle(name=name, extractor=identity_net(1), classifier=classifier,
                           target_encoder=identity_net(1), critic=identity_net(1), wd_estimate=0.0)
-    sel = DistillSelection(tau=np.zeros(n), selected_indices=np.arange(n), fraction=1.0)
-    return bundle, Dataset(x, y, name), sel, k
+    return bundle, Dataset(x, y, name), np.arange(n), k
 
 
 def test_finetune_divergence_names_the_source_that_diverges_first(monkeypatch):
@@ -636,7 +625,7 @@ def test_in_place_training_gives_the_reference_parameters_and_checksum(monkeypat
 
 def _supervised_sources(kind: str, count: int, seed: int, extractor: MlpConfig, classifier: MlpConfig):
     """``count`` sources of different sizes, as ``pretrain_source`` takes
-    them, or as bundles, datasets and selections for ``distill_finetune``."""
+    them, or as bundles, datasets and selected rows for ``distill_finetune``."""
     sources = []
     for s in range(count):
         n = 9 + 7 * s
@@ -650,8 +639,8 @@ def _supervised_sources(kind: str, count: int, seed: int, extractor: MlpConfig, 
         bundles.append(SourceBundle(name=src.domain_name, extractor=extractor_net,
                                     classifier=init_mlp(classifier, stream(seed, "clf", src.domain_name)),
                                     target_encoder=extractor_net, critic=identity_net(1), wd_estimate=0.0))
-    sels = [distill_select(stream(seed, "tau", src.domain_name).uniforms(src.n)) for src in sources]
-    return bundles, sources, sels
+    rows = [distill_select(stream(seed, "tau", src.domain_name).uniforms(src.n)) for src in sources]
+    return bundles, sources, rows
 
 
 def _supervised_run(kind: str, sources: tuple, extractor: MlpConfig, classifier: MlpConfig, train: TrainConfig,
@@ -775,12 +764,6 @@ def test_estimate_wd_sign_on_identity_bundle():
     assert estimate_wd(*critic_scores(bundle, zeros, ones.x)) == -1.0
 
 
-def test_estimate_wd_requires_an_adapted_bundle():
-    src, bundle = _toy_bundle(steps=0)
-    with pytest.raises(ConfigError, match="missing critic"):
-        estimate_wd(*critic_scores(bundle, src, src.x))
-
-
 def test_estimate_wd_equals_the_critic_loss_bit_for_bit():
     # the frozen scoring on arrays rounds exactly as the recorded training
     # loss does; sizes past 128 rows take numpy's pairwise summation
@@ -831,13 +814,12 @@ def test_sample_distances_matches_a_python_loop():
 
 
 def test_distill_select_examples():
-    assert list(distill_select(np.array([0.1, 5.0, 0.2, 9.0])).selected_indices) == [0, 2]
-    assert list(distill_select(np.ones(6)).selected_indices) == [0, 1, 2]
-    assert list(distill_select(np.array([5.0, 4.0, 3.0, 2.0, 1.0])).selected_indices) == [2, 3, 4]
-    farthest = distill_select(np.array([0.1, 5.0, 0.2, 9.0]), rule="farthest")
-    assert list(farthest.selected_indices) == [1, 3]
+    assert list(distill_select(np.array([0.1, 5.0, 0.2, 9.0]))) == [0, 2]
+    assert list(distill_select(np.ones(6))) == [0, 1, 2]
+    assert list(distill_select(np.array([5.0, 4.0, 3.0, 2.0, 1.0]))) == [2, 3, 4]
+    assert list(distill_select(np.array([0.1, 5.0, 0.2, 9.0]), rule="farthest")) == [1, 3]
     quarter = distill_select(np.array([0.1, 5.0, 0.2, 9.0]), fraction=0.25)
-    assert list(quarter.selected_indices) == [0]
+    assert list(quarter) == [0] and quarter.dtype == np.int64
 
 
 def test_distill_select_validation():
@@ -851,8 +833,8 @@ def test_distill_select_validation():
 
 def test_distill_select_rules_partition_distinct_distances():
     tau = stream(11, "tau").uniforms(6, 0.0, 10.0)
-    near = set(distill_select(tau, rule="closest").selected_indices)
-    far = set(distill_select(tau, rule="farthest").selected_indices)
+    near = set(distill_select(tau, rule="closest"))
+    far = set(distill_select(tau, rule="farthest"))
     assert near | far == set(range(6)) and not (near & far)
 
 
@@ -861,9 +843,11 @@ def test_distill_finetune_zero_steps_copies_the_classifier():
     tgt = _toy_data(12, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(13, "adapt"))
-    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
-    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(steps=0), [stream(14, "ft")])
+    rows = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
+    (tuned,) = distill_finetune([adapted], [src], [rows], TrainConfig(steps=0), [stream(14, "ft")])
     assert tuned.stage == 3 and tuned.distilled
+    # tau is stage 3's input only: the distilled bundle does not keep it
+    assert adapted.tau is not None and tuned.tau is None
     assert tuned.extractor is adapted.extractor
     assert tuned.classifier is not adapted.classifier
     for pa, pb in zip(tuned.classifier.params, adapted.classifier.params):
@@ -875,8 +859,8 @@ def test_distill_finetune_matches_a_manual_replay():
     tgt = _toy_data(15, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(16, "adapt"))
-    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)), fraction=1.0)
-    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(6, 8, 1e-3), [stream(17, "ft")])
+    rows = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)), fraction=1.0)
+    (tuned,) = distill_finetune([adapted], [src], [rows], TrainConfig(6, 8, 1e-3), [stream(17, "ft")])
 
     rng = stream(17, "ft")
     feats = adapted.extractor.predict_values(src.x)
@@ -893,14 +877,20 @@ def test_distill_finetune_matches_a_manual_replay():
         assert np.array_equal(pa.value, pb.value)
 
 
-def test_distill_finetune_selection_size_mismatch():
+def test_distill_finetune_checks_its_rows():
     src, bundle = _toy_bundle(steps=10)
     tgt = _toy_data(18, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(19, "adapt"))
-    sel = distill_select(np.ones(8))
-    with pytest.raises(ConfigError, match="selection over"):
-        distill_finetune([adapted], [src], [sel], TrainConfig(steps=0), [stream(20, "ft")])
+    # selected over more samples than the dataset has, or not rows of it
+    bad = [distill_select(np.ones(2 * src.n + 2)), np.array([], dtype=np.int64), np.array([[0, 1]]),
+           np.array([0.0, 1.0]), np.array([1, 1]), np.array([-1, 0]), np.array([0, src.n])]
+    for rows in bad:
+        with pytest.raises(ConfigError, match=rf"source {src.domain_name}: .*\[0, {src.n}\)"):
+            distill_finetune([adapted], [src], [rows], TrainConfig(steps=0), [stream(20, "ft")])
+    (tuned,) = distill_finetune([adapted], [src], [np.array([0, src.n - 1])], TrainConfig(steps=0),
+                                [stream(20, "ft")])
+    assert tuned.distilled
 
 
 def test_distilling_prunes_a_corrupted_half():
@@ -920,11 +910,11 @@ def test_distilling_prunes_a_corrupted_half():
                            AdaptConfig(steps=150, batch_size=128, lr_critic=1e-3,
                                        lr_encoder=1e-5, critic_hidden=(16, 16)),
                            stream(0, "adapt"))
-    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
+    rows = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
     # the first 500 rows are the clean half; the critic should prefer them
-    purity = float(np.mean(sel.selected_indices < 500))
+    purity = float(np.mean(rows < 500))
     assert purity >= 0.8
-    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(500, 64, 1e-3), [stream(0, "ft")])
+    (tuned,) = distill_finetune([adapted], [src], [rows], TrainConfig(500, 64, 1e-3), [stream(0, "ft")])
 
     def accuracy(b: SourceBundle) -> float:
         labels = np.argmax(single_source_probs(b, tgt_eval.x), axis=1)
@@ -1062,13 +1052,14 @@ def test_bundle_round_trip_stage_three(tmp_path):
     src, bundle = _toy_bundle(steps=10)
     tgt = _toy_data(26, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, FAST_ADAPT, stream(27, "adapt"))
-    sel = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
-    (tuned,) = distill_finetune([adapted], [src], [sel], TrainConfig(4, 8, 1e-3), [stream(28, "ft")])
+    rows = distill_select(sample_distances(*critic_scores(adapted, src, tgt.x)))
+    (tuned,) = distill_finetune([adapted], [src], [rows], TrainConfig(4, 8, 1e-3), [stream(28, "ft")])
     save_bundle(tuned, tmp_path / "b", "stamp")
     back = load_bundle(tmp_path / "b", "stamp")
     assert back.stage == 3 and back.distilled
     assert back.wd_estimate == tuned.wd_estimate
-    assert back.tau.tobytes() == tuned.tau.tobytes() == adapted.tau.tobytes()
+    # a distilled bundle holds no tau and writes none
+    assert back.tau is None and not (tmp_path / "b" / "tau.bin").exists()
     for attr in ("extractor", "classifier", "target_encoder", "critic"):
         for pa, pb in zip(getattr(back, attr).params, getattr(tuned, attr).params):
             assert np.array_equal(pa.value, pb.value)
