@@ -877,20 +877,32 @@ def test_distill_finetune_matches_a_manual_replay():
         assert np.array_equal(pa.value, pb.value)
 
 
-def test_distill_finetune_checks_its_rows():
+def _assert_rows_rejected(bad):
+    """``distill_finetune`` rejects each of the selected ``bad(n)`` rows of a
+    toy source of ``n`` samples, naming the source and the range its rows
+    must lie in, and takes rows that do lie in it."""
     src, bundle = _toy_bundle(steps=10)
     tgt = _toy_data(18, n=20, label="t")
     adapted = adapt_target(bundle, src, tgt.x, AdaptConfig(steps=0, critic_hidden=(6,)),
                            stream(19, "adapt"))
-    # selected over more samples than the dataset has, or not rows of it
-    bad = [distill_select(np.ones(2 * src.n + 2)), np.array([], dtype=np.int64), np.array([[0, 1]]),
-           np.array([0.0, 1.0]), np.array([1, 1]), np.array([-1, 0]), np.array([0, src.n])]
-    for rows in bad:
+    for rows in bad(src.n):
         with pytest.raises(ConfigError, match=rf"source {src.domain_name}: .*\[0, {src.n}\)"):
             distill_finetune([adapted], [src], [rows], TrainConfig(steps=0), [stream(20, "ft")])
     (tuned,) = distill_finetune([adapted], [src], [np.array([0, src.n - 1])], TrainConfig(steps=0),
                                 [stream(20, "ft")])
     assert tuned.distilled
+
+
+def test_distill_finetune_selection_size_mismatch():
+    # rows selected over more samples than the dataset has
+    _assert_rows_rejected(lambda n: [distill_select(np.ones(2 * n + 2)), np.array([0, n])])
+
+
+def test_distill_selection_validation():
+    # selected rows that are not rows of the dataset: empty, 2-D, float,
+    # repeated or negative
+    _assert_rows_rejected(lambda n: [np.array([], dtype=np.int64), np.array([[0, 1]]), np.array([0.0, 1.0]),
+                                     np.array([1, 1]), np.array([-1, 0])])
 
 
 def test_distilling_prunes_a_corrupted_half():
