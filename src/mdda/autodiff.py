@@ -281,11 +281,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return _apply("softmax_xent", (logits,), _labels(np.array(labels, dtype=np.int64), *logits.shape))
 
 
-def _labels(labels, n_batch: int, n_classes: int, lead: tuple = ()) -> np.ndarray:
-    """``labels`` as an int64 array of shape ``lead`` + (``n_batch``,) of
-    classes below ``n_classes``, not copied if it is one already."""
+def _labels(labels, n_batch: int, n_classes: int) -> np.ndarray:
+    """``labels`` as an int64 vector of ``n_batch`` classes below
+    ``n_classes``, not copied if it is one already."""
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (*lead, n_batch):
+    if y.shape != (n_batch,):
         raise ShapeError(f"labels shape {y.shape} does not match batch size {n_batch}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
@@ -687,9 +687,10 @@ class StepPlan:
     the inputs that are not leaves, gradients included, as its ``program``,
     so the tape may be reset.  At its first replay it generates one
     straight-line function from the program, with one line per node at the
-    captured shapes.  :meth:`run` runs the same IEEE operations, in the same
-    order, as recording the step afresh and calling ``backward(loss, wrt)``,
-    and raises the same error at the same op.  The plan is bound to an
+    captured shapes.  :meth:`replay`, at the inputs and labels the plan's
+    ``arrays`` hold, runs the same IEEE operations, in the same order, as
+    recording the step afresh and calling ``backward(loss, wrt)``, and
+    raises the same error at the same op.  The plan is bound to an
     optimizer's flat gradient ``row``: each replay writes the gradient of
     ``wrt[j]`` into ``views[j]``, its view of the row, and a gradient that is
     a constant is written there once, at capture.  Only the loss and the
@@ -880,34 +881,41 @@ class StepPlan:
         get = (swap or {}).get
         return scope["make"](*(tuple(get(id(obj), obj) for obj in objs) for objs in bound.values()))
 
+    @property
+    def arrays(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The arrays that a replay reads its inputs and label vectors from,
+        which a training loop may fill in place before :meth:`replay`."""
+        return [node.value for node in self.inputs], [node.aux for node, _ in self.softmax]
+
     def run(self, inputs: Sequence, labels: Sequence = ()) -> None:
-        """Replay the step at new input values and new labels, one vector
-        per ``softmax_cross_entropy`` in recording order: the loss value is
+        """Check new input values and new labels, one vector per
+        ``softmax_cross_entropy`` in recording order, write them into the
+        plan's arrays and replay the step."""
+        self._load(inputs, labels)
+        self.replay()
+
+    def replay(self) -> None:
+        """Replay the step at the values its arrays hold: the loss value is
         then ``nodes[out].value`` and the row holds the gradients.  A replay
-        reads its inputs and labels and writes into none of them, so they
-        are not copied."""
-        self._load(self.inputs, [node.aux for node, _ in self.softmax], inputs, labels)
+        writes into none of its arrays."""
         if not _passes(self.lean, self.row):
             with np.errstate(all="ignore"):
                 self.full()
 
-    def _load(self, holders: Sequence[Node], buffers: Sequence[np.ndarray], inputs: Sequence,
-              labels: Sequence, lead: tuple = ()) -> None:
-        """Check ``inputs`` and ``labels`` as :meth:`run` takes them, each
-        with the leading shape ``lead``, then make them the values of the
-        input ``holders`` and write them into the label ``buffers``."""
-        if len(inputs) != len(self.inputs) or len(labels) != len(self.softmax):
-            raise ValueError(f"the step takes {len(self.inputs)} inputs and {len(self.softmax)} label vectors")
-        values = [np.asarray(v, dtype=np.float64, order="C") for v in inputs]
-        for node, arr in zip(self.inputs, values):
-            if arr.shape != (*lead, *node.value.shape):
-                raise ShapeError(f"step input shape {arr.shape[len(lead):]} != captured shape {node.value.shape}")
-            _require_finite(arr, "leaf")
-        ys = [_labels(y, *shape, lead=lead) for (_, shape), y in zip(self.softmax, labels)]
-        for holder, arr in zip(holders, values):
-            holder.value = arr
-        for buffer, y in zip(buffers, ys):
-            buffer[...] = y
+    def _load(self, inputs: Sequence, labels: Sequence) -> None:
+        """Check ``inputs`` and ``labels`` as :meth:`run` takes them, then
+        write them into the plan's arrays."""
+        xs, ys = self.arrays
+        if len(inputs) != len(xs) or len(labels) != len(ys):
+            raise ValueError(f"the step takes {len(xs)} inputs and {len(ys)} label vectors")
+        values = [np.asarray(v, dtype=np.float64) for v in inputs]
+        for x, v in zip(xs, values):
+            if v.shape != x.shape:
+                raise ShapeError(f"step input shape {v.shape} != captured shape {x.shape}")
+            _require_finite(v, "leaf")
+        vectors = [_labels(y, *shape) for (_, shape), y in zip(self.softmax, labels)]
+        for x, v in zip((*xs, *ys), (*values, *vectors)):
+            x[...] = v
 
 
 def _passes(replay: Callable[[], None], row: np.ndarray) -> bool:
@@ -931,21 +939,32 @@ class Lockstep:
     """The step plans of S sources, captured by the same recording at the
     same shapes on S tapes and bound to the rows of one gradient buffer
     ``row`` [S x n], replayed together.  ``stacked[j]`` holds the values and
-    the gradient of every source's ``wrt[j]`` as two (S, ...) views.
+    the gradient of every source's ``wrt[j]`` as two (S, ...) views, and
+    ``inputs[j]`` and ``labels[j]`` every source's input and label vector
+    ``j``, of which each plan, not yet replayed, reads its rows.
 
-    At its first run it generates the first plan's replay with a leading
+    At its first replay it generates the first plan's replay with a leading
     source axis on the parameters, inputs and labels, and with that plan's
     checks.  Every op's form works with or without the axis, and each slice
     of a stacked product or row reduction has the bits of its source's own
     on the numpy and BLAS the tests check.  Where the plans do not stack
-    (:meth:`_stacks`), or a source's inputs or a check fail, :meth:`run`
-    replays the sources one by one through their own plans, in order: an
-    error is then the one the first failing source raises alone, with that
-    source's index as its ``source``.
+    (:meth:`_stacks`), or a check fails, :meth:`replay` replays the sources
+    one by one through their own plans, in order: an error is then the one
+    the first failing source raises alone, with that source's index as its
+    ``source``.
     """
 
     def __init__(self, plans: Sequence[StepPlan], row: np.ndarray, stacked: Sequence[tuple]):
         self.plans, self.row, self.stacked = list(plans), row, stacked
+        xs, ys = zip(*(plan.arrays for plan in self.plans))
+        self.inputs, self.labels = [np.stack(x) for x in zip(*xs)], [np.stack(y) for y in zip(*ys)]
+        for s, (plan, own) in enumerate(zip(self.plans, ys)):
+            for node, x in zip(plan.inputs, self.inputs):
+                node.value = x[s]
+            # the recorded backward's one-hot labels share the array
+            rows = {id(y): labels[s] for y, labels in zip(own, self.labels)}
+            for k in plan.program:
+                plan.nodes[k].aux = rows.get(id(plan.nodes[k].aux), plan.nodes[k].aux)
 
     @functools.cached_property
     def lean(self) -> Callable[[], None] | None:
@@ -954,13 +973,11 @@ class Lockstep:
         if n < 2 or not self._stacks():
             return None
         nodes = plan.nodes
-        self.inputs = [Node("leaf", (), None) for _ in plan.inputs]
-        self.labels = [np.zeros((n, shape[0]), dtype=np.int64) for _, shape in plan.softmax]
         self.loss = Node(nodes[plan.out].op, (), None)
         swap = {id(nodes[plan.out]): self.loss}
         for node, view, (value, grad) in zip(plan.wrt, plan.views, self.stacked):
             swap.update({id(node): Node("leaf", (), value), id(view): grad})
-        swap.update((id(node), holder) for node, holder in zip(plan.inputs, self.inputs))
+        swap.update((id(node), Node("leaf", (), x)) for node, x in zip(plan.inputs, self.inputs))
         swap.update((id(node.aux), labels) for (node, _), labels in zip(plan.softmax, self.labels))
         swap.update((id(nodes[k].aux), (n, *nodes[k].aux)) for k in plan.program if nodes[k].op == "reshape")
         return plan._replay(plan.own, {nodes[plan.out]}, swap)
@@ -987,31 +1004,28 @@ class Lockstep:
                     for k in plan.program)
             for other in self.plans[1:])
 
-    def _load(self, inputs: Sequence[Sequence], labels: Sequence[Sequence]) -> bool:
-        """Bind every source's inputs and labels, stacked, to the stacked
-        replay; ``False``, binding nothing, where some source's fail the
-        first plan's checks."""
-        try:
-            values = [np.asarray(xs) for xs in zip(*inputs, strict=True)]
-            ys = [np.asarray(y) for y in zip(*labels, strict=True)]
-            self.plans[0]._load(self.inputs, self.labels, values, ys, lead=(len(self.plans),))
-        except (ValueError, NonFiniteError):
-            return False
-        return True
-
     def run(self, inputs: Sequence[Sequence], labels: Sequence[Sequence]) -> None:
-        """Replay every source's step, source s at ``inputs[s]`` and
-        ``labels[s]`` as :meth:`StepPlan.run` takes them; each plan's loss
-        value is then its source's, and the row holds the gradients."""
+        """Write source s's ``inputs[s]`` and ``labels[s]``, checked as
+        :meth:`StepPlan.run` checks them, into its rows of ``inputs`` and
+        ``labels``, then replay: inputs that a source's plan rejects raise as
+        they raise alone, before any source replays."""
         if len(inputs) != len(self.plans) or len(labels) != len(self.plans):
             raise ValueError(f"the step takes the inputs and labels of {len(self.plans)} sources")
-        if self.lean is not None and self._load(inputs, labels) and _passes(self.lean, self.row):
+        for plan, xs, ys in zip(self.plans, inputs, labels):
+            plan._load(xs, ys)
+        self.replay()
+
+    def replay(self) -> None:
+        """Replay every source's step at the values its rows of ``inputs``
+        and ``labels`` hold: each plan's loss value is then its source's, and
+        the row holds the gradients."""
+        if self.lean is not None and _passes(self.lean, self.row):
             for s, plan in enumerate(self.plans):
                 plan.nodes[plan.out].value = self.loss.value[s, ...]
             return
-        for s, (plan, xs, ys) in enumerate(zip(self.plans, inputs, labels)):
+        for s, plan in enumerate(self.plans):
             try:
-                plan.run(xs, ys)
+                plan.replay()
             except NonFiniteError as exc:
                 exc.source = s
                 raise

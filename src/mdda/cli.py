@@ -30,6 +30,7 @@ from .experiment import (
     sample_sources,
     sample_target,
 )
+from .nn import load_params
 from .pipeline import load_bundle, save_bundle
 from .scatter import export_scatter
 
@@ -127,6 +128,11 @@ def _cmd_adapt(inv: CliInvocation, cfg: ExperimentConfig) -> None:
 
 def _cmd_distill(inv: CliInvocation, cfg: ExperimentConfig) -> None:
     bundles = _load_bundles(inv, cfg, 2)
+    for b in bundles if cfg.method.distill else ():
+        try:
+            (b.tau,) = load_params(os.path.join(_bundle_dir(inv, b.name), "tau.bin"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"source {b.name}: bundle has no readable tau ({exc}); rerun adapt") from None
     _save_bundles(inv, cfg, distill_sources(cfg, 0, sample_sources(cfg, 0), bundles))
 
 

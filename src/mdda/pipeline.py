@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Lockstep, StepPlan, Tape, Tensor, _rows, backward, matmul, softmax_cross_entropy
+from .autodiff import Lockstep, StepPlan, Tape, Tensor, _require_finite, _rows, backward, matmul, softmax_cross_entropy
 from .datagen import Dataset
 from .errors import ConfigError, DataFormatError, DivergenceError, NonFiniteError, ShapeError
 from .errors import from_json, json_bool, json_field, json_float, json_str, to_json
@@ -31,7 +31,6 @@ from .nn import (
     forward,
     init_mlp,
     load_mlp,
-    load_params,
     save_params,
     step,
 )
@@ -176,8 +175,6 @@ def pretrain_source(
     for src in sources:
         if extractor_cfg.d_in != src.d:
             raise ConfigError(f"extractor expects width {extractor_cfg.d_in}, data has {src.d}")
-        if src.y.max() >= classifier_cfg.d_out:
-            raise ConfigError(f"label {src.y.max()} outside {classifier_cfg.d_out} classes")
     nets = []
     for rng in rngs:
         tape = Tape()
@@ -191,21 +188,31 @@ def _train_supervised(nets: list[tuple[Mlp, ...]], xs: list[np.ndarray], ys: lis
                       train: TrainConfig, rngs: list[Xoshiro256], what: str, names: list[str]) -> None:
     """Adam on the cross-entropy of each source's chained ``nets`` (one tape
     per source) over minibatches of its rows of ``xs`` and ``ys``, drawn from
-    its own stream, all sources in lockstep.  A non-finite value is a
+    its own stream, all sources in lockstep, gathered into the arrays that
+    the replay reads.  The data are checked first; a non-finite value is a
     divergence of the first source, in source order, at the earliest step."""
+    n_classes = nets[0][-1].config.d_out
+    for x, y, name in zip(xs, ys, names):
+        if not np.isfinite(x).all():
+            raise NonFiniteError(f"{what} of source {name}: a data row holds a non-finite value")
+        if y.min() < 0 or y.max() >= n_classes:
+            raise ConfigError(f"{what} of source {name}: a label lies outside [0, {n_classes})")
     steps = _Steps([[p for net in chain for p in net.params] for chain in nets], adam(train.learning_rate))
 
-    def record(s: int, x: np.ndarray, y: np.ndarray) -> Tensor:
-        h = nets[s][0].tape.leaf(x)
+    def record(s: int, rows: np.ndarray) -> Tensor:
+        h = nets[s][0].tape.leaf(xs[s][rows])
         for net in nets[s]:
             h = forward(net, h)
-        return softmax_cross_entropy(h, y)
+        return softmax_cross_entropy(h, ys[s][rows])
 
     batches = zip(*(_minibatches(rng, train.steps, train.batch_size, x.shape[0]) for rng, x in zip(rngs, xs)))
     for i, idx in enumerate(batches):
-        x, y = [x[j] for x, j in zip(xs, idx)], [y[j] for y, j in zip(ys, idx)]
+        if steps.plan is not None:
+            for x, y, rows, (into_x,), (into_y,) in zip(xs, ys, idx, steps.inputs, steps.labels):
+                x.take(rows, 0, into_x)
+                y.take(rows, 0, into_y)
         try:
-            steps(lambda s: record(s, x[s], y[s]), lambda s: [x[s]], lambda s: [y[s]])
+            steps(lambda s: record(s, idx[s]))
         except NonFiniteError as exc:
             raise DivergenceError(f"{what} of source {names[exc.source]} diverged: {exc}", step=i) from exc
     for chain, mark in zip(nets, steps.marks):
@@ -228,21 +235,31 @@ class _Steps:
     parameter lists of S sources, one tape each, with one optimizer: the
     first step records each source's loss past its tape's mark, writes its
     gradients into the source's row of the optimizer's gradient buffer and
-    captures it as a plan of one input bound to that row; every
-    later step replays all sources as one (``Lockstep``).  ``step`` reads
-    the gradients from the buffer.  A ``NonFiniteError`` names the source it
-    arose in by its ``source``."""
+    captures it as a plan of one input bound to that row; every later step
+    replays the one plan, or all as one (``Lockstep``), at what the loop
+    wrote into source s's plan's arrays ``inputs[s]`` and ``labels[s]``, the
+    inputs checked as leaves if ``checked``.  ``step`` reads the gradients
+    from the buffer.  A ``NonFiniteError`` names the source it arose in by
+    its ``source``."""
 
-    def __init__(self, params: list[list[Tensor]], opt):
-        self.params, self.opt, self.replay = params, opt, None
+    def __init__(self, params: list[list[Tensor]], opt, checked: bool = False):
+        self.params, self.opt, self.checked = params, opt, checked
         self.flat = [p for ps in params for p in ps]
         self.marks = [ps[0].tape.mark() for ps in params]
+        self.plan = self.inputs = self.labels = None
 
-    def __call__(self, record, inputs, labels=lambda s: ()) -> None:
-        """``record(s)`` records source s's loss, its input leaf first;
-        ``inputs(s)`` and ``labels(s)`` give the array, as a list of one, and
-        the label vectors a replay takes in their place."""
-        if self.replay is None:
+    def __call__(self, record) -> None:
+        """``record(s)`` records source s's loss, its input leaf first, at
+        the first step; every later step is replayed."""
+        if self.plan is not None:
+            for s, (x,) in enumerate(self.inputs if self.checked else ()):
+                try:
+                    _require_finite(x, "leaf")
+                except NonFiniteError as exc:
+                    exc.source = s
+                    raise
+            self.plan.replay()
+        else:
             recorded = []
             for s, (params, mark) in enumerate(zip(self.params, self.marks)):
                 params[0].tape.reset(mark)
@@ -264,10 +281,8 @@ class _Steps:
                 for p, view in zip(params, own):
                     view[...] = grads[p.id].value
             if plans[0] is not None:
-                self.replay = Lockstep(plans, row, self.opt._stacked)
-        else:
-            sources = range(len(self.params))
-            self.replay.run([inputs(s) for s in sources], [labels(s) for s in sources])
+                self.plan = plans[0] if len(plans) == 1 else Lockstep(plans, row, self.opt._stacked)
+                self.inputs, self.labels = zip(*(plan.arrays for plan in plans))
         step(self.opt, self.flat, None)
 
 
@@ -317,13 +332,13 @@ def gradient_penalty(
     return (norms - 1.0).square().mean()
 
 
-def _penalty_points(s: np.ndarray, t: np.ndarray, rng: Xoshiro256) -> np.ndarray:
+def _penalty_points(s: np.ndarray, t: np.ndarray, rng: Xoshiro256, out: np.ndarray | None = None) -> np.ndarray:
     if s.shape != t.shape:
         raise ShapeError(f"paired batches must match: {s.shape} vs {t.shape}")
     if s.ndim != 2 or s.shape[0] < 1:
         raise ConfigError("gradient_penalty needs a non-empty [batch x features] pair")
     eps = rng.uniforms(s.shape[0])[:, None]
-    return np.concatenate([eps * s + (1.0 - eps) * t, s, t], axis=0)
+    return np.concatenate([eps * s + (1.0 - eps) * t, s, t], axis=0, out=out)
 
 
 def _critic_objective(critic: Mlp, s: np.ndarray, t: np.ndarray, rng: Xoshiro256, cfg: AdaptConfig) -> Tensor:
@@ -354,6 +369,8 @@ def adapt_target(
         raise ShapeError(f"target data shape {tgt.shape} does not match extractor input")
     if tgt.shape[0] < 1:
         raise ConfigError("adapt_target needs non-empty target data")
+    if not np.isfinite(tgt).all():
+        raise NonFiniteError("adapt_target: a target row holds a non-finite value")
     frozen_before = [p.value.copy() for p in bundle.extractor.params]
     src_feats = bundle.extractor.predict_values(src.x)
 
@@ -365,7 +382,7 @@ def adapt_target(
         leaky_slope=cfg.critic_slope,
     )
     critic = init_mlp(critic_cfg, rng, tape)
-    critic_steps = _Steps([critic.params], adam(cfg.lr_critic, beta1=0.5, beta2=0.9))
+    critic_steps = _Steps([critic.params], adam(cfg.lr_critic, beta1=0.5, beta2=0.9), checked=True)
     encoder_steps = _Steps([target_encoder.params], adam(cfg.lr_encoder, beta1=0.5, beta2=0.9))
     for i in range(cfg.steps):
         if cfg.lr_decay:
@@ -380,10 +397,13 @@ def adapt_target(
                 ti = rng.integers(cfg.batch_size, below=tgt.shape[0])
                 s = src_feats[si]
                 t = target_encoder.predict_values(tgt[ti])
-                critic_steps(lambda _: _critic_objective(critic, s, t, rng, cfg),
-                             lambda _: [_penalty_points(s, t, rng)])
-            rows = tgt[rng.integers(cfg.batch_size, below=tgt.shape[0])]
-            encoder_steps(lambda _: encoder_loss(critic, forward(target_encoder, tape.leaf(rows))), lambda _: [rows])
+                if critic_steps.plan is not None:
+                    _penalty_points(s, t, rng, critic_steps.inputs[0][0])
+                critic_steps(lambda _: _critic_objective(critic, s, t, rng, cfg))
+            rows = rng.integers(cfg.batch_size, below=tgt.shape[0])
+            if encoder_steps.plan is not None:
+                tgt.take(rows, 0, encoder_steps.inputs[0][0])
+            encoder_steps(lambda _: encoder_loss(critic, forward(target_encoder, tape.leaf(tgt[rows]))))
         except NonFiniteError as exc:
             raise DivergenceError(f"adaptation diverged: {exc}", step=i) from exc
     tape.reset(critic_steps.marks[0])
@@ -576,10 +596,10 @@ def save_bundle(bundle: SourceBundle, directory, experiment: str) -> None:
 
 
 def load_bundle(directory, experiment: str) -> SourceBundle:
-    """Read a checkpoint.  A bundle stamped with any experiment hash other
-    than ``experiment`` is stale and rejected, and so are a parameter file
-    that does not fit its network's config and, for an adapted bundle that
-    is not distilled, an unreadable tau.bin."""
+    """Read a checkpoint's networks, without tau.bin, which only distilling
+    reads.  A bundle stamped with any experiment hash other than
+    ``experiment`` is stale and rejected, and so is a parameter file that
+    does not fit its network's config."""
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     version = meta.get("schema_version") if isinstance(meta, dict) else None
@@ -605,12 +625,6 @@ def load_bundle(directory, experiment: str) -> SourceBundle:
         for attr in _NET_FILES
         if attr in configs
     }
-    tau = None
-    if "critic" in nets and not distilled:
-        try:
-            (tau,) = load_params(os.path.join(directory, "tau.bin"))
-        except (DataFormatError, OSError, ValueError) as exc:
-            raise ConfigError(f"{directory}: bundle {name!r} has no readable tau ({exc}); rerun adapt") from None
     return SourceBundle(
         name=name,
         extractor=nets["extractor"],
@@ -619,5 +633,4 @@ def load_bundle(directory, experiment: str) -> SourceBundle:
         critic=nets.get("critic"),
         wd_estimate=wd_estimate,
         distilled=distilled,
-        tau=tau,
     )

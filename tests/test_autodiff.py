@@ -404,12 +404,14 @@ def test_the_critic_step_takes_its_score_gap_as_rows_of_the_penalty_forward():
     assert sorted((part.start, part.stop) for _, part in plan.shared.values()) == [(64, 128)] * 7 + [(128, 192)] * 7
     # the batches' first products and activations, read only as views, are not run
     assert len(plan.program) - len(plan.emitted) == 4
-    # a replay writes into no view: of its input, nor of a value a view holds
-    inputs[0].setflags(write=False)
+    # a replay writes into no view: of its input array, nor of a value a view holds
     plan.run(inputs, [])
+    assert points.op == "leaf" and plan.arrays == ([points.value], [])
+    points.value.setflags(write=False)
+    plan.replay()
     fresh_loss, *_ = _critic_step([node.value.copy() for node in plan.wrt])
     assert plan.nodes[plan.out].value.tobytes() == fresh_loss.value.tobytes()
-    assert points.op == "leaf" and points.value is inputs[0]
+    assert points.value.tobytes() == inputs[0].tobytes()
 
 
 def _shared_step(order, values=(), draw=49):

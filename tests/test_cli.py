@@ -392,12 +392,18 @@ def test_a_non_finite_parameter_file_names_itself(config_file, tmp_path, capsys)
     assert "Traceback" not in err
 
 
-def test_predict_reads_no_tau(config_file, tmp_path, capsys):
-    out = tmp_path / "out"
+@pytest.mark.parametrize("distill", [True, False], ids=["distill", "no-distill"])
+def test_predict_reads_no_tau(distill, tmp_path, monkeypatch, capsys):
+    # without distilling, predict loads the stage-2 bundles
+    monkeypatch.delenv("MDDA_OUT", raising=False)
+    config_file, out = str(tmp_path / "exp.json"), tmp_path / "out"
+    save_config(tiny_experiment_config(method=MethodConfig(distill=distill)), config_file)
     for sub in ("pretrain", "adapt", "distill", "predict"):
         assert main([sub, "--config", config_file, "--out", str(out), "-q"]) == 0
     predictions = (out / "predictions.csv").read_bytes()
-    for tau in out.glob("bundles/*/tau.bin"):
+    taus = list(out.glob("bundles/*/tau.bin"))
+    assert len(taus) == 2
+    for tau in taus:
         tau.unlink()
     assert main(["predict", "--config", config_file, "--out", str(out), "-q"]) == 0
     assert (out / "predictions.csv").read_bytes() == predictions

@@ -652,22 +652,28 @@ def _supervised_run(kind: str, sources: tuple, extractor: MlpConfig, classifier:
     names = [src.domain_name for src in sources[-2 if kind == "finetune" else 0]]
     rngs = [stream(seed, kind, name) for name in names]
     losses, alone = [[] for _ in names], []
-    # a recorded loss is a tensor; a lockstep replay writes each plan's loss
-    cross_entropy, replay, run = mdda.pipeline.softmax_cross_entropy, Lockstep.run, StepPlan.run
+    # a recorded loss is a tensor; a replay writes each plan's loss
+    cross_entropy, replay, replay_alone = mdda.pipeline.softmax_cross_entropy, Lockstep.replay, StepPlan.replay
 
     def recorded(logits, labels):
         loss = cross_entropy(logits, labels)
         losses[sum(map(len, losses)) % len(names)].append(loss.value.tobytes())
         return loss
 
-    def replayed(self, inputs, labels):
-        replay(self, inputs, labels)
+    def replayed(self):
+        replay(self)
         for s, plan in enumerate(self.plans):
             losses[s].append(plan.nodes[plan.out].value.tobytes())
 
+    def replayed_alone(self):
+        alone.append(1)
+        replay_alone(self)
+        if len(names) == 1:  # the loop replays its one plan itself
+            losses[0].append(self.nodes[self.out].value.tobytes())
+
     patch.setattr(mdda.pipeline, "softmax_cross_entropy", recorded)
-    patch.setattr(Lockstep, "run", replayed)
-    patch.setattr(StepPlan, "run", lambda self, *args: alone.append(1) or run(self, *args))
+    patch.setattr(Lockstep, "replay", replayed)
+    patch.setattr(StepPlan, "replay", replayed_alone)
     if kind == "pretrain":
         bundles = pretrain_source(sources[0], extractor, classifier, train, rngs)
     else:
@@ -728,7 +734,7 @@ def test_a_non_finite_row_in_lockstep_leaves_every_sources_optimizer_as_it_was(b
     nets = [(init_mlp(EXTRACTOR, stream(30, str(s)), tape), init_mlp(CLASSIFIER, stream(31, str(s)), tape))
             for s, tape in enumerate(tapes)]
     opt = adam(1e-2)
-    steps = mdda.pipeline._Steps([[p for net in chain for p in net.params] for chain in nets], opt)
+    steps = mdda.pipeline._Steps([[p for net in chain for p in net.params] for chain in nets], opt, checked=True)
     xs = [stream(32, str(s)).uniforms(16, -2.0, 2.0).reshape(8, 2) for s in range(3)]
     ys = [stream(33, str(s)).integers(8, below=2) for s in range(3)]
 
@@ -739,7 +745,10 @@ def test_a_non_finite_row_in_lockstep_leaves_every_sources_optimizer_as_it_was(b
                 h = forward(net, h)
             return softmax_cross_entropy(h, ys[s])
 
-        steps(record, lambda s: [x[s]], lambda s: [ys[s]])
+        # a replayed step's inputs, computed by the loop, go into its arrays
+        for s, (into,) in enumerate(steps.inputs or ()):
+            into[...] = x[s]
+        steps(record)
 
     for _ in range(3):
         call(xs)
@@ -754,6 +763,117 @@ def test_a_non_finite_row_in_lockstep_leaves_every_sources_optimizer_as_it_was(b
     # and the loop goes on from the state it kept
     call(xs)
     assert opt.step_count == state[3] + 1
+
+
+def _gathered_or_checked(count: int, gathered: bool) -> tuple[list, list, list]:
+    """Six steps of ``count`` sources' pre-training loop with one ``_Steps``:
+    after the first, each step either gathers its rows into the arrays its
+    replay reads or passes fancy-indexed copies to the checked ``run``.
+    Per step, each plan's loss, the gradient row, the parameters and Adam's
+    moments as bytes; each replayed step's input and label arrays; and the
+    plans."""
+    tapes = [Tape() for _ in range(count)]
+    nets = [(init_mlp(EXTRACTOR, stream(50, str(s)), tape), init_mlp(CLASSIFIER, stream(51, str(s)), tape))
+            for s, tape in enumerate(tapes)]
+    opt = adam(1e-2)
+    steps = mdda.pipeline._Steps([[p for net in chain for p in net.params] for chain in nets], opt)
+    xs = [stream(52, str(s)).uniforms(40, -2.0, 2.0).reshape(20, 2) for s in range(count)]
+    ys = [stream(53, str(s)).integers(20, below=2) for s in range(count)]
+    states, arrays = [], []
+    for i in range(6):
+        idx = [stream(54, str(s), str(i)).integers(8, below=20) for s in range(count)]
+
+        def record(s):
+            h = tapes[s].leaf(xs[s][idx[s]])
+            for net in nets[s]:
+                h = forward(net, h)
+            return softmax_cross_entropy(h, ys[s][idx[s]])
+
+        if steps.plan is None:
+            steps(record)
+        elif gathered:
+            for x, y, rows, (into_x,), (into_y,) in zip(xs, ys, idx, steps.inputs, steps.labels):
+                x.take(rows, 0, into_x)
+                y.take(rows, 0, into_y)
+            # a replay writes into none of the arrays it reads, stacked or not
+            owned = [a for own in (*steps.inputs, *steps.labels) for a in (*own, own[0].base) if a is not None]
+            for a in owned:
+                a.setflags(write=False)
+            steps(record)
+            for a in reversed(owned):
+                a.setflags(write=True)
+            arrays.append([(x, y) for (x,), (y,) in zip(steps.inputs, steps.labels)])
+        else:
+            if count == 1:
+                steps.plan.run([xs[0][idx[0]]], [ys[0][idx[0]]])
+            else:
+                steps.plan.run([[x[rows]] for x, rows in zip(xs, idx)], [[y[rows]] for y, rows in zip(ys, idx)])
+            step(opt, steps.flat, None)
+        plans = getattr(steps.plan, "plans", [steps.plan])
+        states.append(([plan.nodes[plan.out].value.tobytes() for plan in plans] if i else [],
+                       opt._rows[0].tobytes(), opt._values.tobytes(), opt._rows[1].tobytes(), opt._rows[2].tobytes()))
+    return states, arrays, plans
+
+
+@pytest.mark.parametrize("count, stacks", [(1, False), (3, True), (3, False)], ids=["one", "stacked", "one-by-one"])
+def test_a_gathered_replay_is_byte_equal_to_the_checked_path(count, stacks, monkeypatch):
+    if not stacks:  # each plan replays alone, from its rows of the stacked arrays
+        monkeypatch.setattr(Lockstep, "_stacks", lambda self: False)
+    checked, _, _ = _gathered_or_checked(count, gathered=False)
+    gathered, arrays, plans = _gathered_or_checked(count, gathered=True)
+    assert gathered == checked and len(arrays) == 5
+    # every step wrote into the same arrays, which the plans read
+    assert all(x is a and y is b for step_arrays in arrays for (x, y), (a, b) in zip(step_arrays, arrays[0]))
+    assert all(plan.arrays[0][0] is x and plan.arrays[1][0] is y for plan, (x, y) in zip(plans, arrays[0]))
+    if count > 1:
+        # each source's arrays are its rows of the stacked ones
+        assert all(x.base is not None and y.base is not None for x, y in arrays[0])
+        assert len({id(x.base) for x, _ in arrays[0]}) == len({id(y.base) for _, y in arrays[0]}) == 1
+
+
+def _supervised_data_fault(fault: str):
+    """Two pre-training sources of 40 rows, the second with a NaN in a row that none
+    of 3 steps of 4 rows draws (``"nan"``) or a label of a third class
+    (``"label"``): the nets, the data and the schedule."""
+    train, rngs = TrainConfig(3, 4, 1e-2), [stream(60, str(s)) for s in range(2)]
+    nets = [(init_mlp(EXTRACTOR, stream(61, str(s)), tape), init_mlp(CLASSIFIER, stream(62, str(s)), tape))
+            for s, tape in enumerate([Tape(), Tape()])]
+    xs = [stream(63, str(s)).uniforms(80, -2.0, 2.0).reshape(40, 2) for s in range(2)]
+    ys = [np.arange(40) % 2 for _ in range(2)]
+    drawn = {int(r) for b in mdda.pipeline._minibatches(stream(60, "1"), train.steps, train.batch_size, 40)
+             for r in b}
+    row = min(set(range(40)) - drawn)
+    if fault == "nan":
+        xs[1][row, 0] = np.nan
+    else:
+        ys[1][row] = 2
+    return nets, xs, ys, train, rngs
+
+
+@pytest.mark.parametrize("fault, error", [("nan", NonFiniteError), ("label", ConfigError)])
+def test_a_supervised_loop_checks_its_data_before_its_first_step(fault, error, monkeypatch):
+    nets, xs, ys, train, rngs = _supervised_data_fault(fault)
+    params = [p for chain in nets for net in chain for p in net.params]
+    before = [p.value.tobytes() for p in params]
+    stepped = []
+    monkeypatch.setattr(mdda.pipeline, "step", lambda *args: stepped.append(1))
+    with pytest.raises(error, match="^pre-training of source b: "):
+        mdda.pipeline._train_supervised(nets, xs, ys, train, rngs, "pre-training", ["a", "b"])
+    # nothing was recorded, stepped or drawn
+    assert stepped == [] and [p.value.tobytes() for p in params] == before
+    assert all(len(chain[0].tape) == sum(len(net.params) for net in chain) for chain in nets)
+    assert all(np.array_equal(rng._draw(8), stream(60, str(s))._draw(8)) for s, rng in enumerate(rngs))
+
+
+def test_adaptation_checks_the_target_rows_before_training(monkeypatch):
+    src, bundle = _toy_bundle(steps=4)
+    tgt = _toy_data(64, n=400).x
+    tgt[0, 1] = np.inf  # a row that no step draws
+    stepped = []
+    monkeypatch.setattr(mdda.pipeline, "step", lambda *args: stepped.append(1))
+    with pytest.raises(NonFiniteError, match="target row holds a non-finite value"):
+        adapt_target(bundle, src, tgt, replace(FAST_ADAPT, steps=1, n_critic=1), stream(65, "adapt"))
+    assert stepped == []
 
 
 def test_estimate_wd_sign_on_identity_bundle():
